@@ -27,7 +27,6 @@ from .fisher import CrbResult, crb_bounds, fi_matrix, mean_counts, n_scattered
 from .model import (
     PARAM_NAMES,
     InfoMatrix,
-    ParamVector,
     PhysicsError,
     Pulse,
     Scatterer,
@@ -59,7 +58,6 @@ __all__ = [
     "CrbResult",
     "FieldSet",
     "InfoMatrix",
-    "ParamVector",
     "PhysicsError",
     "PixelGrid",
     "Pulse",

@@ -118,8 +118,9 @@ def scattered_point(points: np.ndarray, scatterer: Scatterer, k: float = 1.0,
 
 
 def regularizer(k, a0: float):
-    """Spectral weight of the exponential source profile, ``[1 + (a0 k / 2)^2]^-2``."""
-    return 1.0 / np.square(1.0 + np.square(np.asarray(k) * (a0 / 2.0)))
+    """Spectral weight of the exponential source profile,
+    ``[1 + (a0 k / 2)^2]^-2`` (1 for a0 = 0)."""
+    return 1.0 / np.square(1.0 + np.square(np.asarray(k, dtype=float) * (a0 / 2.0)))
 
 
 def _envelope_brackets(rho: np.ndarray, k: float, a0: float):

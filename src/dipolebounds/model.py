@@ -241,25 +241,6 @@ class Pulse:
 # estimation-theory containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Estimation parameters in canonical order (chi0, x0, y0, z0)."""
-
-    chi0: float
-    x0: float = 0.0
-    y0: float = 0.0
-    z0: float = 0.0
-
-    names = PARAM_NAMES
-
-    @classmethod
-    def from_scatterer(cls, scatterer: Scatterer) -> "ParamVector":
-        return cls(scatterer.chi0, *scatterer.r0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.chi0, self.x0, self.y0, self.z0])
-
-
 @dataclass(frozen=True, eq=False)
 class InfoMatrix:
     """A 4x4 Fisher-information matrix in canonical parameter order.

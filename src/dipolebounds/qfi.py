@@ -25,8 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import sici
 
+from .fields import regularizer
 from .model import PhysicsError, Pulse, Scatterer
-from .quadrature import SinhGrid, pv_integral, pv_matrix, trapezoid_weights
+from .quadrature import (SinhGrid, pv_integral, pv_matrix, real_matmul,
+                         trapezoid_weights)
 
 __all__ = [
     "GAUGES",
@@ -42,6 +44,17 @@ __all__ = [
 ]
 
 GAUGES = ("multipolar", "coulomb")
+
+#: element budget of one working array: times (or poles) are processed in
+#: blocks of ``_BLOCK_ELEMENTS // n`` rows of ``n`` grid values, which keeps
+#: memory flat however long the requested series is
+_BLOCK_ELEMENTS = 2**15
+
+
+def _blocks(count: int, n: int):
+    """Slices covering ``range(count)`` in blocks of rows of length ``n``."""
+    step = max(1, _BLOCK_ELEMENTS // n)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +101,18 @@ class SpectralPulse:
     def support(self) -> np.ndarray:
         return self.alpha != 0
 
-    def values(self, t: float) -> np.ndarray:
-        """Time-evolved spectral amplitude ``alpha(k) exp(-i k t)``."""
-        return self.alpha * np.exp(-1j * self.grid.nodes * t)
+    def values(self, t) -> np.ndarray:
+        """Time-evolved spectral amplitude ``alpha(k) exp(-i k t)``.
+
+        ``t`` is a scalar or an array of times; the result has shape
+        ``t.shape + (n,)`` for a grid of ``n`` nodes.
+        """
+        t = np.asarray(t, dtype=float)
+        return self.alpha * np.exp(-1j * self.grid.nodes * t[..., None])
 
     def fluence_on_grid(self) -> float:
         """Fluence recovered from the sampled amplitude (normalization check)."""
         return float((np.abs(self.alpha) ** 2) @ self.grid.weights / (2.0 * math.pi))
-
-
-def regularizer(k, a0: float):
-    """Source-size spectral weight ``[1 + (a0 k / 2)^2]^-2`` (1 for a0 = 0)."""
-    return 1.0 / np.square(1.0 + np.square(np.asarray(k, dtype=float) * (a0 / 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +139,11 @@ class FrequencyIntegrals:
                                       - (i/2) K(p) alpha(p,t) ) ]
 
     with kernel ``K(k) = k^b xi_k chi(k)`` (``chi/chi0`` for f3).  The
-    principal-value and smooth 1/(k+p) transforms are precomputed as matrices
-    over the grid, so evaluating a new time point costs three matrix-vector
-    products.
+    principal-value and smooth 1/(k+p) transforms are precomputed as real
+    matrices over the grid.  :meth:`eval` takes a block of ``T`` times and
+    applies each matrix to the real and imaginary parts of the ``(T, n)``
+    block of kernel-weighted amplitudes, so a block costs four real
+    matrix-matrix products per profile, whatever ``T`` is.
 
     Parameters
     ----------
@@ -169,14 +184,19 @@ class FrequencyIntegrals:
             pref = sign * k ** (a - shift) * xi
             self._pieces[name] = (pref, kern, s_plus, s_minus)
 
-    def eval(self, t: float) -> dict[str, np.ndarray]:
-        """Profiles at all grid nodes for one time, keyed ``f1, f2, f3``."""
+    def eval(self, t) -> dict[str, np.ndarray]:
+        """Profiles at all grid nodes, keyed ``f1, f2, f3``.
+
+        ``t`` is a scalar or an array of times; each profile has shape
+        ``t.shape + (n,)``.  The working arrays grow with ``t.size``, so long
+        series are passed in blocks (as :func:`qfi_matrix` does).
+        """
         alpha_t = self.spectral.values(t)
         out = {}
         for name, (pref, kern, s_plus, s_minus) in self._pieces.items():
             fk = kern * alpha_t
-            plus = self._plus @ (kern * np.conj(alpha_t))
-            pv = self._pv @ fk
+            plus = real_matmul(kern * np.conj(alpha_t), self._plus.T)
+            pv = real_matmul(fk, self._pv.T)
             out[name] = pref * (s_plus * plus / (2.0 * math.pi)
                                 + s_minus * (pv / (2.0 * math.pi) - 0.5j * fk))
         return out
@@ -247,28 +267,31 @@ def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.zeros((times.size, 4, 4))
-    for it, t in enumerate(times):
-        f = integrals.eval(t)
+    for blk in _blocks(times.size, grid.size):
+        f = integrals.eval(times[blk])
         f1, f2, f3 = f["f1"], f["f2"], f["f3"]
-        i1 = wp2 @ np.square(np.abs(f1))
-        i2 = wp2 @ np.square(np.abs(f2))
-        i3 = wp2 @ np.square(np.abs(f3))
+        i1 = np.square(np.abs(f1)) @ wp2
+        i2 = np.square(np.abs(f2)) @ wp2
+        i3 = np.square(np.abs(f3)) @ wp2
         j11 = 4.0 / (15.0 * math.pi**2) * i2
         j33 = 2.0 * j11 + 4.0 / (3.0 * math.pi**2) * i1
         j00 = 4.0 / (3.0 * math.pi**2) * i3
-        j03 = -4.0 / (3.0 * math.pi**2) * (wp2 @ np.imag(f1 * np.conj(f3)))
+        j03 = -4.0 / (3.0 * math.pi**2) * (np.imag(f1 * np.conj(f3)) @ wp2)
         if corrections:
-            a1 = wp2 * f1
-            a3 = wp2 * f3
-            x = np.conj(a1) @ upsilon @ np.conj(a1) - np.conj(a1) @ delta_xi @ a1
-            y = np.conj(a3) @ upsilon @ np.conj(a3) + np.conj(a3) @ delta_xi @ a3
-            z = np.conj(a1) @ upsilon @ np.conj(a3) + np.conj(a1) @ delta_xi @ a3
+            a1, a3 = wp2 * f1, wp2 * f3
+            c1, c3 = np.conj(a1), np.conj(a3)
+            up1, dx1 = real_matmul(c1, upsilon), real_matmul(c1, delta_xi)
+            up3, dx3 = real_matmul(c3, upsilon), real_matmul(c3, delta_xi)
+            x = np.sum(up1 * c1 - dx1 * a1, axis=-1)
+            y = np.sum(up3 * c3 + dx3 * a3, axis=-1)
+            z = np.sum(up1 * c3 + dx1 * a3, axis=-1)
             c = 4.0 / (9.0 * math.pi**4)
             j33 += c * x.real
             j00 -= c * y.real
             j03 -= c * z.imag
-        out[it] = np.diag([j00, j11, 2.0 * j11, j33])
-        out[it, 0, 3] = out[it, 3, 0] = j03
+        j = out[blk]
+        j[:, 0, 0], j[:, 1, 1], j[:, 2, 2], j[:, 3, 3] = j00, j11, 2.0 * j11, j33
+        j[:, 0, 3] = j[:, 3, 0] = j03
     meta = {"gauge": gauge, "corrections": corrections, "modes": grid.size}
     return QfiSeries(times, out, gauge, corrections, meta)
 
@@ -286,40 +309,45 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
                   [ alpha(k,t)/(k - p + i0+) + alpha*(k,t)/(k + p) ],
 
     and sums ``|s|^2`` over modes:  N_sc(t) = (1/3 pi^2) int dp p^2 |s|^2.
-    Deliberately does not reuse :class:`FrequencyIntegrals`, so it can serve
-    as an independent consistency check of the QFI pipeline
-    (J_00 = 4 N_sc / chi0^2 at all times).
+    Deliberately does not reuse :class:`FrequencyIntegrals` or
+    :func:`~dipolebounds.quadrature.pv_matrix`, so it can serve as an
+    independent consistency check of the QFI pipeline
+    (J_00 = 4 N_sc / chi0^2 at all times).  Poles inside the spectral support
+    get pole subtraction from :func:`~dipolebounds.quadrature.pv_integral`,
+    one call per time for each block of poles; the remaining poles get plain
+    excision, applied to a block of times as one real matrix product.
     """
     grid = spectral.grid
     k = grid.nodes
     w = grid.weights
+    n = k.size
     xi = regularizer(k, scatterer.a0)
     kern = np.sqrt(k) * xi * scatterer.chi(k)
-    support = spectral.support
-    idx = np.nonzero(support)[0]
-    lo, hi = idx[0], idx[-1]
+    inv_sum = 1.0 / (k[:, None] + k[None, :])
+    idx = np.nonzero(spectral.support)[0]
+    inside = np.arange(max(idx[0], 1), min(idx[-1], n - 2) + 1)
+    pole_blocks = [inside[b] for b in _blocks(inside.size, n)]
+    # pole outside the spectral support or at a grid boundary: plain
+    # excision, with negligible weight downstream
+    outside = np.setdiff1d(np.arange(n), inside)
+    with np.errstate(divide="ignore"):
+        excise = w[None, :] / (k[None, :] - k[outside, None])
+    excise[np.arange(outside.size), outside] = 0.0
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty(times.size)
-    for it, t in enumerate(times):
-        alpha_t = spectral.values(t)
+    for blk in _blocks(times.size, n):
+        alpha_t = spectral.values(times[blk])
         fk = kern * alpha_t
-        plus = (w * kern * np.conj(alpha_t)) @ (1.0 /
-                                                (k[:, None] + k[None, :])).T
-        s = np.empty(k.size, dtype=complex)
-        for i, p in enumerate(k):
-            if lo <= i <= hi and 0 < i < k.size - 1:
-                pv = pv_integral(fk, k, p, weights=w)
-            else:
-                # pole outside the spectral support or at a grid boundary:
-                # plain excision, with negligible weight downstream
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = fk / (k - p)
-                ratio[i] = 0.0
-                pv = ratio @ w
-            s[i] = pv / (2.0 * math.pi) - 0.5j * fk[i] + plus[i] / (2.0 * math.pi)
-        s *= np.sqrt(k) * xi
-        out[it] = (w * k**2) @ np.square(np.abs(s)) / (3.0 * math.pi**2)
+        plus = real_matmul(w * kern * np.conj(alpha_t), inv_sum)
+        pv = np.empty_like(fk)
+        pv[:, outside] = real_matmul(fk, excise.T)
+        for row, f_row in zip(pv, fk):
+            for poles in pole_blocks:
+                row[poles] = pv_integral(f_row, k, k[poles], weights=w)
+        s = (pv / (2.0 * math.pi) - 0.5j * fk + plus / (2.0 * math.pi)) \
+            * (np.sqrt(k) * xi)
+        out[blk] = np.square(np.abs(s)) @ (w * k**2) / (3.0 * math.pi**2)
     return out
 
 
@@ -405,7 +433,6 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
     p[0] = 1e-30                            # kernels are regular at p -> 0
     w = trapezoid_weights(p)
     xi_p = regularizer(p, a0)
-    xi_k = float(regularizer(k, a0))
 
     e_rho = rho_vec / rho[..., None]
     cos_x = e_rho[..., 0]

@@ -21,7 +21,7 @@ __all__ = [
     "trapezoid_weights",
     "pv_integral",
     "pv_matrix",
-    "double_sum",
+    "real_matmul",
 ]
 
 
@@ -101,7 +101,7 @@ class SinhGrid:
 # principal-value integration
 # ---------------------------------------------------------------------------
 
-def pv_integral(f, nodes: np.ndarray, pole: float, weights: np.ndarray | None = None):
+def pv_integral(f, nodes: np.ndarray, pole, weights: np.ndarray | None = None):
     """Principal value of ``int f(k) / (k - pole) dk`` over the node range.
 
     Uses pole subtraction:
@@ -111,7 +111,11 @@ def pv_integral(f, nodes: np.ndarray, pole: float, weights: np.ndarray | None = 
     where the first integrand is smooth and handled by the trapezoid rule.
     ``f`` may be a callable (evaluated at the nodes and the pole) or an array
     of samples, in which case ``f(pole)`` is obtained by local quadratic
-    interpolation.  The pole must lie strictly inside ``(nodes[0], nodes[-1])``.
+    interpolation.  ``pole`` may be a scalar or an array of poles; each pole
+    gets the same subtraction rule, and the result has the shape of
+    ``pole``.  Every pole must lie strictly inside ``(nodes[0], nodes[-1])``.
+    An array of ``P`` poles builds ``(P, nodes.size)`` intermediates, so
+    callers with many poles pass them in blocks.
 
     Returns the principal value only; the causal prescription's delta-function
     part, ``-i pi f(pole)``, is the caller's to add.
@@ -120,39 +124,55 @@ def pv_integral(f, nodes: np.ndarray, pole: float, weights: np.ndarray | None = 
     if weights is None:
         weights = trapezoid_weights(nodes)
     a, b = nodes[0], nodes[-1]
-    if not (a < pole < b):
+    poles = np.asarray(pole, dtype=float)
+    if not np.all((a < poles) & (poles < b)):
         raise ValueError(f"pole {pole} must lie inside ({a}, {b})")
 
     if callable(f):
         fk = np.asarray(f(nodes))
-        fp = f(pole)
+        fp = np.asarray(f(poles))
     else:
         fk = np.asarray(f)
-        fp = _interp_quadratic(nodes, fk, pole)
+        fp = _interp_quadratic(nodes, fk, poles)
 
-    diff = nodes - pole
-    ratio = np.empty_like(fk)
-    on_pole = np.abs(diff) < 1e-14 * max(abs(pole), 1.0)
-    ratio[~on_pole] = (fk[~on_pole] - fp) / diff[~on_pole]
-    if np.any(on_pole):
-        # removable singularity: use the derivative from neighbouring nodes
-        idx = np.nonzero(on_pole)[0]
-        for i in idx:
-            lo, hi = max(i - 1, 0), min(i + 1, nodes.size - 1)
-            ratio[i] = (fk[hi] - fk[lo]) / (nodes[hi] - nodes[lo])
-    return (ratio @ weights) + fp * math.log((b - pole) / (pole - a))
+    diff = nodes - poles[..., None]
+    on_pole = np.abs(diff) < 1e-14 * np.maximum(np.abs(poles), 1.0)[..., None]
+    # multiplying by the reciprocal is numpy's own rule for a complex over a
+    # real divisor, without the complex division loop
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (fk - fp[..., None]) * (1.0 / diff)
+    # removable singularity: use the derivative from neighbouring nodes
+    idx = np.nonzero(on_pole)
+    lo = np.maximum(idx[-1] - 1, 0)
+    hi = np.minimum(idx[-1] + 1, nodes.size - 1)
+    ratio[idx] = (fk[hi] - fk[lo]) / (nodes[hi] - nodes[lo])
+    return real_matmul(ratio, weights) + fp * np.log((b - poles) / (poles - a))
 
 
-def _interp_quadratic(x: np.ndarray, y: np.ndarray, x0: float):
-    """Quadratic (3-point Lagrange) interpolation of samples at ``x0``."""
-    i = int(np.searchsorted(x, x0))
-    i = min(max(i, 1), x.size - 2)
-    xs = x[i - 1 : i + 2]
-    ys = y[i - 1 : i + 2]
-    l0 = (x0 - xs[1]) * (x0 - xs[2]) / ((xs[0] - xs[1]) * (xs[0] - xs[2]))
-    l1 = (x0 - xs[0]) * (x0 - xs[2]) / ((xs[1] - xs[0]) * (xs[1] - xs[2]))
-    l2 = (x0 - xs[0]) * (x0 - xs[1]) / ((xs[2] - xs[0]) * (xs[2] - xs[1]))
-    return ys[0] * l0 + ys[1] * l1 + ys[2] * l2
+def real_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m`` for a real ``m``, with a complex ``x`` split into its parts.
+
+    numpy runs a complex-by-real ``@`` as an unaccelerated loop (or up-casts
+    ``m``); stacking the real and imaginary parts of ``x`` into one
+    contiguous real array keeps the product in BLAS.
+    """
+    if not np.iscomplexobj(x):
+        return x @ m
+    parts = np.stack((x.real, x.imag)) @ m
+    return parts[0] + 1j * parts[1]
+
+
+def _interp_quadratic(x: np.ndarray, y: np.ndarray, x0):
+    """Quadratic (3-point Lagrange) interpolation of samples at ``x0``.
+
+    ``x0`` may be a scalar or an array; the result has its shape.
+    """
+    i = np.clip(np.searchsorted(x, x0), 1, x.size - 2)
+    xa, xb, xc = x[i - 1], x[i], x[i + 1]
+    l0 = (x0 - xb) * (x0 - xc) / ((xa - xb) * (xa - xc))
+    l1 = (x0 - xa) * (x0 - xc) / ((xb - xa) * (xb - xc))
+    l2 = (x0 - xa) * (x0 - xb) / ((xc - xa) * (xc - xb))
+    return y[i - 1] * l0 + y[i] * l1 + y[i + 1] * l2
 
 
 def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
@@ -211,10 +231,3 @@ def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
         m[i, lo] -= weights[i] / span
     return m
 
-
-def double_sum(kernel: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-               weights: np.ndarray) -> complex:
-    """Weighted double sum ``sum_ij w_i w_j fa_i kernel_ij fb_j``."""
-    wa = weights * fa
-    wb = weights * fb
-    return wa @ kernel @ wb

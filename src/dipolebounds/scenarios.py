@@ -23,7 +23,7 @@ import numpy as np
 
 from . import detector, fields, fisher, qfi
 from .model import PhysicsError, Pulse, Scatterer
-from .quadrature import SinhGrid, pv_integral, trapezoid_weights
+from .quadrature import SinhGrid, pv_integral
 
 __all__ = [
     "SweepResult",
@@ -262,7 +262,9 @@ def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
         a0_over_lambda = np.geomspace(1.0 / 120.0, 1.0 / 20.0, 8)
     a0_over_lambda = np.asarray(a0_over_lambda, dtype=float)
     window = math.pi / pulse.k_in
-    times = np.linspace(-0.5 * window, 0.5 * window, peak_samples)
+    # the peak window, then the late time for the pedestal
+    times = np.append(np.linspace(-0.5 * window, 0.5 * window, peak_samples),
+                      5.0 * pulse.tau)
     spectral = qfi.SpectralPulse.from_pulse(pulse, grid)
 
     entries = ("j00", "j11", "j33", "j03")
@@ -273,12 +275,10 @@ def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
         peaks = {}
         for gauge in gauges:
             series = qfi.qfi_matrix(scat, spectral, times, gauge=gauge)
-            late = qfi.qfi_matrix(scat, spectral, [5.0 * pulse.tau],
-                                  gauge=gauge)
             for name in entries:
                 i, j = index[name]
-                pk = _peak_abs(series.j[:, i, j])
-                lt = abs(late.j[0, i, j])
+                pk = _peak_abs(series.j[:-1, i, j])
+                lt = abs(series.j[-1, i, j])
                 peaks[f"peak_{name}_{gauge}"] = pk
                 peaks[f"transient_{name}_{gauge}"] = pk - 0.5 * lt
         return peaks

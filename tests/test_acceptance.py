@@ -329,7 +329,6 @@ def test_criterion_11_structure_and_linearity(scat_532, pulse_200,
 # 12. two-color transient enhancement, reported for manual comparison
 # --------------------------------------------------------------------------
 
-@pytest.mark.slow
 def test_criterion_12_two_color_report(tmp_path, capsys):
     out = tmp_path / "fig3"
     assert cli.main(["qfi-time", "--preset", "fig3", "--out", str(out)]) == 0

@@ -179,7 +179,6 @@ class TestCrbScanEndToEnd:
         assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
 
 
-@pytest.mark.slow
 def test_qfi_time_two_color_columns(tmp_path, capsys):
     out = tmp_path / "qt"
     rc = main(["qfi-time", "--preset", "fig3", "--out", str(out),

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from dipolebounds.model import (
     PARAM_NAMES,
     InfoMatrix,
-    ParamVector,
     PhysicsError,
     Pulse,
     Scatterer,
@@ -166,9 +165,3 @@ class TestInfoMatrix:
     def test_names_follow_canonical_order(self):
         assert InfoMatrix(np.eye(4)).names == PARAM_NAMES == ("chi0", "x0", "y0", "z0")
 
-
-def test_param_vector_round_trip():
-    s = Scatterer(chi0=2.0, r0=(0.1, -0.2, 0.3))
-    v = ParamVector.from_scatterer(s)
-    assert v.as_array() == pytest.approx([2.0, 0.1, -0.2, 0.3])
-    assert v.names == PARAM_NAMES

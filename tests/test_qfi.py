@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dipolebounds import qfi
 from dipolebounds.model import PhysicsError, Pulse, Scatterer
 from dipolebounds.qfi import (
     FrequencyIntegrals,
@@ -49,6 +50,13 @@ class TestSpectralPulse:
         k = spectral_200.grid.nodes[i]
         assert v[i] == pytest.approx(
             spectral_200.alpha[i] * np.exp(-1j * k * 17.3), rel=1e-12)
+
+    def test_array_of_times_stacks_single_times(self, spectral_200):
+        times = np.array([[-50.0, 0.0], [17.3, 400.0]])
+        v = spectral_200.values(times)
+        assert v.shape == times.shape + (spectral_200.grid.size,)
+        for t, row in zip(times.ravel(), v.reshape(-1, v.shape[-1])):
+            np.testing.assert_array_equal(row, spectral_200.values(t))
 
     def test_custom_grid(self, pulse_200):
         grid = SinhGrid(k_max=500.0)
@@ -101,6 +109,21 @@ class TestFrequencyIntegrals:
         integ = FrequencyIntegrals(spectral_200, scat_532)
         got = integ.eval(0.0)["f2"][spectral_200.grid.carrier_index]
         assert got == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
+    def test_array_of_times_stacks_single_times(self, spectral_200, scat_532,
+                                                gauge):
+        integ = FrequencyIntegrals(spectral_200, scat_532, gauge)
+        times = np.array([-120.0, 0.0, 0.7, 250.0])
+        block = integ.eval(times)
+        for name in ("f1", "f2", "f3"):
+            assert block[name].shape == (times.size, spectral_200.grid.size)
+            single = np.stack([integ.eval(t)[name] for t in times])
+            # relative to each profile's peak: block and single-time products
+            # sum in different orders, which shows element-wise only in the
+            # far tail of f1, many orders of magnitude below its peak
+            dev = np.abs(block[name] - single).max(axis=-1)
+            assert np.all(dev <= 1e-13 * np.abs(single).max(axis=-1)), name
 
     @pytest.mark.parametrize("gauge,shift", [("multipolar", 0.0),
                                              ("coulomb", -1.0)])
@@ -187,6 +210,19 @@ class TestQfiMatrix:
         # position block is untouched by the chi/z covariance terms
         assert corr[1, 1] == plain[1, 1]
 
+    def test_series_longer_than_a_block_matches_single_times(
+            self, scat_532, spectral_200):
+        n = spectral_200.grid.size
+        times = np.linspace(-300.0, 600.0, qfi._BLOCK_ELEMENTS // n + 9)
+        series = qfi_matrix(scat_532, spectral_200, times, corrections=True).j
+        # both ends and both sides of the first block boundary
+        for i in (0, qfi._BLOCK_ELEMENTS // n - 1, qfi._BLOCK_ELEMENTS // n,
+                  times.size - 1):
+            one = qfi_matrix(scat_532, spectral_200, [times[i]],
+                             corrections=True).j[0]
+            np.testing.assert_allclose(series[i], one, rtol=1e-13,
+                                       atol=1e-13 * np.abs(one).max())
+
 
 class TestScatteredPhotons:
     def test_matches_qfi_identity(self, scat_532, spectral_200):
@@ -196,6 +232,26 @@ class TestScatteredPhotons:
         j00 = qfi_matrix(scat_532, spectral_200, times).j[:, 0, 0]
         np.testing.assert_allclose(4.0 * nsc / scat_532.chi0 ** 2, j00,
                                    rtol=1e-10)
+
+    def test_series_longer_than_a_block_matches_single_times(
+            self, scat_532, spectral_200):
+        n = spectral_200.grid.size
+        times = np.linspace(-300.0, 600.0, qfi._BLOCK_ELEMENTS // n + 9)
+        series = nsc_series(scat_532, spectral_200, times)
+        for i in (0, qfi._BLOCK_ELEMENTS // n, times.size - 1):
+            one = nsc_series(scat_532, spectral_200, [times[i]])[0]
+            assert series[i] == pytest.approx(one, rel=1e-13)
+
+    def test_independent_of_the_qfi_route(self, scat_532, spectral_200,
+                                          monkeypatch):
+        # the photon identity is a check only while the two routes share
+        # neither the profile evaluator nor the principal-value matrix
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nsc_series reused the QFI route")
+
+        monkeypatch.setattr(qfi, "pv_matrix", forbidden)
+        monkeypatch.setattr(qfi, "FrequencyIntegrals", forbidden)
+        assert nsc_series(scat_532, spectral_200, [0.0])[0] > 0.0
 
     def test_causality(self, scat_532, spectral_200, pulse_200):
         early, late = nsc_series(scat_532, spectral_200,

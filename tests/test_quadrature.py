@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from dipolebounds.quadrature import (
     SinhGrid,
-    double_sum,
     pv_integral,
     pv_matrix,
     trapezoid_weights,
@@ -59,6 +58,25 @@ class TestPvIntegral:
         nodes = np.linspace(0.2, 3.0, 11)
         with pytest.raises(ValueError):
             pv_integral(np.ones(11), nodes, pole)
+        # one bad pole in an array is enough
+        with pytest.raises(ValueError):
+            pv_integral(np.ones(11), nodes, np.array([1.0, pole, 2.0]))
+
+    def test_array_of_poles_matches_scalar_calls(self):
+        nodes = 0.1 + 3.0 * np.linspace(0.0, 1.0, 220) ** 2
+        f = np.exp(-4.0 * (nodes - 1.0) ** 2) * np.exp(2j * nodes)
+        # off-node poles, one exactly on a node, one next to an end node
+        poles = np.array([0.37, 1.0, nodes[57], 2.91, nodes[1]])
+        got = pv_integral(f, nodes, poles)
+        assert got.shape == poles.shape
+        for p, g in zip(poles, got):
+            assert g == pytest.approx(pv_integral(f, nodes, p), rel=1e-13)
+        # a callable is evaluated at every pole, and a 2-d block keeps its shape
+        fn = lambda x: np.exp(-4.0 * (x - 1.0) ** 2)
+        block = pv_integral(fn, nodes, poles[:4].reshape(2, 2))
+        assert block.shape == (2, 2)
+        for p, g in zip(poles[:4], block.ravel()):
+            assert g == pytest.approx(pv_integral(fn, nodes, p), rel=1e-13)
 
     def test_pole_on_a_node_is_removable(self):
         # odd subtracted part + zero log term: exact zero again
@@ -92,16 +110,6 @@ class TestPvMatrix:
         out = m @ self.f
         ref = pv_integral(self.f, self.nodes, self.nodes[100])
         assert out[100] == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-
-def test_double_sum_factorizes_separable_kernel():
-    rng = np.random.default_rng(7)
-    w = rng.uniform(0.1, 1.0, 30)
-    u, v = rng.normal(size=30), rng.normal(size=30)
-    fa, fb = rng.normal(size=30), rng.normal(size=30)
-    kernel = np.outer(u, v)
-    expect = ((w * fa) @ u) * ((w * fb) @ v)
-    assert double_sum(kernel, fa, fb, w) == pytest.approx(expect, rel=1e-13)
 
 
 class TestSinhGrid:
