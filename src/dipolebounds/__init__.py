@@ -15,7 +15,7 @@ All calculations use natural units with the drive wavenumber equal to one;
 :class:`~dipolebounds.model.UnitSystem` converts to and from SI.
 """
 
-from .detector import PixelGrid, hemisphere_grid, planar_grid, refine
+from .detector import PixelGrid, planar_grid, refine
 from .fields import (
     FieldSet,
     incident_field,
@@ -71,7 +71,6 @@ __all__ = [
     "farfield_qcrb_constants",
     "farfield_qfi",
     "fi_matrix",
-    "hemisphere_grid",
     "incident_field",
     "mean_counts",
     "mode_integral_field",

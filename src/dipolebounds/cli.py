@@ -95,9 +95,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "type": {"enum": ["planar", "hemisphere"]},
-                "distance_um": _POS,
-                "radius_um": _POS,
+                "type": {"enum": ["planar"]},
                 "solid_angle_over_pi": {
                     "type": "number",
                     "exclusiveMinimum": 0,
@@ -163,7 +161,6 @@ DEFAULT_CONFIG = {
     },
     "detector": {
         "type": "planar",
-        "distance_um": 2.06,
         "solid_angle_over_pi": 1.97,
         "refinement": 1,
     },
@@ -214,6 +211,11 @@ PRESETS = {
 }
 
 _FLUENCE_KEYS = ("phi_per_um2", "nsc_target")
+
+#: (lower, upper) bounds of the scan ranges in ``run``; each must ascend
+_RANGES = (("z_min_over_lambda", "z_max_over_lambda"),
+           ("t_min_over_tau", "t_max_over_tau"),
+           ("a0_min_over_lambda", "a0_max_over_lambda"))
 
 
 def _apply_layer(base: dict, layer: dict) -> dict:
@@ -288,6 +290,13 @@ def resolve_config(config_path: str | None, preset: str | None,
         err = errors[0]
         where = ".".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config field {where}: {err.message}", path=where)
+    run = cfg["run"]
+    for lo, hi in _RANGES:
+        if run[lo] >= run[hi]:
+            where = f"run.{lo}"
+            raise ConfigError(
+                f"config field {where}: {run[lo]!r} must be below "
+                f"run.{hi} = {run[hi]!r}", path=where)
     return cfg
 
 
@@ -307,7 +316,7 @@ def build_scatterer(cfg: dict, units: UnitSystem) -> Scatterer:
     omega0 = units.frequency_to_internal(_TWO_PI * C_SI / (s["resonance_nm"] * 1e-9))
     r0 = tuple(units.length_to_internal(x * 1e-9) for x in s["position_nm"])
     scatterer = Scatterer(chi0=chi0, a0=a0, omega0=omega0, r0=r0)
-    scatterer.check_off_resonance(units.k_internal)
+    scatterer.check_off_resonance()
     return scatterer
 
 
@@ -320,13 +329,13 @@ def build_pulse(cfg: dict, units: UnitSystem, scatterer: Scatterer,
     elif "phi_per_um2" in p:
         phi = units.fluence_to_internal(p["phi_per_um2"] * 1e12)
     else:
-        phi = p["nsc_target"] / scatterer.cross_section(units.k_internal)
-    return Pulse(phi=phi, tau=tau, k_in=units.k_internal)
+        phi = p["nsc_target"] / scatterer.cross_section()
+    return Pulse(phi=phi, tau=tau)
 
 
 def build_grid(cfg: dict) -> SinhGrid:
     g = cfg["grid"]
-    return SinhGrid(k0=1.0, d=g["d_over_k0"], delta=g["delta"],
+    return SinhGrid(d=g["d_over_k0"], delta=g["delta"],
                     k_max=g["kmax_over_k0"])
 
 
@@ -414,9 +423,6 @@ def cmd_crb_scan(cfg: dict, out_dir: Path) -> int:
     pulse = build_pulse(cfg, units, scatterer)
     run = cfg["run"]
     det = cfg["detector"]
-    if det["type"] != "planar":
-        raise ConfigError("crb-scan requires detector.type = 'planar'",
-                          path="detector.type")
     axis = scenarios.default_distance_axis(run["z_min_over_lambda"],
                                            run["z_max_over_lambda"],
                                            run["points_per_decade"])

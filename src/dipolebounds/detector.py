@@ -1,17 +1,17 @@
 """Pixelated detector geometries.
 
-Two detector shapes are supported: a square planar array at ``z = Z``
-(forward ``Z > 0`` or backward ``Z < 0``) and a spherical cap centred on the
-scatterer.  Grids are deterministic pure functions of their arguments, carry
-exact per-pixel areas, and store their construction parameters so that
-:func:`refine` can rebuild the same geometry at doubled linear resolution
-for convergence checks.
+The detector is a square planar array at ``z = Z`` (forward ``Z > 0`` or
+backward ``Z < 0``).  Grids are deterministic pure functions of their
+arguments, carry exact per-pixel areas, and store their construction
+parameters so that :func:`refine` can rebuild the same geometry at doubled
+linear resolution for convergence checks.
 
 The planar transverse coordinates use a sinh stretching ``s = |Z| sinh(xi)``
 with uniform ``xi`` cell edges: pixels are small near the axis (where the
 detected pattern varies on the scale of ``|Z|``) and grow toward the rim.
-The edge resolution also tracks the Fresnel-zone scale ``~ lambda / |Z|`` so
-interference fringes in the far zone stay resolved.
+The edge resolution also tracks the Fresnel-zone scale ``~ lambda / |Z|``
+(``lambda = 2 pi`` in internal units) so interference fringes in the far
+zone stay resolved.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ __all__ = [
     "PixelGrid",
     "planar_solid_angle",
     "half_width_for_solid_angle",
-    "cap_solid_angle",
-    "theta_for_solid_angle",
     "planar_grid",
-    "hemisphere_grid",
     "refine",
     "solid_angle_sum",
 ]
@@ -101,27 +98,12 @@ def half_width_for_solid_angle(solid_angle: float, distance: float) -> float:
     return z * math.sqrt(u)
 
 
-def cap_solid_angle(theta_max: float) -> float:
-    """Solid angle of a polar cap of opening angle ``theta_max``."""
-    if not 0.0 < theta_max <= math.pi:
-        raise ValueError(f"theta_max must lie in (0, pi], got {theta_max}")
-    return 2.0 * math.pi * (1.0 - math.cos(theta_max))
-
-
-def theta_for_solid_angle(solid_angle: float) -> float:
-    """Opening angle of the polar cap subtending ``solid_angle``."""
-    if not 0.0 < solid_angle <= 4.0 * math.pi:
-        raise ValueError(
-            f"cap solid angle must lie in (0, 4 pi], got {solid_angle}")
-    return math.acos(1.0 - solid_angle / (2.0 * math.pi))
-
-
 # ---------------------------------------------------------------------------
 # grid builders
 # ---------------------------------------------------------------------------
 
-def planar_grid(distance: float, solid_angle: float, refinement: int = 1,
-                wavelength: float = 2.0 * math.pi) -> PixelGrid:
+def planar_grid(distance: float, solid_angle: float,
+                refinement: int = 1) -> PixelGrid:
     """Square planar detector at ``z = distance`` (signed), normal ``+z``.
 
     The plate half-width is fixed by the requested solid angle.  Transverse
@@ -135,7 +117,8 @@ def planar_grid(distance: float, solid_angle: float, refinement: int = 1,
     az = abs(z)
     a = half_width_for_solid_angle(solid_angle, az)
     xi_max = math.asinh(a / az)
-    dxi = min(1.0 / _AXIAL_SAMPLES, wavelength / (_ZONE_SAMPLES * az)) / refinement
+    dxi = min(1.0 / _AXIAL_SAMPLES,
+              2.0 * math.pi / (_ZONE_SAMPLES * az)) / refinement
     half_cells = max(2, math.ceil(xi_max / dxi))
     edges = az * np.sinh(np.linspace(-xi_max, xi_max, 2 * half_cells + 1))
     edges[0], edges[-1] = -a, a
@@ -154,58 +137,9 @@ def planar_grid(distance: float, solid_angle: float, refinement: int = 1,
         "solid_angle": float(solid_angle),
         "half_width": a,
         "refinement": int(refinement),
-        "wavelength": float(wavelength),
         "cells_per_axis": 2 * half_cells,
     }
     return PixelGrid(positions, normals, areas, meta)
-
-
-def hemisphere_grid(radius: float, solid_angle: float, refinement: int = 1,
-                    wavelength: float = 2.0 * math.pi) -> PixelGrid:
-    """Spherical-cap detector of the given radius around the forward axis.
-
-    Pixels are equal-solid-angle cells, uniform in ``cos(theta)`` and ``phi``;
-    normals point radially outward and areas sum to ``radius^2 * solid_angle``
-    exactly.  The polar resolution tracks the radial interference scale
-    (fringes are uniform in ``cos(theta)`` for a sphere centred on the
-    source), the azimuthal one the smooth dipole pattern.
-    """
-    if refinement < 1 or int(refinement) != refinement:
-        raise ValueError(f"refinement must be a positive integer, got {refinement}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    theta_max = theta_for_solid_angle(solid_angle)
-    cos_min = math.cos(theta_max)
-    zones = radius * (1.0 - cos_min) / wavelength
-    n_theta = refinement * max(48, math.ceil(6.0 * zones))
-    n_phi = refinement * 48
-
-    cos_edges = np.linspace(cos_min, 1.0, n_theta + 1)
-    phi_edges = np.linspace(0.0, 2.0 * math.pi, n_phi + 1)
-    cos_c = 0.5 * (cos_edges[:-1] + cos_edges[1:])
-    phi_c = 0.5 * (phi_edges[:-1] + phi_edges[1:])
-    d_cos = np.diff(cos_edges)
-    d_phi = np.diff(phi_edges)
-
-    cth, ph = np.meshgrid(cos_c, phi_c, indexing="ij")
-    sth = np.sqrt(1.0 - cth**2)
-    e_r = np.column_stack([
-        (sth * np.cos(ph)).ravel(),
-        (sth * np.sin(ph)).ravel(),
-        cth.ravel(),
-    ])
-    positions = radius * e_r
-    areas = (radius**2 * np.outer(d_cos, d_phi)).ravel()
-    meta = {
-        "kind": "hemisphere",
-        "radius": float(radius),
-        "solid_angle": float(solid_angle),
-        "refinement": int(refinement),
-        "wavelength": float(wavelength),
-        "n_theta": n_theta,
-        "n_phi": n_phi,
-    }
-    return PixelGrid(positions, e_r, areas, meta)
 
 
 def refine(grid: PixelGrid) -> PixelGrid:
@@ -214,12 +148,7 @@ def refine(grid: PixelGrid) -> PixelGrid:
     kind = meta.get("kind")
     if kind == "planar":
         return planar_grid(meta["distance"], meta["solid_angle"],
-                           refinement=2 * meta["refinement"],
-                           wavelength=meta["wavelength"])
-    if kind == "hemisphere":
-        return hemisphere_grid(meta["radius"], meta["solid_angle"],
-                               refinement=2 * meta["refinement"],
-                               wavelength=meta["wavelength"])
+                           refinement=2 * meta["refinement"])
     raise ValueError(f"cannot refine grid of kind {kind!r}")
 
 

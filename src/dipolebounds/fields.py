@@ -1,8 +1,8 @@
 """Closed-form electromagnetic fields of a driven dipole scatterer.
 
-All quantities are phasors in internal units (``hbar = c = eps0 = 1``,
-drive wavenumber ``k = 1`` by convention): physical fields are
-``Re[E * exp(-i c k t)]`` times the slow pulse envelope.  The incident wave
+All quantities are phasors in internal units (``hbar = c = eps0 = 1`` and
+drive wavenumber 1, fixed by :class:`~dipolebounds.model.UnitSystem`):
+physical fields are ``Re[E * exp(-i t)]`` times the slow pulse envelope.  The incident wave
 travels along ``+z`` and is polarized along ``x``.  Scattered fields come in
 two flavours: the ideal point-dipole solution, and a regularized solution for
 a source of finite radius ``a0`` that smoothly reduces to the point form as
@@ -58,11 +58,11 @@ def _geometry(points: np.ndarray, r0) -> tuple[np.ndarray, np.ndarray]:
     return rho_vec, rho
 
 
-def incident_field(points: np.ndarray, k: float = 1.0, e_in: float = 1.0,
+def incident_field(points: np.ndarray, e_in: float = 1.0,
                    t: float = 0.0) -> FieldSet:
-    """Plane wave ``E = e_in * ex * exp(i k (z - t))`` with ``B = ez x E``."""
+    """Plane wave ``E = e_in * ex * exp(i (z - t))`` with ``B = ez x E``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    phase = np.exp(1j * k * (pts[..., 2] - t))
+    phase = np.exp(1j * (pts[..., 2] - t))
     e = np.zeros(pts.shape, dtype=complex)
     b = np.zeros(pts.shape, dtype=complex)
     e[..., 0] = e_in * phase
@@ -87,33 +87,31 @@ def _transverse_terms(rho_vec: np.ndarray, rho: np.ndarray):
     return t1, t2, cross
 
 
-def scattered_point(points: np.ndarray, scatterer: Scatterer, k: float = 1.0,
+def scattered_point(points: np.ndarray, scatterer: Scatterer,
                     e_in: float = 1.0, t: float = 0.0) -> FieldSet:
     """Field radiated by an ideal driven point dipole at ``scatterer.r0``.
 
-    With ``rho`` the distance from the dipole and ``kr = k * rho``::
+    With ``rho`` the distance from the dipole::
 
-        E = (k^3 chi0 e_in / 2 pi) e^{i k (rho + z0 - t)}
-            [ t1 / kr + (i kr - 1) t2 / kr^3 ]
-        B = (i k^3 chi0 e_in / 2 pi) e^{i k (rho + z0 - t)}
-            (e_rho x ex) (1 - i kr) / kr^2
+        E = (chi0 e_in / 2 pi) e^{i (rho + z0 - t)}
+            [ t1 / rho + (i rho - 1) t2 / rho^3 ]
+        B = (i chi0 e_in / 2 pi) e^{i (rho + z0 - t)}
+            (e_rho x ex) (1 - i rho) / rho^2
 
     Points closer than ``1e-6`` wavelengths to the dipole are rejected.
     """
     rho_vec, rho = _geometry(points, scatterer.r0)
-    lam = 2.0 * math.pi / k
-    if np.any(rho < _MIN_RHO_WAVELENGTHS * lam):
+    if np.any(rho < _MIN_RHO_WAVELENGTHS * (2.0 * math.pi)):
         raise PhysicsError(
             "field requested closer than 1e-6 wavelengths to the point dipole; "
             "use the regularized model to approach the source"
         )
     t1, t2, cross = _transverse_terms(rho_vec, rho)
-    kr = k * rho
-    pref = (k**3 * scatterer.chi0 * e_in / (2.0 * math.pi)
-            * np.exp(1j * (k * (rho + scatterer.r0[2]) - k * t)))
-    e = pref[..., None] * (t1 / kr[..., None]
-                           + (1j * kr - 1.0)[..., None] * t2 / kr[..., None] ** 3)
-    b = (1j * pref * (1.0 - 1j * kr) / kr**2)[..., None] * cross
+    pref = (scatterer.chi0 * e_in / (2.0 * math.pi)
+            * np.exp(1j * (rho + scatterer.r0[2] - t)))
+    e = pref[..., None] * (t1 / rho[..., None]
+                           + (1j * rho - 1.0)[..., None] * t2 / rho[..., None] ** 3)
+    b = (1j * pref * (1.0 - 1j * rho) / rho**2)[..., None] * cross
     return FieldSet(e, b)
 
 
@@ -123,40 +121,36 @@ def regularizer(k, a0: float):
     return 1.0 / np.square(1.0 + np.square(np.asarray(k, dtype=float) * (a0 / 2.0)))
 
 
-def _envelope_brackets(rho: np.ndarray, k: float, a0: float):
+def _envelope_brackets(rho: np.ndarray, a0: float):
     """Radial envelope functions of the finite-size source solution.
 
     Each tends to the appropriate outgoing-wave factor as ``a0 -> 0``:
-    ``e1, e2 -> exp(i k rho)`` and ``e3 -> -exp(i k rho)``.
+    ``e1, e2 -> exp(i rho)`` and ``e3 -> -exp(i rho)``.
     """
     x = np.exp(-2.0 * rho / a0)
-    osc = np.exp(1j * k * rho)
-    ka = a0 * k
-    e1 = (4.0 * rho / (a0 * ka**2) + (rho - a0) / a0) * x + osc
-    e2 = 1j * (k * (a0 - 2.0 * rho) / 4.0 - (a0 + 2.0 * rho) / (a0**2 * k)) * x + osc
-    e3 = (rho / a0 + 1.0 + ka**2 * rho / (4.0 * a0)) * x - osc
+    osc = np.exp(1j * rho)
+    e1 = (4.0 * rho / (a0 * a0**2) + (rho - a0) / a0) * x + osc
+    e2 = 1j * ((a0 - 2.0 * rho) / 4.0 - (a0 + 2.0 * rho) / a0**2) * x + osc
+    e3 = (rho / a0 + 1.0 + a0**2 * rho / (4.0 * a0)) * x - osc
     return e1, e2, e3
 
 
-def _magnetic_bracket(rho: np.ndarray, k: float, a0: float):
-    """Radial profile of the finite-size magnetic field, ``curl E / (i k)``.
+def _magnetic_bracket(rho: np.ndarray, a0: float):
+    """Radial profile of the finite-size magnetic field, ``curl E / i``.
 
-    The screened terms cancel the ``1/(k rho)^2`` and ``1/(k rho)``
-    singularities of the oscillating part exactly, leaving a field that is
-    finite at the source center; as ``a0 -> 0`` the profile reduces to the
-    point form ``i (1 - i k rho) exp(i k rho) / (k rho)^2``.
+    The screened terms cancel the ``1/rho^2`` and ``1/rho`` singularities of
+    the oscillating part exactly, leaving a field that is finite at the
+    source center; as ``a0 -> 0`` the profile reduces to the point form
+    ``i (1 - i rho) exp(i rho) / rho^2``.
     """
     x = np.exp(-2.0 * rho / a0)
-    kr = k * rho
-    ka = a0 * k
-    osc = np.exp(1j * kr) * (kr + 1j) / kr**2
-    core = 1j * x * (-1.0 / kr**2 - 2.0 / (ka * kr) + 2.0 / ka**2 + 8.0 / ka**4)
+    osc = np.exp(1j * rho) * (rho + 1j) / rho**2
+    core = 1j * x * (-1.0 / rho**2 - 2.0 / (a0 * rho) + 2.0 / a0**2 + 8.0 / a0**4)
     return osc + core
 
 
 def scattered_regularized(points: np.ndarray, scatterer: Scatterer,
-                          k: float = 1.0, e_in: float = 1.0,
-                          t: float = 0.0) -> FieldSet:
+                          e_in: float = 1.0, t: float = 0.0) -> FieldSet:
     """Field of a driven source with exponential charge profile of radius a0.
 
     Reduces exactly to :func:`scattered_point` in the ``a0 -> 0`` limit and
@@ -165,20 +159,19 @@ def scattered_regularized(points: np.ndarray, scatterer: Scatterer,
     distribution.
     """
     if scatterer.a0 <= 0:
-        out = scattered_point(points, scatterer, k=k, e_in=e_in, t=t)
+        out = scattered_point(points, scatterer, e_in=e_in, t=t)
         return FieldSet(out.e, out.b, np.zeros(out.e.shape[:-1], dtype=bool))
     rho_vec, rho = _geometry(points, scatterer.r0)
     if np.any(rho == 0.0):
         raise PhysicsError("field requested exactly at the source center")
     t1, t2, cross = _transverse_terms(rho_vec, rho)
-    kr = k * rho
-    e1, e2, e3 = _envelope_brackets(rho, k, scatterer.a0)
-    xi = regularizer(k, scatterer.a0)
-    pref = (k**3 * scatterer.chi0 * e_in * xi / (2.0 * math.pi)
-            * np.exp(1j * k * (scatterer.r0[2] - t)))
-    e = pref * (e1[..., None] * t1 / kr[..., None]
-                + (1j * kr * e2 + e3)[..., None] * t2 / kr[..., None] ** 3)
-    b = pref * _magnetic_bracket(rho, k, scatterer.a0)[..., None] * cross
+    e1, e2, e3 = _envelope_brackets(rho, scatterer.a0)
+    xi = regularizer(1.0, scatterer.a0)
+    pref = (scatterer.chi0 * e_in * xi / (2.0 * math.pi)
+            * np.exp(1j * (scatterer.r0[2] - t)))
+    e = pref * (e1[..., None] * t1 / rho[..., None]
+                + (1j * rho * e2 + e3)[..., None] * t2 / rho[..., None] ** 3)
+    b = pref * _magnetic_bracket(rho, scatterer.a0)[..., None] * cross
     return FieldSet(e, b, rho < 3.0 * scatterer.a0)
 
 

@@ -3,7 +3,7 @@
 The detector model: each pixel independently Poisson-counts the cycle-averaged
 energy flux through its area over the pulse,
 
-    nbar_i = (flux_i) * tau * dA_i / k_in     (photon energy = k_in internally),
+    nbar_i = (flux_i) * tau * dA_i     (the carrier photon energy is 1 internally),
 
 with the flux taken along the fixed pixel normal.  The Fisher information for
 the parameter vector (chi0, x0, y0, z0) is then
@@ -38,7 +38,7 @@ __all__ = [
 
 _CHUNK = 1 << 17          # pixels per evaluation block
 _FD_FRACTION = 1e-4       # position finite-difference step, in units of
-                          # min(wavelength, detector distance)
+                          # min(wavelength 2 pi, detector distance)
 
 
 def _scatter_model(name: str):
@@ -55,23 +55,21 @@ def _detector_scale(grid: PixelGrid) -> float:
     meta = grid.meta
     if "distance" in meta:
         return abs(meta["distance"])
-    if "radius" in meta:
-        return abs(meta["radius"])
     rel = np.linalg.norm(grid.positions, axis=-1)
     return float(rel.min())
 
 
-def _counts_block(pos, nrm, da, scatter, scatterer, pulse, k):
-    inc = fields.incident_field(pos, k=k, e_in=pulse.e_in)
-    sc = scatter(pos, scatterer, k=k, e_in=pulse.e_in)
+def _counts_block(pos, nrm, da, scatter, scatterer, pulse):
+    inc = fields.incident_field(pos, e_in=pulse.e_in)
+    sc = scatter(pos, scatterer, e_in=pulse.e_in)
     parts = fields.intensity_parts(inc, sc, nrm)
-    factor = pulse.tau * da / k
+    factor = pulse.tau * da
     nbar = (parts["incident"] + parts["cross"] + parts["scattered"]) * factor
     return nbar, parts, factor, inc
 
 
 def mean_counts(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
-                model: str = "point", k: float = 1.0) -> np.ndarray:
+                model: str = "point") -> np.ndarray:
     """Expected photon counts per pixel over the pulse."""
     scatter = _scatter_model(model)
     out = np.empty(grid.size)
@@ -79,7 +77,7 @@ def mean_counts(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
         sl = slice(lo, lo + _CHUNK)
         nbar, _, _, _ = _counts_block(grid.positions[sl], grid.normals[sl],
                                       grid.areas[sl], scatter, scatterer,
-                                      pulse, k)
+                                      pulse)
         out[sl] = nbar
     if np.any(out <= 0):
         raise PhysicsError(
@@ -89,21 +87,18 @@ def mean_counts(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
 
 
 def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
-                    model: str = "point", k: float = 1.0,
-                    fd_step: float | None = None):
+                    model: str = "point"):
     """Mean counts and their derivatives along (chi0, x0, y0, z0).
 
     Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``.  The
     chi0 column is analytic: the interference part of the flux is linear and
     the scattered part quadratic in chi0, so
     ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.  Position columns are
-    central differences of the scattered field about ``r0``.
+    central differences of the scattered field about ``r0``, with step
+    ``_FD_FRACTION * min(2 pi, detector distance)``.
     """
     scatter = _scatter_model(model)
-    wavelength = 2.0 * math.pi / k
-    if fd_step is None:
-        fd_step = _FD_FRACTION * min(wavelength, _detector_scale(grid))
-    h = fd_step
+    h = _FD_FRACTION * min(2.0 * math.pi, _detector_scale(grid))
 
     nbar = np.empty(grid.size)
     grad = np.empty((grid.size, 4))
@@ -111,7 +106,7 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
         sl = slice(lo, lo + _CHUNK)
         pos, nrm, da = grid.positions[sl], grid.normals[sl], grid.areas[sl]
         nb, parts, factor, inc = _counts_block(pos, nrm, da, scatter,
-                                               scatterer, pulse, k)
+                                               scatterer, pulse)
         nbar[sl] = nb
         grad[sl, 0] = (parts["cross"] + 2.0 * parts["scattered"]) \
             / scatterer.chi0 * factor
@@ -122,7 +117,7 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
             for sgn in (+1.0, -1.0):
                 moved = replace(scatterer,
                                 r0=tuple(np.asarray(scatterer.r0) + sgn * shift))
-                sc = scatter(pos, moved, k=k, e_in=pulse.e_in)
+                sc = scatter(pos, moved, e_in=pulse.e_in)
                 p = fields.intensity_parts(inc, sc, nrm)
                 flux.append(p["cross"] + p["scattered"])
             grad[sl, 1 + axis] = (flux[0] - flux[1]) / (2.0 * h) * factor
@@ -141,20 +136,18 @@ def poisson_fi(nbar: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def fi_matrix(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
-              model: str = "point", k: float = 1.0,
-              fd_step: float | None = None) -> InfoMatrix:
+              model: str = "point") -> InfoMatrix:
     """Fisher-information matrix of the pixel counts for (chi0, x0, y0, z0)."""
-    nbar, grad = count_gradients(grid, scatterer, pulse, model=model, k=k,
-                                 fd_step=fd_step)
+    nbar, grad = count_gradients(grid, scatterer, pulse, model=model)
     m = poisson_fi(nbar, grad)
     m = 0.5 * (m + m.T)
     meta = {"model": model, "pixels": grid.size, "detector": dict(grid.meta)}
     return InfoMatrix(m, meta)
 
 
-def n_scattered(scatterer: Scatterer, pulse: Pulse, k: float = 1.0) -> float:
+def n_scattered(scatterer: Scatterer, pulse: Pulse) -> float:
     """Mean number of scattered photons, cross section times fluence."""
-    return scatterer.cross_section(k) * pulse.phi
+    return scatterer.cross_section() * pulse.phi
 
 
 @dataclass(frozen=True)
@@ -172,14 +165,14 @@ class CrbResult:
     condition_number: float
 
 
-def crb_bounds(info: InfoMatrix, scatterer: Scatterer, pulse: Pulse,
-               k: float = 1.0) -> CrbResult:
+def crb_bounds(info: InfoMatrix, scatterer: Scatterer,
+               pulse: Pulse) -> CrbResult:
     """Cramer-Rao bounds (with the conventional normalizations) from an
     information matrix."""
     sigma = info.errors()
-    nsc = n_scattered(scatterer, pulse, k)
+    nsc = n_scattered(scatterer, pulse)
     root = math.sqrt(nsc)
-    lam = 2.0 * math.pi / k
+    lam = 2.0 * math.pi
     normalized = np.array([
         root * sigma[0] / scatterer.chi0,
         root * sigma[1] / lam,

@@ -2,12 +2,14 @@
 
 Everything downstream of this module works in scaled natural units with
 
-    hbar = c = eps0 = mu0 = 1  and  k_in = 1,
+    hbar = c = eps0 = mu0 = 1  and  drive wavenumber = 1,
 
 i.e. lengths are measured in units of the reduced drive wavelength
-``1/k_in = lambda / (2 pi)``.  :class:`UnitSystem` is the single place where
-SI values enter or leave; the rest of the library never sees metres or
-joules.
+``lambda / (2 pi)``: the drive wavelength is ``2 pi`` and the carrier photon
+energy is 1.  :class:`UnitSystem` is the only place where that unit is
+fixed, so no function downstream takes a wavenumber or wavelength argument.
+It is also the single place where SI values enter or leave; the rest of the
+library never sees metres or joules.
 """
 
 from __future__ import annotations
@@ -61,11 +63,6 @@ class UnitSystem:
     def k_si(self) -> float:
         """Incident wavenumber in 1/m."""
         return 2.0 * math.pi / self.wavelength_m
-
-    @property
-    def k_internal(self) -> float:
-        """Incident wavenumber in internal units (exactly 1 by construction)."""
-        return 1.0
 
     # -- lengths / times -----------------------------------------------------
 
@@ -176,16 +173,16 @@ class Scatterer:
         w2 = np.square(omega)
         return self.chi0 * self.omega0**2 / (self.omega0**2 - w2)
 
-    def cross_section(self, k: float = 1.0) -> float:
-        """Total scattering cross section ``2 k^4 chi0^2 / (3 pi)`` (internal)."""
-        return 2.0 * k**4 * self.chi0**2 / (3.0 * math.pi)
+    def cross_section(self) -> float:
+        """Total scattering cross section ``2 chi0^2 / (3 pi)`` (internal)."""
+        return 2.0 * self.chi0**2 / (3.0 * math.pi)
 
-    def check_off_resonance(self, k_in: float = 1.0, margin: float = 2.0) -> None:
-        """Require the drive to sit below resonance by the given factor."""
-        if self.omega0 <= margin * k_in:
+    def check_off_resonance(self, margin: float = 2.0) -> None:
+        """Require the drive (frequency 1) to sit below resonance by ``margin``."""
+        if self.omega0 <= margin:
             raise PhysicsError(
                 f"resonance omega0={self.omega0:g} must exceed {margin:g} x drive "
-                f"frequency {k_in:g}; the linear-response treatment assumes an "
+                "frequency 1; the linear-response treatment assumes an "
                 "off-resonant drive"
             )
 
@@ -203,34 +200,29 @@ class Pulse:
     phi : float
         Photon fluence, internal units (photons per squared internal length).
     tau : float
-        Duration parameter, internal units.  ``c * tau * k_in >> 1`` is the
-        quasi-monochromatic regime most results assume.
-    k_in : float, optional
-        Carrier wavenumber, internal units (1 by convention).
+        Duration parameter, internal units.  ``tau >> 1`` (many carrier
+        cycles) is the quasi-monochromatic regime most results assume.
     """
 
     phi: float
     tau: float
-    k_in: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.phi > 0:
             raise ValueError(f"phi must be positive, got {self.phi}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.k_in > 0:
-            raise ValueError(f"k_in must be positive, got {self.k_in}")
-        if self.tau * self.k_in < 10.0:
+        if self.tau < 10.0:
             warnings.warn(
-                f"pulse bandwidth is large (tau * k_in = {self.tau * self.k_in:.3g} "
+                f"pulse bandwidth is large (tau = {self.tau:.3g} "
                 "< 10); narrow-band approximations may be inaccurate",
                 stacklevel=2,
             )
 
     @property
     def e_in(self) -> float:
-        """Peak field amplitude: ``phi = E^2 tau / (2 k_in)`` inverted."""
-        return math.sqrt(2.0 * self.k_in * self.phi / self.tau)
+        """Peak field amplitude: ``phi = E^2 tau / 2`` inverted."""
+        return math.sqrt(2.0 * self.phi / self.tau)
 
     def envelope(self, t):
         """Temporal envelope ``exp(-pi t^2 / (2 tau^2))``."""

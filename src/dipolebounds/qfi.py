@@ -11,8 +11,9 @@ scattered photon number from the scattering amplitude itself, the analytic
 long-time (far-field) limits, and a direct mode-decomposition evaluation of
 the stationary scattered field.
 
-Conventions: internal units (``hbar = c = 1``), incident carrier ``k_in``,
-pulse spectrum ``alpha(k) = N exp(-(k - k_in)^2 tau^2 / 2 pi) / (i sqrt(k))``
+Conventions: internal units (``hbar = c = 1``, carrier wavenumber 1, as fixed
+by :class:`~dipolebounds.model.UnitSystem`), pulse spectrum
+``alpha(k) = N exp(-(k - 1)^2 tau^2 / 2 pi) / (i sqrt(k))``
 with ``N`` fixed by the fluence via ``phi = (1/2pi) int |alpha|^2 dk``, and
 the causal prescription ``1/(k - p + i0+) = PV - i pi delta(k - p)``.
 """
@@ -75,17 +76,16 @@ class SpectralPulse:
     alpha: np.ndarray
     phi: float
     tau: float
-    k_in: float = 1.0
 
     @classmethod
     def from_pulse(cls, pulse: Pulse, grid: SinhGrid | None = None) -> "SpectralPulse":
         if grid is None:
-            grid = SinhGrid(k0=pulse.k_in)
+            grid = SinhGrid()
         k = grid.nodes
         with np.errstate(under="ignore"):
-            gauss = np.exp(-np.square(k - pulse.k_in) * pulse.tau**2 / (2.0 * math.pi))
+            gauss = np.exp(-np.square(k - 1.0) * pulse.tau**2 / (2.0 * math.pi))
         gauss[gauss < 1e-290] = 0.0
-        profile = np.where(k > 1e-12 * pulse.k_in, gauss / (1j * np.sqrt(k)), 0.0)
+        profile = np.where(k > 1e-12, gauss / (1j * np.sqrt(k)), 0.0)
         # the envelope must have decayed to numerical irrelevance at both grid
         # ends; a relative test keeps ~10-cycle pulses usable while rejecting
         # genuinely broadband ones whose spectrum spills past the ends
@@ -95,7 +95,7 @@ class SpectralPulse:
                 "use a longer pulse or a wider grid")
         norm_sq = (np.abs(profile) ** 2) @ grid.weights / (2.0 * math.pi)
         alpha = math.sqrt(pulse.phi / norm_sq) * profile
-        return cls(grid, alpha, pulse.phi, pulse.tau, pulse.k_in)
+        return cls(grid, alpha, pulse.phi, pulse.tau)
 
     @property
     def support(self) -> np.ndarray:
@@ -161,7 +161,7 @@ class FrequencyIntegrals:
                  gauge: str = "multipolar") -> None:
         if gauge not in GAUGES:
             raise ValueError(f"gauge must be one of {GAUGES}, got {gauge!r}")
-        scatterer.check_off_resonance(spectral.k_in)
+        scatterer.check_off_resonance()
         self.spectral = spectral
         self.scatterer = scatterer
         self.gauge = gauge
@@ -355,14 +355,14 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
 # analytic long-time limits
 # ---------------------------------------------------------------------------
 
-def farfield_qfi(scatterer: Scatterer, phi: float, k: float = 1.0) -> np.ndarray:
+def farfield_qfi(scatterer: Scatterer, phi: float) -> np.ndarray:
     """Asymptotic (long-time, narrow-band, point-source) QFI matrix.
 
-    Diagonal, with the polarizability entry ``8 k^4 phi / 3 pi`` and position
-    entries ``(8 k^6 chi0^2 phi / 15 pi) * (1, 2, 7)``.
+    Diagonal, with the polarizability entry ``8 phi / 3 pi`` and position
+    entries ``(8 chi0^2 phi / 15 pi) * (1, 2, 7)``.
     """
-    base = 8.0 * k**6 * scatterer.chi0**2 * phi / (15.0 * math.pi)
-    return np.diag([base * 5.0 / (k * scatterer.chi0) ** 2,
+    base = 8.0 * scatterer.chi0**2 * phi / (15.0 * math.pi)
+    return np.diag([base * 5.0 / scatterer.chi0 ** 2,
                     base, 2.0 * base, 7.0 * base])
 
 
@@ -400,7 +400,7 @@ def _angular_profiles(x: np.ndarray):
 
 
 def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
-                        k: float = 1.0, e_in: float = 1.0, t: float = 0.0,
+                        e_in: float = 1.0, t: float = 0.0,
                         rel_tol: float = 1e-6):
     """Stationary scattered field assembled mode by mode.
 
@@ -426,9 +426,9 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
     # so truncating at p_max leaves a relative error ~ 16/(a0^4 rho p_max^3)
     # against the O(1/rho) field scale
     p_max = (16.0 / (rel_tol * a0**4 * rho.min())) ** (1.0 / 3.0)
-    p_max = max(p_max, 6.0 * k, 8.0 / a0)
-    dp = min(2.0 * math.pi / (10.0 * rho.max()), k / 40.0)
-    dp = k / math.ceil(k / dp)              # land the pole exactly on a node
+    p_max = max(p_max, 6.0, 8.0 / a0)
+    dp = min(2.0 * math.pi / (10.0 * rho.max()), 1.0 / 40.0)
+    dp = 1.0 / math.ceil(1.0 / dp)          # land the pole exactly on a node
     p = np.arange(0.0, p_max + 0.5 * dp, dp)
     p[0] = 1e-30                            # kernels are regular at p -> 0
     w = trapezoid_weights(p)
@@ -442,34 +442,34 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
     t2 = ex - 3.0 * e_rho * cos_x[..., None]
     cross = np.cross(e_rho, ex)
 
-    # the half-residue at p = k carries the regularizer through the sampled
+    # the half-residue at p = 1 carries the regularizer through the sampled
     # integrand, so the prefactor itself stays regularizer-free
-    pref = scatterer.chi0 * e_in * np.exp(1j * k * (scatterer.r0[2] - t)) \
+    pref = scatterer.chi0 * e_in * np.exp(1j * (scatterer.r0[2] - t)) \
         / (2.0 * math.pi**2)
     e_out = np.empty(pts.shape, dtype=complex)
     b_out = np.empty(pts.shape, dtype=complex)
-    i_pole = int(round(k / dp))             # the node carrying the pole
+    i_pole = int(round(1.0 / dp))           # the node carrying the pole
     for i, r in enumerate(rho):
         ft1, ft2, g = _angular_profiles(p * r)
         base = p**3 * xi_p
         ints = {}
-        # the electric kernels carry p^3; the magnetic one p^4 / k, because
+        # the electric kernels carry p^3; the magnetic one p^4, because
         # the per-mode curl contributes one extra power of the mode momentum
         for name, prof, extra in (("t1", ft1, 1.0), ("t2", ft2, 1.0),
-                                  ("g", g, p / k)):
+                                  ("g", g, p)):
             fk = base * prof * extra
-            pv = pv_integral(fk, p, k, weights=w)
-            plus = (fk / (p + k)) @ w
+            pv = pv_integral(fk, p, 1.0, weights=w)
+            plus = (fk / (p + 1.0)) @ w
             ints[name] = (pv, plus, fk[i_pole])
         et1 = ints["t1"][0] + ints["t1"][1] + 1j * math.pi * ints["t1"][2]
         et2 = ints["t2"][0] + ints["t2"][1] + 1j * math.pi * ints["t2"][2]
         gb = ints["g"][0] + ints["g"][1] + 1j * math.pi * ints["g"][2]
         # the magnetic kernel only falls off as 1/p^2 (one power slower than
         # the electric ones), so add its truncated tail analytically: beyond
-        # the cutoff the integrand is -32 cos(p r) / (a0^4 k r p^2)
+        # the cutoff the integrand is -32 cos(p r) / (a0^4 r p^2)
         p_end = p[-1]
         si_end = sici(p_end * r)[0]
-        gb -= (32.0 / (a0**4 * k * r)) * (
+        gb -= (32.0 / (a0**4 * r)) * (
             math.cos(p_end * r) / p_end - r * (0.5 * math.pi - si_end))
         e_out[i] = pref * (et1 * t1[i] + et2 * t2[i])
         b_out[i] = 1j * pref * gb * cross[i]

@@ -1,9 +1,9 @@
 """Momentum-space quadrature: stretched grids and principal-value integrals.
 
 The radial-momentum integrands in this package share a common shape: a
-narrow spectral peak at the carrier ``k0`` sitting on top of slowly varying
-tails that must be followed out to ``~10^3 k0``.  A sinh-stretched grid
-resolves both regimes with a few hundred nodes.  Singular denominators
+narrow spectral peak at the carrier wavenumber (1 in internal units) sitting
+on top of slowly varying tails that must be followed out to ``~10^3``.  A
+sinh-stretched grid resolves both regimes with a few hundred nodes.  Singular denominators
 ``1/(k - p)`` are handled by pole subtraction; the ``-i pi * residue`` half
 of the causal prescription ``1/(k - p + i0+) = PV - i pi delta`` is returned
 separately so callers can combine the pieces explicitly.
@@ -39,17 +39,15 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SinhGrid:
-    """Sinh-stretched momentum grid, dense near the carrier wavenumber.
+    """Sinh-stretched momentum grid, dense near the carrier wavenumber 1.
 
-    Nodes follow ``p_n = d * sinh(delta * (n - n0)) + k0`` with ``n0`` chosen
-    so that ``p_{n0} = k0`` exactly; spacing is ``~ d * delta`` near the
+    Nodes follow ``p_n = d * sinh(delta * (n - n0)) + 1`` with ``n0`` chosen
+    so that ``p_{n0} = 1`` exactly; spacing is ``~ d * delta`` near the
     carrier and grows geometrically toward both ends.  Nodes at or below zero
     are discarded.
 
     Parameters
     ----------
-    k0 : float
-        Carrier wavenumber (grid accumulation point).
     d : float
         Scale of the dense region; near-carrier spacing is ``d * delta``.
     delta : float
@@ -58,7 +56,6 @@ class SinhGrid:
         Upper cutoff; the grid stops at the last node below ``k_max``.
     """
 
-    k0: float = 1.0
     d: float = 2.5e-3
     delta: float = 3.8e-2
     k_max: float = 1.1e3
@@ -67,16 +64,16 @@ class SinhGrid:
     carrier_index: int = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if not (self.k0 > 0 and self.d > 0 and self.delta > 0):
-            raise ValueError("k0, d and delta must all be positive")
-        if self.k_max <= self.k0:
-            raise ValueError(f"k_max={self.k_max} must exceed k0={self.k0}")
-        n0 = math.floor(math.asinh(self.k0 / self.d) / self.delta)
-        n_hi = n0 + math.ceil(math.asinh((self.k_max - self.k0) / self.d) / self.delta)
+        if not (self.d > 0 and self.delta > 0):
+            raise ValueError("d and delta must both be positive")
+        if self.k_max <= 1.0:
+            raise ValueError(f"k_max={self.k_max} must exceed the carrier 1")
+        n0 = math.floor(math.asinh(1.0 / self.d) / self.delta)
+        n_hi = n0 + math.ceil(math.asinh((self.k_max - 1.0) / self.d) / self.delta)
         n = np.arange(0, n_hi + 1)
         u = self.delta * (n - n0)
-        p = self.d * np.sinh(u) + self.k0
-        keep = p > 1e-12 * self.k0
+        p = self.d * np.sinh(u) + 1.0
+        keep = p > 1e-12
         p, u = p[keep], u[keep]
         # trapezoid in the uniform stretched coordinate with the exact metric
         # dk/du = d cosh(u); for the smooth decaying integrands this is far
@@ -86,7 +83,7 @@ class SinhGrid:
         w[-1] *= 0.5
         object.__setattr__(self, "nodes", p)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "carrier_index", int(np.argmin(np.abs(p - self.k0))))
+        object.__setattr__(self, "carrier_index", int(np.argmin(np.abs(p - 1.0))))
 
     @property
     def size(self) -> int:

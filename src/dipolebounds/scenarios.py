@@ -2,7 +2,7 @@
 
 Functions here wire the field/detector/information modules into the standard
 parameter scans and produce :class:`SweepResult` tables ready for CSV export.
-Everything works in internal units (``k_in = 1``); unit conversion and
+Everything works in internal units (drive wavenumber 1); unit conversion and
 figure styling live in the command-line layer.
 
 The module also hosts :func:`validate_suite`, a battery of independent
@@ -15,8 +15,6 @@ quantum-classical field comparison) used both by the test suite and the
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,24 +34,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("DIPOLEBOUNDS_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"DIPOLEBOUNDS_WORKERS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _parallel_map(fn, items):
-    """Map preserving order; bounded thread pool when workers > 1."""
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +106,7 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
             rows.append(fisher.crb_bounds(info, scat, pulse).normalized)
         return rows[0], rows[1], rows[2], cells
 
-    results = _parallel_map(one, z_over_lambda)
+    results = [one(z_rel) for z_rel in z_over_lambda]
     fwd = np.array([r[0] for r in results])
     bwd = np.array([r[1] for r in results])
     fin = np.array([r[2] for r in results])
@@ -165,9 +145,8 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
 def default_time_axis(pulse: Pulse, samples_per_period: int = 8,
                       span: tuple = (-3.0, 5.0)) -> np.ndarray:
     """Times covering ``span`` (in units of tau) resolving the 2-omega beat."""
-    period = _TWO_PI / pulse.k_in
     t0, t1 = span[0] * pulse.tau, span[1] * pulse.tau
-    n = max(2, int(math.ceil((t1 - t0) / period * samples_per_period)) + 1)
+    n = max(2, int(math.ceil((t1 - t0) / _TWO_PI * samples_per_period)) + 1)
     return np.linspace(t0, t1, n)
 
 
@@ -196,14 +175,14 @@ def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
         scale = np.ones(4)
         scale03 = 1.0
         if normalize:
-            ff = np.diag(qfi.farfield_qfi(scatterer, pulse.phi, pulse.k_in))
+            ff = np.diag(qfi.farfield_qfi(scatterer, pulse.phi))
             scale = ff
             scale03 = math.sqrt(ff[0] * ff[3])
         for j, name in enumerate(("j00", "j11", "j22", "j33")):
             columns[f"{name}_{gauge}"] = diag[:, j] / scale[j]
         columns[f"j03_{gauge}"] = j03 / scale03
     nsc = qfi.nsc_series(scatterer, spectral, times)
-    nsc_total = fisher.n_scattered(scatterer, pulse, pulse.k_in)
+    nsc_total = fisher.n_scattered(scatterer, pulse)
     columns["nsc"] = nsc / nsc_total if normalize else nsc
 
     meta = {
@@ -261,9 +240,8 @@ def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
     if a0_over_lambda is None:
         a0_over_lambda = np.geomspace(1.0 / 120.0, 1.0 / 20.0, 8)
     a0_over_lambda = np.asarray(a0_over_lambda, dtype=float)
-    window = math.pi / pulse.k_in
-    # the peak window, then the late time for the pedestal
-    times = np.append(np.linspace(-0.5 * window, 0.5 * window, peak_samples),
+    # the peak window (one half-period), then the late time for the pedestal
+    times = np.append(np.linspace(-0.5 * math.pi, 0.5 * math.pi, peak_samples),
                       5.0 * pulse.tau)
     spectral = qfi.SpectralPulse.from_pulse(pulse, grid)
 
@@ -283,7 +261,7 @@ def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
                 peaks[f"transient_{name}_{gauge}"] = pk - 0.5 * lt
         return peaks
 
-    rows = _parallel_map(one, a0_over_lambda)
+    rows = [one(a_rel) for a_rel in a0_over_lambda]
     columns = {key: np.array([r[key] for r in rows]) for key in rows[0]}
 
     lam_over_a0 = 1.0 / a0_over_lambda
@@ -385,18 +363,17 @@ def _dense_f2_error(scatterer: Scatterer, pulse: Pulse) -> float:
     spectral = qfi.SpectralPulse.from_pulse(pulse)
     integrals = qfi.FrequencyIntegrals(spectral, scatterer)
     grid = spectral.grid
-    i_near = int(np.argmin(np.abs(grid.nodes - 1.2 * pulse.k_in)))
+    i_near = int(np.argmin(np.abs(grid.nodes - 1.2)))
     p = float(grid.nodes[i_near])
     f2_grid = integrals.eval(0.0)["f2"][i_near]
 
     # independent dense evaluation at the same p
-    half = 0.5 * pulse.k_in
     n = 100001
-    k = np.linspace(pulse.k_in - half, pulse.k_in + half, n)
+    k = np.linspace(0.5, 1.5, n)
     dk = k[1] - k[0]
     shift = (p - k[0]) % dk           # place the pole exactly on a node
     k = k + shift
-    gauss = np.exp(-np.square(k - pulse.k_in) * pulse.tau**2 / (2.0 * math.pi))
+    gauss = np.exp(-np.square(k - 1.0) * pulse.tau**2 / (2.0 * math.pi))
     profile = gauss / (1j * np.sqrt(k))
     norm = math.sqrt(pulse.phi * 2.0 * math.pi / (np.sum(np.abs(profile) ** 2) * dk))
     alpha = norm * profile

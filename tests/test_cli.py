@@ -113,6 +113,24 @@ class TestExitCodes:
         assert main(["farfield", "--set", "scatterer.resonance_nm=2000"]) == 3
         assert "physics error" in capsys.readouterr().err
 
+    def test_unknown_detector_key_is_2(self, capsys):
+        # the planar plate is placed by the scan axis, not by a distance key
+        assert main(["farfield", "--set", "detector.distance_um=5"]) == 2
+        assert "distance_um" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,lo,hi", [
+        ("crb-scan", "z_min_over_lambda=2", "z_max_over_lambda=1"),
+        ("qfi-time", "t_min_over_tau=1", "t_max_over_tau=-1"),
+        ("size-scan", "a0_min_over_lambda=0.05", "a0_max_over_lambda=0.01"),
+    ])
+    def test_inverted_range_is_2(self, tmp_path, capsys, command, lo, hi):
+        rc = main([command, "--set", f"run.{lo}", "--set", f"run.{hi}",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"run.{lo.split('=')[0]}" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFarfield:
     def test_prints_the_constants(self, capsys):

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from dipolebounds.detector import (
     PixelGrid,
-    cap_solid_angle,
     half_width_for_solid_angle,
-    hemisphere_grid,
     planar_grid,
     planar_solid_angle,
     refine,
     solid_angle_sum,
-    theta_for_solid_angle,
 )
 
 LAM = 2.0 * math.pi
@@ -47,17 +44,6 @@ class TestSolidAngles:
             planar_solid_angle(1.0, 0.0)
         with pytest.raises(ValueError):
             planar_solid_angle(-1.0, 1.0)
-
-    @given(st.floats(0.01, math.pi - 0.01))
-    @settings(max_examples=50, deadline=None)
-    def test_cap_round_trip(self, theta):
-        assert theta_for_solid_angle(cap_solid_angle(theta)) == pytest.approx(
-            theta, rel=1e-12)
-
-    def test_cap_full_sphere(self):
-        assert cap_solid_angle(math.pi) == pytest.approx(4.0 * math.pi)
-        with pytest.raises(ValueError):
-            theta_for_solid_angle(4.5 * math.pi)
 
 
 class TestPlanarGrid:
@@ -93,34 +79,6 @@ class TestPlanarGrid:
     def test_rejects_bad_refinement(self):
         with pytest.raises(ValueError):
             planar_grid(LAM, math.pi, refinement=0)
-
-
-class TestHemisphereGrid:
-    def test_equal_solid_angle_cells(self):
-        g = hemisphere_grid(5.0 * LAM, 1.5 * math.pi)
-        # uniform in cos(theta) and phi: every cell subtends the same angle
-        cell = g.areas / g.meta["radius"] ** 2
-        assert cell.std() / cell.mean() < 1e-12
-        assert g.areas.sum() == pytest.approx(
-            g.meta["radius"] ** 2 * 1.5 * math.pi, rel=1e-12)
-        # radial normals make the discrete solid angle exact too
-        assert solid_angle_sum(g) == pytest.approx(1.5 * math.pi, rel=1e-12)
-
-    def test_points_sit_on_the_sphere(self):
-        g = hemisphere_grid(3.0, math.pi)
-        r = np.linalg.norm(g.positions, axis=1)
-        np.testing.assert_allclose(r, 3.0, rtol=1e-13)
-        np.testing.assert_allclose(g.normals, g.positions / 3.0, rtol=1e-13)
-
-    def test_refine(self):
-        g1 = hemisphere_grid(2.0 * LAM, math.pi)
-        g2 = refine(g1)
-        assert g2.meta["n_theta"] == 2 * g1.meta["n_theta"]
-        assert g2.meta["n_phi"] == 2 * g1.meta["n_phi"]
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            hemisphere_grid(0.0, math.pi)
 
 
 def test_refine_rejects_unknown_kind():

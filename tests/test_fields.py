@@ -22,14 +22,14 @@ DIRECTION = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
 
 def test_incident_plane_wave():
     pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, LAM / 4.0], [1.0, 2.0, 0.0]])
-    fs = incident_field(pts, k=1.0, e_in=2.0, t=0.0)
+    fs = incident_field(pts, e_in=2.0, t=0.0)
     # linear x polarization, B along y, quarter-wavelength phase advance
     assert fs.e[0] == pytest.approx([2.0, 0.0, 0.0])
     assert fs.b[0] == pytest.approx([0.0, 2.0, 0.0])
     assert fs.e[1, 0] == pytest.approx(2.0j, rel=1e-12)
     assert fs.e[2] == pytest.approx(fs.e[0])  # transverse position is idle
     # retarded phase: t = z restores the t = 0, z = 0 value
-    fs2 = incident_field(np.array([[0.0, 0.0, 3.7]]), k=1.0, e_in=2.0, t=3.7)
+    fs2 = incident_field(np.array([[0.0, 0.0, 3.7]]), e_in=2.0, t=3.7)
     assert fs2.e[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 

@@ -142,5 +142,5 @@ class TestCrbBounds:
 
 def test_n_scattered_is_cross_section_times_fluence(scat_1030, pulse_1030):
     assert n_scattered(scat_1030, pulse_1030) == pytest.approx(1.0, rel=1e-12)
-    assert n_scattered(scat_1030, pulse_1030, k=1.0) == pytest.approx(
+    assert n_scattered(scat_1030, pulse_1030) == pytest.approx(
         scat_1030.cross_section() * pulse_1030.phi)

@@ -23,7 +23,6 @@ magnitudes = st.floats(min_value=1e-12, max_value=1e12)
 class TestUnitSystem:
     def test_carrier_wavenumber_is_one(self):
         u = UnitSystem.from_wavelength_nm(1030.0)
-        assert u.k_internal == 1.0
         assert u.length_to_internal(1030e-9) == pytest.approx(2.0 * math.pi, rel=1e-15)
 
     def test_rejects_nonpositive_wavelength(self):
@@ -91,13 +90,12 @@ class TestPulse:
 
     def test_peak_field_inverts_fluence(self):
         p = Pulse(phi=3.7, tau=55.0)
-        assert p.e_in ** 2 * p.tau / (2.0 * p.k_in) == pytest.approx(p.phi, rel=1e-14)
+        assert p.e_in ** 2 * p.tau / 2.0 == pytest.approx(p.phi, rel=1e-14)
 
     @pytest.mark.parametrize("bad", [dict(phi=0.0, tau=1.0),
                                      dict(phi=-1.0, tau=1.0),
                                      dict(phi=1.0, tau=0.0),
-                                     dict(phi=1.0, tau=-2.0),
-                                     dict(phi=1.0, tau=1.0, k_in=0.0)])
+                                     dict(phi=1.0, tau=-2.0)])
     def test_rejects_nonpositive_parameters(self, bad):
         with pytest.raises(ValueError):
             Pulse(**bad)
@@ -119,9 +117,16 @@ class TestScatterer:
 
     def test_cross_section_quartic_in_k(self):
         s = Scatterer(chi0=0.5)
-        assert s.cross_section(1.0) == pytest.approx(
+        assert s.cross_section() == pytest.approx(
             2.0 * 0.25 / (3.0 * math.pi), rel=1e-14)
-        assert s.cross_section(2.0) == pytest.approx(16.0 * s.cross_section(1.0))
+        # Rayleigh scaling in SI: at a fixed polarizability volume, halving
+        # the drive wavelength multiplies the cross section by 2^4
+        si = []
+        for nm in (1030.0, 515.0):
+            u = UnitSystem.from_wavelength_nm(nm)
+            chi0 = u.polarizability_to_internal(13e-27)
+            si.append(u.area_from_internal(Scatterer(chi0=chi0).cross_section()))
+        assert si[1] == pytest.approx(16.0 * si[0], rel=1e-12)
 
     def test_off_resonance_guard(self):
         Scatterer(chi0=1.0, omega0=10.0).check_off_resonance()  # fine

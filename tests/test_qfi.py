@@ -131,7 +131,7 @@ class TestFrequencyIntegrals:
                                    shift):
         """Premise of the passing size exponents of acceptance criterion 7.
 
-        In the off-shell tail k_in << p << 2/a0 the k-integrals go as 1/p,
+        In the off-shell tail 1 << p << 2/a0 the k-integrals go as 1/p,
         so f3 ~ p^(-1/2) and f2 ~ p^(1/2) (one power lower each in the
         Coulomb coupling).  A profile f ~ p^n there makes int p^2 |f|^2 dp,
         cut off at 2/a0, scale as (lambda/a0)^(2n + 3): j00 (from f3) as
@@ -141,7 +141,7 @@ class TestFrequencyIntegrals:
         """
         small = replace(scat_532, a0=LAM / 2000.0)
         f = FrequencyIntegrals(spectral_200, small, gauge).eval(
-            math.pi / (4.0 * spectral_200.k_in))
+            math.pi / 4.0)
         p = spectral_200.grid.nodes
         tail = (p >= 5.0) & (p <= 60.0)
         for name, power in (("f2", 0.5), ("f3", -0.5)):
@@ -278,7 +278,7 @@ class TestScatteredPhotons:
 class TestFarfieldLimits:
     def test_qfi_closed_form(self):
         s = Scatterer(chi0=3e-4)
-        j = farfield_qfi(s, phi=7.0, k=1.0)
+        j = farfield_qfi(s, phi=7.0)
         base = 8.0 * s.chi0 ** 2 * 7.0 / (15.0 * math.pi)
         np.testing.assert_allclose(
             np.diag(j), [5.0 * base / s.chi0 ** 2, base, 2.0 * base, 7.0 * base],
@@ -293,10 +293,10 @@ class TestFarfieldLimits:
     def test_constants_follow_from_the_matrix(self):
         # sqrt(N_sc / J_ii), normalized by chi0 or the wavelength
         s = Scatterer(chi0=1.3e-5)
-        phi, k = 2.9, 1.0
-        j = np.diag(farfield_qfi(s, phi, k))
-        nsc = s.cross_section(k) * phi
-        lam = 2.0 * math.pi / k
+        phi = 2.9
+        j = np.diag(farfield_qfi(s, phi))
+        nsc = s.cross_section() * phi
+        lam = 2.0 * math.pi
         expect = np.array([math.sqrt(nsc / j[0]) / s.chi0,
                            math.sqrt(nsc / j[1]) / lam,
                            math.sqrt(nsc / j[2]) / lam,
