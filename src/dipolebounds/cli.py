@@ -99,7 +99,7 @@ CONFIG_SCHEMA = {
                 "solid_angle_over_pi": {
                     "type": "number",
                     "exclusiveMinimum": 0,
-                    "maximum": 2,
+                    "exclusiveMaximum": 2,
                 },
                 "refinement": {"type": "integer", "minimum": 1},
             },

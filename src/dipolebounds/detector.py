@@ -1,10 +1,11 @@
-"""Pixelated detector geometries.
+"""Pixelated planar detector.
 
 The detector is a square planar array at ``z = Z`` (forward ``Z > 0`` or
-backward ``Z < 0``).  Grids are deterministic pure functions of their
-arguments, carry exact per-pixel areas, and store their construction
-parameters so that :func:`refine` can rebuild the same geometry at doubled
-linear resolution for convergence checks.
+backward ``Z < 0``) normal to the z axis, so the counted flux is its z
+component and pixels carry no normal vector.  Grids are deterministic pure
+functions of their arguments, carry exact per-pixel areas, and store their
+construction parameters so that :func:`refine` can rebuild the same geometry
+at doubled linear resolution for convergence checks.
 
 The planar transverse coordinates use a sinh stretching ``s = |Z| sinh(xi)``
 with uniform ``xi`` cell edges: pixels are small near the axis (where the
@@ -39,21 +40,22 @@ _ZONE_SAMPLES = 36
 
 @dataclass(frozen=True, eq=False)
 class PixelGrid:
-    """A set of detector pixels: centers, outward normals, exact areas."""
+    """Pixels of a plate normal to z: centers and exact areas.
+
+    ``meta["distance"]`` is the signed plate position; the Fisher layer
+    scales its finite-difference step by it.
+    """
 
     positions: np.ndarray
-    normals: np.ndarray
     areas: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        nrm = np.atleast_2d(np.asarray(self.normals, dtype=float))
         areas = np.atleast_1d(np.asarray(self.areas, dtype=float))
-        if pos.shape != nrm.shape or pos.shape[0] != areas.shape[0]:
-            raise ValueError("positions, normals and areas sizes disagree")
+        if pos.shape[0] != areas.shape[0]:
+            raise ValueError("positions and areas sizes disagree")
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "normals", nrm)
         object.__setattr__(self, "areas", areas)
 
     @property
@@ -129,8 +131,6 @@ def planar_grid(distance: float, solid_angle: float,
     positions = np.column_stack([
         xc.ravel(), yc.ravel(), np.full(xc.size, z)])
     areas = np.outer(widths, widths).ravel()
-    normals = np.zeros_like(positions)
-    normals[:, 2] = 1.0
     meta = {
         "kind": "planar",
         "distance": z,
@@ -139,7 +139,7 @@ def planar_grid(distance: float, solid_angle: float,
         "refinement": int(refinement),
         "cells_per_axis": 2 * half_cells,
     }
-    return PixelGrid(positions, normals, areas, meta)
+    return PixelGrid(positions, areas, meta)
 
 
 def refine(grid: PixelGrid) -> PixelGrid:
@@ -153,8 +153,8 @@ def refine(grid: PixelGrid) -> PixelGrid:
 
 
 def solid_angle_sum(grid: PixelGrid, origin=(0.0, 0.0, 0.0)) -> float:
-    """Discrete solid angle: sum of projected pixel areas over distance^2."""
+    """Discrete solid angle: sum of z-projected pixel areas over distance^2."""
     rel = grid.positions - np.asarray(origin, dtype=float)
     r = np.linalg.norm(rel, axis=-1)
-    proj = np.sum(rel * grid.normals, axis=-1) / r
+    proj = rel[:, 2] / r
     return float(np.sum(grid.areas * np.abs(proj) / r**2))

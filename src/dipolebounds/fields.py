@@ -83,7 +83,9 @@ def _transverse_terms(rho_vec: np.ndarray, rho: np.ndarray):
     ex[..., 0] = 1.0
     t1 = ex - e_rho * cos_x[..., None]
     t2 = ex - 3.0 * e_rho * cos_x[..., None]
-    cross = np.cross(e_rho, ex)
+    cross = np.zeros(rho_vec.shape)         # e_rho x ex = (0, e_z, -e_y)
+    cross[..., 1] = e_rho[..., 2]
+    cross[..., 2] = -e_rho[..., 1]
     return t1, t2, cross
 
 
@@ -184,21 +186,26 @@ def poynting_avg(fields: FieldSet) -> np.ndarray:
     return 0.5 * np.real(np.cross(fields.e, np.conj(fields.b)))
 
 
-def intensity_parts(incident: FieldSet, scattered: FieldSet,
-                    normals: np.ndarray) -> dict[str, np.ndarray]:
-    """Normal energy flux split into incident, interference and scattered parts.
+def _flux_z(e: np.ndarray, b_conj: np.ndarray) -> np.ndarray:
+    """z component of ``E x B*`` (``b_conj`` is already conjugated)."""
+    return e[..., 0] * b_conj[..., 1] - e[..., 1] * b_conj[..., 0]
 
-    The cross ("extinction") term is linear in the scattering amplitude and
-    the scattered term quadratic, which is what makes the split useful for
-    analytic parameter derivatives.
+
+def intensity_parts(incident: FieldSet,
+                    scattered: FieldSet) -> dict[str, np.ndarray]:
+    """z energy flux ``Re(E x B*)_z / 2`` split into incident, interference
+    and scattered parts.
+
+    Only the z row of the cross products is formed, with the same arithmetic
+    as :func:`poynting_avg`.  The cross ("extinction") term is linear in the
+    scattering amplitude and the scattered term quadratic, which is what
+    makes the split useful for analytic parameter derivatives.
     """
-    normals = np.asarray(normals, dtype=float)
-    s_in = poynting_avg(incident)
-    s_sc = poynting_avg(scattered)
-    cross = 0.5 * np.real(np.cross(incident.e, np.conj(scattered.b))
-                          + np.cross(scattered.e, np.conj(incident.b)))
+    b_in = np.conj(incident.b)
+    b_sc = np.conj(scattered.b)
+    cross = _flux_z(incident.e, b_sc) + _flux_z(scattered.e, b_in)
     return {
-        "incident": np.sum(s_in * normals, axis=-1),
-        "cross": np.sum(cross * normals, axis=-1),
-        "scattered": np.sum(s_sc * normals, axis=-1),
+        "incident": 0.5 * np.real(_flux_z(incident.e, b_in)),
+        "cross": 0.5 * np.real(cross),
+        "scattered": 0.5 * np.real(_flux_z(scattered.e, b_sc)),
     }

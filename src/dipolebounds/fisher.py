@@ -5,8 +5,10 @@ energy flux through its area over the pulse,
 
     nbar_i = (flux_i) * tau * dA_i     (the carrier photon energy is 1 internally),
 
-with the flux taken along the fixed pixel normal.  The Fisher information for
-the parameter vector (chi0, x0, y0, z0) is then
+with the flux taken along z, the normal of the planar detector.  The
+scattered field follows the scatterer: the regularized finite-size solution
+when ``a0 > 0``, the point-dipole solution otherwise.  The Fisher information
+for the parameter vector (chi0, x0, y0, z0) is then
 
     I_jl = sum_i (1 / nbar_i) (d nbar_i / d theta_j) (d nbar_i / d theta_l).
 
@@ -41,43 +43,29 @@ _FD_FRACTION = 1e-4       # position finite-difference step, in units of
                           # min(wavelength 2 pi, detector distance)
 
 
-def _scatter_model(name: str):
-    try:
-        return {
-            "point": fields.scattered_point,
-            "regularized": fields.scattered_regularized,
-        }[name]
-    except KeyError:
-        raise ValueError(f"unknown field model {name!r}") from None
+def _scattered(pos, scatterer: Scatterer, pulse: Pulse) -> fields.FieldSet:
+    scatter = (fields.scattered_regularized if scatterer.a0 > 0
+               else fields.scattered_point)
+    return scatter(pos, scatterer, e_in=pulse.e_in)
 
 
-def _detector_scale(grid: PixelGrid) -> float:
-    meta = grid.meta
-    if "distance" in meta:
-        return abs(meta["distance"])
-    rel = np.linalg.norm(grid.positions, axis=-1)
-    return float(rel.min())
-
-
-def _counts_block(pos, nrm, da, scatter, scatterer, pulse):
+def _counts_block(pos, da, scatterer, pulse):
     inc = fields.incident_field(pos, e_in=pulse.e_in)
-    sc = scatter(pos, scatterer, e_in=pulse.e_in)
-    parts = fields.intensity_parts(inc, sc, nrm)
+    sc = _scattered(pos, scatterer, pulse)
+    parts = fields.intensity_parts(inc, sc)
     factor = pulse.tau * da
     nbar = (parts["incident"] + parts["cross"] + parts["scattered"]) * factor
     return nbar, parts, factor, inc
 
 
-def mean_counts(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
-                model: str = "point") -> np.ndarray:
+def mean_counts(grid: PixelGrid, scatterer: Scatterer,
+                pulse: Pulse) -> np.ndarray:
     """Expected photon counts per pixel over the pulse."""
-    scatter = _scatter_model(model)
     out = np.empty(grid.size)
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        nbar, _, _, _ = _counts_block(grid.positions[sl], grid.normals[sl],
-                                      grid.areas[sl], scatter, scatterer,
-                                      pulse)
+        nbar, _, _, _ = _counts_block(grid.positions[sl], grid.areas[sl],
+                                      scatterer, pulse)
         out[sl] = nbar
     if np.any(out <= 0):
         raise PhysicsError(
@@ -86,8 +74,7 @@ def mean_counts(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
     return out
 
 
-def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
-                    model: str = "point"):
+def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     """Mean counts and their derivatives along (chi0, x0, y0, z0).
 
     Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``.  The
@@ -95,18 +82,16 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
     the scattered part quadratic in chi0, so
     ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.  Position columns are
     central differences of the scattered field about ``r0``, with step
-    ``_FD_FRACTION * min(2 pi, detector distance)``.
+    ``_FD_FRACTION * min(2 pi, |grid.meta["distance"]|)``.
     """
-    scatter = _scatter_model(model)
-    h = _FD_FRACTION * min(2.0 * math.pi, _detector_scale(grid))
+    h = _FD_FRACTION * min(2.0 * math.pi, abs(grid.meta["distance"]))
 
     nbar = np.empty(grid.size)
     grad = np.empty((grid.size, 4))
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        pos, nrm, da = grid.positions[sl], grid.normals[sl], grid.areas[sl]
-        nb, parts, factor, inc = _counts_block(pos, nrm, da, scatter,
-                                               scatterer, pulse)
+        pos, da = grid.positions[sl], grid.areas[sl]
+        nb, parts, factor, inc = _counts_block(pos, da, scatterer, pulse)
         nbar[sl] = nb
         grad[sl, 0] = (parts["cross"] + 2.0 * parts["scattered"]) \
             / scatterer.chi0 * factor
@@ -117,8 +102,7 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
             for sgn in (+1.0, -1.0):
                 moved = replace(scatterer,
                                 r0=tuple(np.asarray(scatterer.r0) + sgn * shift))
-                sc = scatter(pos, moved, e_in=pulse.e_in)
-                p = fields.intensity_parts(inc, sc, nrm)
+                p = fields.intensity_parts(inc, _scattered(pos, moved, pulse))
                 flux.append(p["cross"] + p["scattered"])
             grad[sl, 1 + axis] = (flux[0] - flux[1]) / (2.0 * h) * factor
     if np.any(nbar <= 0):
@@ -135,13 +119,13 @@ def poisson_fi(nbar: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (grad / nbar[:, None]).T @ grad
 
 
-def fi_matrix(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse,
-              model: str = "point") -> InfoMatrix:
+def fi_matrix(grid: PixelGrid, scatterer: Scatterer,
+              pulse: Pulse) -> InfoMatrix:
     """Fisher-information matrix of the pixel counts for (chi0, x0, y0, z0)."""
-    nbar, grad = count_gradients(grid, scatterer, pulse, model=model)
+    nbar, grad = count_gradients(grid, scatterer, pulse)
     m = poisson_fi(nbar, grad)
     m = 0.5 * (m + m.T)
-    meta = {"model": model, "pixels": grid.size, "detector": dict(grid.meta)}
+    meta = {"pixels": grid.size, "detector": dict(grid.meta)}
     return InfoMatrix(m, meta)
 
 

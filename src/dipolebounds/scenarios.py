@@ -80,8 +80,8 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
     """Normalized CRBs vs detector distance for a planar detector.
 
     Three detector placements are evaluated at every distance: forward
-    point-dipole, backward point-dipole, and forward with the finite-size
-    (regularized) field model at radius ``finite_a0``.  Columns carry the
+    point-dipole, backward point-dipole, and forward with a finite-size
+    source of radius ``finite_a0`` (regularized field).  Columns carry the
     dimensionless bounds ``sqrt(N_sc) sigma_chi / chi0`` and
     ``sqrt(N_sc) sigma_r / lambda``; the far-field quantum bounds are
     appended as constant reference columns.
@@ -98,11 +98,10 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
         z = z_rel * _TWO_PI
         rows = []
         cells = 0
-        for sgn, scat, model in ((+1.0, point, "point"), (-1.0, point, "point"),
-                                 (+1.0, finite, "regularized")):
+        for sgn, scat in ((+1.0, point), (-1.0, point), (+1.0, finite)):
             grid = detector.planar_grid(sgn * z, solid_angle, refinement)
             cells = max(cells, grid.meta["cells_per_axis"])
-            info = fisher.fi_matrix(grid, scat, pulse, model=model)
+            info = fisher.fi_matrix(grid, scat, pulse)
             rows.append(fisher.crb_bounds(info, scat, pulse).normalized)
         return rows[0], rows[1], rows[2], cells
 
@@ -402,9 +401,8 @@ def _poisson_fi_error(scatterer: Scatterer, pulse: Pulse) -> float:
     xs, ys = np.meshgrid(coords, coords, indexing="ij")
     z = 2.0 * _TWO_PI
     positions = np.column_stack([xs.ravel(), ys.ravel(), np.full(9, z)])
-    normals = np.tile([0.0, 0.0, 1.0], (9, 1))
     areas = np.full(9, (coords[1] - coords[0]) ** 2)
-    grid = detector.PixelGrid(positions, normals, areas,
+    grid = detector.PixelGrid(positions, areas,
                               {"kind": "planar", "distance": z})
     nbar, grad = fisher.count_gradients(grid, scatterer, pulse)
     direct = fisher.poisson_fi(nbar, grad)

@@ -118,6 +118,14 @@ class TestExitCodes:
         assert main(["farfield", "--set", "detector.distance_um=5"]) == 2
         assert "distance_um" in capsys.readouterr().err
 
+    def test_half_space_solid_angle_is_2(self, tmp_path, capsys):
+        # a plate covers less than a half space: 2 pi is out of range
+        rc = main(["crb-scan", "--set", "detector.solid_angle_over_pi=2",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "detector.solid_angle_over_pi" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,lo,hi", [
         ("crb-scan", "z_min_over_lambda=2", "z_max_over_lambda=1"),
         ("qfi-time", "t_min_over_tau=1", "t_max_over_tau=-1"),

@@ -53,7 +53,6 @@ class TestPlanarGrid:
         # pixel areas are built from shared edges, so the sum telescopes
         assert g.areas.sum() == pytest.approx((2.0 * a) ** 2, rel=1e-13)
         assert np.all(g.positions[:, 2] == 2.0 * LAM)
-        assert np.all(g.normals == [0.0, 0.0, 1.0])
         assert g.size == g.meta["cells_per_axis"] ** 2
 
     @pytest.mark.parametrize("z_rel", [0.1, 2.0])
@@ -82,13 +81,11 @@ class TestPlanarGrid:
 
 
 def test_refine_rejects_unknown_kind():
-    g = PixelGrid(np.zeros((1, 3)), np.ones((1, 3)), np.ones(1), {"kind": "blob"})
+    g = PixelGrid(np.zeros((1, 3)), np.ones(1), {"kind": "blob"})
     with pytest.raises(ValueError, match="blob"):
         refine(g)
 
 
 def test_pixelgrid_validates_shapes():
     with pytest.raises(ValueError):
-        PixelGrid(np.zeros((2, 3)), np.zeros((3, 3)), np.ones(2))
-    with pytest.raises(ValueError):
-        PixelGrid(np.zeros((2, 3)), np.zeros((2, 3)), np.ones(3))
+        PixelGrid(np.zeros((2, 3)), np.ones(3))

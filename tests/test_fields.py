@@ -180,15 +180,19 @@ class TestRegularizedSource:
 
 
 def test_intensity_parts_reconstruct_total_flux(scat_532):
-    pts = np.array([[0.3, 0.2, 5.0], [1.0, -2.0, 8.0], [0.0, 0.0, 30.0]])
-    normals = np.tile([0.0, 0.0, 1.0], (3, 1))
+    # the split z flux sums to the z row of the full Poynting vector, on
+    # forward and backward plates, for the finite-size and the point source
+    pts = np.array([[0.3, 0.2, 5.0], [1.0, -2.0, 8.0], [0.0, 0.0, 30.0],
+                    [0.3, 0.2, -5.0], [-1.5, 0.7, -12.0], [0.0, 0.0, -30.0]])
     inc = incident_field(pts, e_in=1.3)
-    sc = scattered_regularized(pts, scat_532, e_in=1.3)
-    parts = intensity_parts(inc, sc, normals)
-    total = np.sum(poynting_avg(inc + sc) * normals, axis=-1)
-    np.testing.assert_allclose(
-        parts["incident"] + parts["cross"] + parts["scattered"], total,
-        rtol=1e-13)
+    point = Scatterer(chi0=scat_532.chi0, omega0=scat_532.omega0)
+    for sc in (scattered_regularized(pts, scat_532, e_in=1.3),
+               scattered_point(pts, point, e_in=1.3)):
+        parts = intensity_parts(inc, sc)
+        total = poynting_avg(inc + sc)[:, 2]
+        np.testing.assert_allclose(
+            parts["incident"] + parts["cross"] + parts["scattered"], total,
+            rtol=1e-13)
 
 
 def test_fieldset_addition_keeps_core():

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import poisson
 
 from dipolebounds.detector import planar_grid
+from dipolebounds.fields import incident_field, poynting_avg, scattered_regularized
 from dipolebounds.fisher import (
     count_gradients,
     crb_bounds,
@@ -50,6 +51,20 @@ def test_counts_total_matches_fluence(scat_1030, pulse_1030, small_grid):
     assert nbar.sum() == pytest.approx(
         pulse_1030.phi * small_grid.areas.sum(), rel=5e-7)
     assert np.all(nbar > 0)
+
+
+def test_finite_size_scatterer_counted_with_its_own_field(
+        scat_1030, pulse_1030, small_grid):
+    # a0 > 0 selects the regularized field: the counts equal the z flux of
+    # incident plus regularized field, built here without the flux split
+    # (the point field would be off by ~1e-8 relative on this plate)
+    finite = replace(scat_1030, a0=LAM / 30.0)
+    pos = small_grid.positions
+    inc = incident_field(pos, e_in=pulse_1030.e_in)
+    sc = scattered_regularized(pos, finite, e_in=pulse_1030.e_in)
+    expect = poynting_avg(inc + sc)[:, 2] * pulse_1030.tau * small_grid.areas
+    np.testing.assert_allclose(mean_counts(small_grid, finite, pulse_1030),
+                               expect, rtol=1e-13)
 
 
 def test_counts_reject_nonphysical_regime(pulse_1030):
