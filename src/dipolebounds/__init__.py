@@ -15,7 +15,7 @@ All calculations use natural units with the drive wavenumber equal to one;
 :class:`~dipolebounds.model.UnitSystem` converts to and from SI.
 """
 
-from .detector import PixelGrid, planar_grid, refine
+from .detector import PixelGrid, planar_grid
 from .fields import (
     FieldSet,
     incident_field,
@@ -82,7 +82,6 @@ __all__ = [
     "pv_matrix",
     "qfi_matrix",
     "qfi_time_sweep",
-    "refine",
     "scattered_point",
     "scattered_regularized",
     "size_scaling_sweep",

@@ -95,7 +95,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "type": {"enum": ["planar"]},
                 "solid_angle_over_pi": {
                     "type": "number",
                     "exclusiveMinimum": 0,
@@ -160,7 +159,6 @@ DEFAULT_CONFIG = {
         "nsc_target": 1.0,
     },
     "detector": {
-        "type": "planar",
         "solid_angle_over_pi": 1.97,
         "refinement": 1,
     },
@@ -190,23 +188,15 @@ DEFAULT_CONFIG = {
     },
 }
 
+#: each preset holds only what differs from ``DEFAULT_CONFIG``
 PRESETS = {
-    # Distance scan of the classical bounds with a wide planar detector.
-    "fig2": {
-        "scatterer": {"chi0_nm3": 13.0, "a0_nm": 0.0, "resonance_nm": 100.0},
-        "pulse": {"lambda_nm": 1030.0, "tau_fs": 24.0, "nsc_target": 1.0},
-        "detector": {"type": "planar", "solid_angle_over_pi": 1.97},
-        "run": {"finite_a0_nm": 35.0},
-    },
+    # Distance scan of the classical bounds with a wide planar detector:
+    # the defaults.
+    "fig2": {},
     # Two-color transient QFI of a finite-size scatterer.
     "fig3": {
-        "scatterer": {"chi0_nm3": 13.0, "a0_nm": 35.0, "resonance_nm": 100.0},
-        "pulse": {"lambda_nm": 1030.0, "tau_fs": 24.0, "nsc_target": 1.0},
-        "run": {
-            "second_lambda_nm": 4500.0,
-            "gauges": ["multipolar"],
-            "normalize": False,
-        },
+        "scatterer": {"a0_nm": 35.0},
+        "run": {"second_lambda_nm": 4500.0},
     },
 }
 

@@ -2,23 +2,24 @@
 
 The detector is a square planar array at ``z = Z`` (forward ``Z > 0`` or
 backward ``Z < 0``) normal to the z axis, so the counted flux is its z
-component and pixels carry no normal vector.  Grids are deterministic pure
-functions of their arguments, carry exact per-pixel areas, and store their
-construction parameters so that :func:`refine` can rebuild the same geometry
-at doubled linear resolution for convergence checks.
+component and pixels carry no normal vector.  A grid is pixel centers,
+exact per-pixel areas and the signed plate distance; it is a deterministic
+pure function of its arguments.
 
 The planar transverse coordinates use a sinh stretching ``s = |Z| sinh(xi)``
 with uniform ``xi`` cell edges: pixels are small near the axis (where the
 detected pattern varies on the scale of ``|Z|``) and grow toward the rim.
 The edge resolution also tracks the Fresnel-zone scale ``~ lambda / |Z|``
-(``lambda = 2 pi`` in internal units) so interference fringes in the far
-zone stay resolved.
+(``lambda = 2 pi`` in internal units), but the rim fringes are not fully
+resolved: at ``|Z| = 0.316 lambda`` and ``1.97 pi`` the forward point-dipole
+``crb_z`` is 0.214353 at refinement 1 and 0.212207 at refinement 8, a 1.0%
+error of the default grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "planar_solid_angle",
     "half_width_for_solid_angle",
     "planar_grid",
-    "refine",
     "solid_angle_sum",
 ]
 
@@ -40,15 +40,13 @@ _ZONE_SAMPLES = 36
 
 @dataclass(frozen=True, eq=False)
 class PixelGrid:
-    """Pixels of a plate normal to z: centers and exact areas.
-
-    ``meta["distance"]`` is the signed plate position; the Fisher layer
-    scales its finite-difference step by it.
-    """
+    """Pixels of a plate normal to z: centers, exact areas and the signed
+    plate position ``distance``, which scales the Fisher layer's
+    finite-difference step."""
 
     positions: np.ndarray
     areas: np.ndarray
-    meta: dict = field(default_factory=dict)
+    distance: float
 
     def __post_init__(self) -> None:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -131,30 +129,13 @@ def planar_grid(distance: float, solid_angle: float,
     positions = np.column_stack([
         xc.ravel(), yc.ravel(), np.full(xc.size, z)])
     areas = np.outer(widths, widths).ravel()
-    meta = {
-        "kind": "planar",
-        "distance": z,
-        "solid_angle": float(solid_angle),
-        "half_width": a,
-        "refinement": int(refinement),
-        "cells_per_axis": 2 * half_cells,
-    }
-    return PixelGrid(positions, areas, meta)
+    return PixelGrid(positions, areas, z)
 
 
-def refine(grid: PixelGrid) -> PixelGrid:
-    """Rebuild a grid at twice the linear pixel density (4x the pixels)."""
-    meta = grid.meta
-    kind = meta.get("kind")
-    if kind == "planar":
-        return planar_grid(meta["distance"], meta["solid_angle"],
-                           refinement=2 * meta["refinement"])
-    raise ValueError(f"cannot refine grid of kind {kind!r}")
-
-
-def solid_angle_sum(grid: PixelGrid, origin=(0.0, 0.0, 0.0)) -> float:
-    """Discrete solid angle: sum of z-projected pixel areas over distance^2."""
-    rel = grid.positions - np.asarray(origin, dtype=float)
-    r = np.linalg.norm(rel, axis=-1)
-    proj = rel[:, 2] / r
+def solid_angle_sum(grid: PixelGrid) -> float:
+    """Discrete solid angle seen from the origin: sum of z-projected pixel
+    areas over distance^2."""
+    pos = grid.positions
+    r = np.linalg.norm(pos, axis=-1)
+    proj = pos[:, 2] / r
     return float(np.sum(grid.areas * np.abs(proj) / r**2))

@@ -2,11 +2,12 @@
 
 All quantities are phasors in internal units (``hbar = c = eps0 = 1`` and
 drive wavenumber 1, fixed by :class:`~dipolebounds.model.UnitSystem`):
-physical fields are ``Re[E * exp(-i t)]`` times the slow pulse envelope.  The incident wave
-travels along ``+z`` and is polarized along ``x``.  Scattered fields come in
-two flavours: the ideal point-dipole solution, and a regularized solution for
-a source of finite radius ``a0`` that smoothly reduces to the point form as
-``a0 -> 0``.
+physical fields are ``Re[E * exp(-i t)]`` times the slow pulse envelope, and
+the functions here return the ``t = 0`` phasors, since the global phase
+``exp(-i t)`` cancels in every flux.  The incident wave travels along ``+z``
+and is polarized along ``x``.  Scattered fields come in two flavours: the
+ideal point-dipole solution, and a regularized solution for a source of
+finite radius ``a0`` that smoothly reduces to the point form as ``a0 -> 0``.
 """
 
 from __future__ import annotations
@@ -33,20 +34,13 @@ _MIN_RHO_WAVELENGTHS = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class FieldSet:
-    """Complex E/B phasors sampled at a set of points.
-
-    ``core`` flags points inside the regularized source region (``rho < 3 a0``)
-    where the closed forms are used outside their best-controlled regime; it is
-    ``None`` for field models without a core scale.
-    """
+    """Complex E/B phasors sampled at a set of points."""
 
     e: np.ndarray
     b: np.ndarray
-    core: np.ndarray | None = None
 
     def __add__(self, other: "FieldSet") -> "FieldSet":
-        core = self.core if self.core is not None else other.core
-        return FieldSet(self.e + other.e, self.b + other.b, core)
+        return FieldSet(self.e + other.e, self.b + other.b)
 
 
 def _geometry(points: np.ndarray, r0) -> tuple[np.ndarray, np.ndarray]:
@@ -58,11 +52,10 @@ def _geometry(points: np.ndarray, r0) -> tuple[np.ndarray, np.ndarray]:
     return rho_vec, rho
 
 
-def incident_field(points: np.ndarray, e_in: float = 1.0,
-                   t: float = 0.0) -> FieldSet:
-    """Plane wave ``E = e_in * ex * exp(i (z - t))`` with ``B = ez x E``."""
+def incident_field(points: np.ndarray, e_in: float = 1.0) -> FieldSet:
+    """Plane wave ``E = e_in * ex * exp(i z)`` with ``B = ez x E``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    phase = np.exp(1j * (pts[..., 2] - t))
+    phase = np.exp(1j * pts[..., 2])
     e = np.zeros(pts.shape, dtype=complex)
     b = np.zeros(pts.shape, dtype=complex)
     e[..., 0] = e_in * phase
@@ -90,14 +83,14 @@ def _transverse_terms(rho_vec: np.ndarray, rho: np.ndarray):
 
 
 def scattered_point(points: np.ndarray, scatterer: Scatterer,
-                    e_in: float = 1.0, t: float = 0.0) -> FieldSet:
+                    e_in: float = 1.0) -> FieldSet:
     """Field radiated by an ideal driven point dipole at ``scatterer.r0``.
 
     With ``rho`` the distance from the dipole::
 
-        E = (chi0 e_in / 2 pi) e^{i (rho + z0 - t)}
+        E = (chi0 e_in / 2 pi) e^{i (rho + z0)}
             [ t1 / rho + (i rho - 1) t2 / rho^3 ]
-        B = (i chi0 e_in / 2 pi) e^{i (rho + z0 - t)}
+        B = (i chi0 e_in / 2 pi) e^{i (rho + z0)}
             (e_rho x ex) (1 - i rho) / rho^2
 
     Points closer than ``1e-6`` wavelengths to the dipole are rejected.
@@ -110,7 +103,7 @@ def scattered_point(points: np.ndarray, scatterer: Scatterer,
         )
     t1, t2, cross = _transverse_terms(rho_vec, rho)
     pref = (scatterer.chi0 * e_in / (2.0 * math.pi)
-            * np.exp(1j * (rho + scatterer.r0[2] - t)))
+            * np.exp(1j * (rho + scatterer.r0[2])))
     e = pref[..., None] * (t1 / rho[..., None]
                            + (1j * rho - 1.0)[..., None] * t2 / rho[..., None] ** 3)
     b = (1j * pref * (1.0 - 1j * rho) / rho**2)[..., None] * cross
@@ -152,17 +145,15 @@ def _magnetic_bracket(rho: np.ndarray, a0: float):
 
 
 def scattered_regularized(points: np.ndarray, scatterer: Scatterer,
-                          e_in: float = 1.0, t: float = 0.0) -> FieldSet:
+                          e_in: float = 1.0) -> FieldSet:
     """Field of a driven source with exponential charge profile of radius a0.
 
     Reduces exactly to :func:`scattered_point` in the ``a0 -> 0`` limit and
-    stays finite down to ``rho = 0``.  The returned ``core`` mask flags points
-    with ``rho < 3 a0``, where results probe the interior of the source
-    distribution.
+    stays finite down to ``rho = 0``; for ``a0 = 0`` it returns the point
+    field itself.
     """
     if scatterer.a0 <= 0:
-        out = scattered_point(points, scatterer, e_in=e_in, t=t)
-        return FieldSet(out.e, out.b, np.zeros(out.e.shape[:-1], dtype=bool))
+        return scattered_point(points, scatterer, e_in=e_in)
     rho_vec, rho = _geometry(points, scatterer.r0)
     if np.any(rho == 0.0):
         raise PhysicsError("field requested exactly at the source center")
@@ -170,11 +161,11 @@ def scattered_regularized(points: np.ndarray, scatterer: Scatterer,
     e1, e2, e3 = _envelope_brackets(rho, scatterer.a0)
     xi = regularizer(1.0, scatterer.a0)
     pref = (scatterer.chi0 * e_in * xi / (2.0 * math.pi)
-            * np.exp(1j * (scatterer.r0[2] - t)))
+            * np.exp(1j * scatterer.r0[2]))
     e = pref * (e1[..., None] * t1 / rho[..., None]
                 + (1j * rho * e2 + e3)[..., None] * t2 / rho[..., None] ** 3)
     b = pref * _magnetic_bracket(rho, scatterer.a0)[..., None] * cross
-    return FieldSet(e, b, rho < 3.0 * scatterer.a0)
+    return FieldSet(e, b)
 
 
 # ---------------------------------------------------------------------------

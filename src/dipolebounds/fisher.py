@@ -6,8 +6,8 @@ energy flux through its area over the pulse,
     nbar_i = (flux_i) * tau * dA_i     (the carrier photon energy is 1 internally),
 
 with the flux taken along z, the normal of the planar detector.  The
-scattered field follows the scatterer: the regularized finite-size solution
-when ``a0 > 0``, the point-dipole solution otherwise.  The Fisher information
+scattered field is :func:`~dipolebounds.fields.scattered_regularized`, which
+is the point-dipole solution when ``a0 = 0``.  The Fisher information
 for the parameter vector (chi0, x0, y0, z0) is then
 
     I_jl = sum_i (1 / nbar_i) (d nbar_i / d theta_j) (d nbar_i / d theta_l).
@@ -43,18 +43,16 @@ _FD_FRACTION = 1e-4       # position finite-difference step, in units of
                           # min(wavelength 2 pi, detector distance)
 
 
-def _scattered(pos, scatterer: Scatterer, pulse: Pulse) -> fields.FieldSet:
-    scatter = (fields.scattered_regularized if scatterer.a0 > 0
-               else fields.scattered_point)
-    return scatter(pos, scatterer, e_in=pulse.e_in)
-
-
 def _counts_block(pos, da, scatterer, pulse):
     inc = fields.incident_field(pos, e_in=pulse.e_in)
-    sc = _scattered(pos, scatterer, pulse)
+    sc = fields.scattered_regularized(pos, scatterer, e_in=pulse.e_in)
     parts = fields.intensity_parts(inc, sc)
     factor = pulse.tau * da
     nbar = (parts["incident"] + parts["cross"] + parts["scattered"]) * factor
+    if np.any(nbar <= 0):
+        raise PhysicsError(
+            "non-positive mean count encountered; the net-flux detector model "
+            "requires the incident wave to dominate every pixel")
     return nbar, parts, factor, inc
 
 
@@ -67,10 +65,6 @@ def mean_counts(grid: PixelGrid, scatterer: Scatterer,
         nbar, _, _, _ = _counts_block(grid.positions[sl], grid.areas[sl],
                                       scatterer, pulse)
         out[sl] = nbar
-    if np.any(out <= 0):
-        raise PhysicsError(
-            "non-positive mean count encountered; the net-flux detector model "
-            "requires the incident wave to dominate every pixel")
     return out
 
 
@@ -82,9 +76,9 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     the scattered part quadratic in chi0, so
     ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.  Position columns are
     central differences of the scattered field about ``r0``, with step
-    ``_FD_FRACTION * min(2 pi, |grid.meta["distance"]|)``.
+    ``_FD_FRACTION * min(2 pi, |grid.distance|)``.
     """
-    h = _FD_FRACTION * min(2.0 * math.pi, abs(grid.meta["distance"]))
+    h = _FD_FRACTION * min(2.0 * math.pi, abs(grid.distance))
 
     nbar = np.empty(grid.size)
     grad = np.empty((grid.size, 4))
@@ -102,13 +96,10 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
             for sgn in (+1.0, -1.0):
                 moved = replace(scatterer,
                                 r0=tuple(np.asarray(scatterer.r0) + sgn * shift))
-                p = fields.intensity_parts(inc, _scattered(pos, moved, pulse))
+                p = fields.intensity_parts(inc, fields.scattered_regularized(
+                    pos, moved, e_in=pulse.e_in))
                 flux.append(p["cross"] + p["scattered"])
             grad[sl, 1 + axis] = (flux[0] - flux[1]) / (2.0 * h) * factor
-    if np.any(nbar <= 0):
-        raise PhysicsError(
-            "non-positive mean count encountered; the net-flux detector model "
-            "requires the incident wave to dominate every pixel")
     return nbar, grad
 
 
@@ -124,9 +115,7 @@ def fi_matrix(grid: PixelGrid, scatterer: Scatterer,
     """Fisher-information matrix of the pixel counts for (chi0, x0, y0, z0)."""
     nbar, grad = count_gradients(grid, scatterer, pulse)
     m = poisson_fi(nbar, grad)
-    m = 0.5 * (m + m.T)
-    meta = {"pixels": grid.size, "detector": dict(grid.meta)}
-    return InfoMatrix(m, meta)
+    return InfoMatrix(0.5 * (m + m.T))
 
 
 def n_scattered(scatterer: Scatterer, pulse: Pulse) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as C_SI
@@ -242,7 +242,6 @@ class InfoMatrix:
     """
 
     matrix: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)

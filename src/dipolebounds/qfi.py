@@ -400,8 +400,7 @@ def _angular_profiles(x: np.ndarray):
 
 
 def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
-                        e_in: float = 1.0, t: float = 0.0,
-                        rel_tol: float = 1e-6):
+                        e_in: float = 1.0, rel_tol: float = 1e-6):
     """Stationary scattered field assembled mode by mode.
 
     Integrates the radial-mode decomposition of the driven source's field
@@ -444,7 +443,7 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
 
     # the half-residue at p = 1 carries the regularizer through the sampled
     # integrand, so the prefactor itself stays regularizer-free
-    pref = scatterer.chi0 * e_in * np.exp(1j * (scatterer.r0[2] - t)) \
+    pref = scatterer.chi0 * e_in * np.exp(1j * scatterer.r0[2]) \
         / (2.0 * math.pi**2)
     e_out = np.empty(pts.shape, dtype=complex)
     b_out = np.empty(pts.shape, dtype=complex)

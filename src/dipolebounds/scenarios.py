@@ -100,7 +100,7 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
         cells = 0
         for sgn, scat in ((+1.0, point), (-1.0, point), (+1.0, finite)):
             grid = detector.planar_grid(sgn * z, solid_angle, refinement)
-            cells = max(cells, grid.meta["cells_per_axis"])
+            cells = max(cells, math.isqrt(grid.size))
             info = fisher.fi_matrix(grid, scat, pulse)
             rows.append(fisher.crb_bounds(info, scat, pulse).normalized)
         return rows[0], rows[1], rows[2], cells
@@ -402,8 +402,7 @@ def _poisson_fi_error(scatterer: Scatterer, pulse: Pulse) -> float:
     z = 2.0 * _TWO_PI
     positions = np.column_stack([xs.ravel(), ys.ravel(), np.full(9, z)])
     areas = np.full(9, (coords[1] - coords[0]) ** 2)
-    grid = detector.PixelGrid(positions, areas,
-                              {"kind": "planar", "distance": z})
+    grid = detector.PixelGrid(positions, areas, z)
     nbar, grad = fisher.count_gradients(grid, scatterer, pulse)
     direct = fisher.poisson_fi(nbar, grad)
 
@@ -552,7 +551,7 @@ def validate_suite(level: str = "quick") -> list:
         checks.append(_check("gauge_farfield_equality", gauge_rel, 2e-2,
                              "multipolar vs coulomb at t=5 tau"))
 
-        grid2 = detector.refine(grid)
+        grid2 = detector.planar_grid(2.0 * _TWO_PI, math.pi, refinement=2)
         info1 = fisher.fi_matrix(grid, scat, pulse)
         info2 = fisher.fi_matrix(grid2, scat, pulse)
         conv = np.abs(info2.errors() / info1.errors() - 1.0).max()

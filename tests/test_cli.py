@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dipolebounds import cli, scenarios
 from dipolebounds.cli import (
     DEFAULT_CONFIG,
+    PRESETS,
     ConfigError,
     _format_value,
     _parse_set,
@@ -42,6 +44,9 @@ class TestResolveConfig:
         cfg = resolve_config(None, "fig3", ["run.second_lambda_nm=3000"])
         assert cfg["scatterer"]["a0_nm"] == 35.0     # from the preset
         assert cfg["run"]["second_lambda_nm"] == 3000  # override wins
+
+    def test_fig2_is_the_defaults(self):
+        assert resolve_config(None, "fig2", None) == DEFAULT_CONFIG
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
@@ -81,7 +86,7 @@ class TestParseSet:
     def test_dotted_path_and_json_value(self):
         assert _parse_set("a.b.c=3.5") == (["a", "b", "c"], 3.5)
         assert _parse_set("run.corrections=true") == (["run", "corrections"], True)
-        assert _parse_set("detector.type=planar") == (["detector", "type"], "planar")
+        assert _parse_set("run.level=full") == (["run", "level"], "full")
         assert _parse_set("run.gauges=[\"coulomb\"]") == (["run", "gauges"],
                                                           ["coulomb"])
 
@@ -117,6 +122,11 @@ class TestExitCodes:
         # the planar plate is placed by the scan axis, not by a distance key
         assert main(["farfield", "--set", "detector.distance_um=5"]) == 2
         assert "distance_um" in capsys.readouterr().err
+
+    def test_detector_type_is_2(self, capsys):
+        # the plate is the only detector, so there is no type to choose
+        assert main(["farfield", "--set", "detector.type=planar"]) == 2
+        assert "type" in capsys.readouterr().err
 
     def test_half_space_solid_angle_is_2(self, tmp_path, capsys):
         # a plate covers less than a half space: 2 pi is out of range
@@ -222,3 +232,58 @@ def test_qfi_time_two_color_columns(tmp_path, capsys):
         assert f"j03_per_nm3um_multipolar_{tag}" in names
         assert f"nsc_{tag}" in names
     assert len(names) == 1 + 2 * 6
+
+
+def _leaf_paths(node: dict, prefix: str = "") -> set:
+    paths = set()
+    for key, val in node.items():
+        if isinstance(val, dict):
+            paths |= _leaf_paths(val, f"{prefix}{key}.")
+        else:
+            paths.add(f"{prefix}{key}")
+    return paths
+
+
+class _Recording(dict):
+    """A config dict that notes the dotted path of every leaf it hands out."""
+
+    def __init__(self, data: dict, seen: set, prefix: str = ""):
+        super().__init__(data)
+        self._seen = seen
+        self._prefix = prefix
+
+    def __getitem__(self, key):
+        val = super().__getitem__(key)
+        path = f"{self._prefix}{key}"
+        if isinstance(val, dict):
+            return _Recording(val, self._seen, f"{path}.")
+        self._seen.add(path)
+        return val
+
+
+def test_every_default_key_is_read(tmp_path, monkeypatch, capsys):
+    # a key that no subcommand reads is a knob that does nothing; the sweeps
+    # are stubbed, so only the reads in the cmd_* layer are exercised
+    def sweep(axis_name, axis_arg, meta=None):
+        def stub(*args, **kwargs):
+            axis = np.asarray(kwargs[axis_arg], dtype=float)
+            columns = {"nsc": np.zeros(axis.size)} if axis_name == "t" else {}
+            return scenarios.SweepResult(axis_name, axis, columns, meta or {})
+        return stub
+
+    monkeypatch.setattr(scenarios, "crb_distance_sweep",
+                        sweep("z_over_lambda", "z_over_lambda"))
+    monkeypatch.setattr(scenarios, "qfi_time_sweep", sweep("t", "times"))
+    monkeypatch.setattr(scenarios, "size_scaling_sweep",
+                        sweep("a0_over_lambda", "a0_over_lambda",
+                              {"fits": {}}))
+    monkeypatch.setattr(scenarios, "validate_suite", lambda level: [])
+    monkeypatch.setattr(cli, "emit_outputs", lambda *args: None)
+
+    seen = set()
+    for preset in (None, *PRESETS):
+        cfg = resolve_config(None, preset, None)
+        for name, handler in cli._DISPATCH.items():
+            handler(_Recording(cfg, seen), tmp_path / name)
+    capsys.readouterr()
+    assert _leaf_paths(DEFAULT_CONFIG) - seen == set()

@@ -11,7 +11,6 @@ from dipolebounds.detector import (
     half_width_for_solid_angle,
     planar_grid,
     planar_solid_angle,
-    refine,
     solid_angle_sum,
 )
 
@@ -49,11 +48,12 @@ class TestSolidAngles:
 class TestPlanarGrid:
     def test_tiles_the_plate_exactly(self):
         g = planar_grid(2.0 * LAM, 1.97 * math.pi)
-        a = g.meta["half_width"]
+        a = half_width_for_solid_angle(1.97 * math.pi, 2.0 * LAM)
         # pixel areas are built from shared edges, so the sum telescopes
         assert g.areas.sum() == pytest.approx((2.0 * a) ** 2, rel=1e-13)
         assert np.all(g.positions[:, 2] == 2.0 * LAM)
-        assert g.size == g.meta["cells_per_axis"] ** 2
+        assert g.distance == 2.0 * LAM
+        assert g.size == math.isqrt(g.size) ** 2
 
     @pytest.mark.parametrize("z_rel", [0.1, 2.0])
     def test_resolves_the_requested_solid_angle(self, z_rel):
@@ -64,15 +64,15 @@ class TestPlanarGrid:
     def test_negative_distance_backward_plate(self):
         g = planar_grid(-0.5 * LAM, math.pi)
         assert np.all(g.positions[:, 2] == -0.5 * LAM)
+        assert g.distance == -0.5 * LAM
         # solid angle seen from the origin is unchanged
         assert solid_angle_sum(g) == pytest.approx(math.pi, rel=5e-3)
 
     def test_refinement_doubles_linear_density(self):
         g1 = planar_grid(LAM, math.pi)
-        g2 = refine(g1)
-        assert g2.meta["refinement"] == 2
+        g2 = planar_grid(LAM, math.pi, refinement=2)
         # cell edges are re-derived, so doubling is exact only up to rounding
-        assert abs(g2.meta["cells_per_axis"] - 2 * g1.meta["cells_per_axis"]) <= 2
+        assert abs(math.isqrt(g2.size) - 2 * math.isqrt(g1.size)) <= 2
         assert g2.areas.sum() == pytest.approx(g1.areas.sum(), rel=1e-13)
 
     def test_rejects_bad_refinement(self):
@@ -80,12 +80,9 @@ class TestPlanarGrid:
             planar_grid(LAM, math.pi, refinement=0)
 
 
-def test_refine_rejects_unknown_kind():
-    g = PixelGrid(np.zeros((1, 3)), np.ones(1), {"kind": "blob"})
-    with pytest.raises(ValueError, match="blob"):
-        refine(g)
-
-
 def test_pixelgrid_validates_shapes():
     with pytest.raises(ValueError):
-        PixelGrid(np.zeros((2, 3)), np.ones(3))
+        PixelGrid(np.zeros((2, 3)), np.ones(3), 1.0)
+    # the Fisher layer steps by the plate distance, so a grid needs one
+    with pytest.raises(TypeError):
+        PixelGrid(np.zeros((2, 3)), np.ones(2))

@@ -22,15 +22,15 @@ DIRECTION = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
 
 def test_incident_plane_wave():
     pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, LAM / 4.0], [1.0, 2.0, 0.0]])
-    fs = incident_field(pts, e_in=2.0, t=0.0)
+    fs = incident_field(pts, e_in=2.0)
     # linear x polarization, B along y, quarter-wavelength phase advance
     assert fs.e[0] == pytest.approx([2.0, 0.0, 0.0])
     assert fs.b[0] == pytest.approx([0.0, 2.0, 0.0])
     assert fs.e[1, 0] == pytest.approx(2.0j, rel=1e-12)
     assert fs.e[2] == pytest.approx(fs.e[0])  # transverse position is idle
-    # retarded phase: t = z restores the t = 0, z = 0 value
-    fs2 = incident_field(np.array([[0.0, 0.0, 3.7]]), e_in=2.0, t=3.7)
-    assert fs2.e[0, 0] == pytest.approx(2.0, rel=1e-12)
+    # t = 0 phasor: the phase advances as exp(i z) along the axis
+    fs2 = incident_field(np.array([[0.0, 0.0, 3.7]]), e_in=2.0)
+    assert fs2.e[0, 0] == pytest.approx(2.0 * np.exp(3.7j), rel=1e-12)
 
 
 class TestPointDipole:
@@ -99,7 +99,6 @@ class TestRegularizedSource:
         b = scattered_regularized(pts, s)
         np.testing.assert_array_equal(a.e, b.e)
         np.testing.assert_array_equal(a.b, b.b)
-        assert b.core is not None and not b.core.any()
 
     def test_refuses_the_exact_center(self, scat_532):
         with pytest.raises(PhysicsError, match="center"):
@@ -108,12 +107,6 @@ class TestRegularizedSource:
     def test_finite_at_tiny_radius(self, scat_532):
         fs = scattered_regularized((1e-8 * DIRECTION)[None, :], scat_532)
         assert np.all(np.isfinite(fs.e)) and np.all(np.isfinite(fs.b))
-
-    def test_core_mask(self, scat_532):
-        r3 = 3.0 * scat_532.a0
-        pts = np.vstack([0.5 * r3 * DIRECTION, 2.0 * r3 * DIRECTION])
-        fs = scattered_regularized(pts, scat_532)
-        assert fs.core.tolist() == [True, False]
 
     def test_mirror_symmetry_in_y(self, scat_532):
         pts = np.array([[0.7, 1.3, -0.4], [0.1, -0.05, 0.2]])
@@ -195,9 +188,8 @@ def test_intensity_parts_reconstruct_total_flux(scat_532):
             rtol=1e-13)
 
 
-def test_fieldset_addition_keeps_core():
+def test_fieldset_addition():
     e = np.ones((2, 3), dtype=complex)
-    core = np.array([True, False])
-    both = FieldSet(e, e) + FieldSet(e, e, core)
+    both = FieldSet(e, 1j * e) + FieldSet(e, e)
     np.testing.assert_array_equal(both.e, 2.0 * e)
-    assert both.core is core
+    np.testing.assert_array_equal(both.b, (1.0 + 1j) * e)
