@@ -314,8 +314,9 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     independent consistency check of the QFI pipeline
     (J_00 = 4 N_sc / chi0^2 at all times).  Poles inside the spectral support
     get pole subtraction from :func:`~dipolebounds.quadrature.pv_integral`,
-    one call per time for each block of poles; the remaining poles get plain
-    excision, applied to a block of times as one real matrix product.
+    one call per block of times for each block of poles; the remaining poles
+    get plain excision, applied to a block of times as one real matrix
+    product.
     """
     grid = spectral.grid
     k = grid.nodes
@@ -342,9 +343,8 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
         plus = real_matmul(w * kern * np.conj(alpha_t), inv_sum)
         pv = np.empty_like(fk)
         pv[:, outside] = real_matmul(fk, excise.T)
-        for row, f_row in zip(pv, fk):
-            for poles in pole_blocks:
-                row[poles] = pv_integral(f_row, k, k[poles], weights=w)
+        for poles in pole_blocks:
+            pv[:, poles] = pv_integral(fk, k, k[poles], weights=w)
         s = (pv / (2.0 * math.pi) - 0.5j * fk + plus / (2.0 * math.pi)) \
             * (np.sqrt(k) * xi)
         out[blk] = np.square(np.abs(s)) @ (w * k**2) / (3.0 * math.pi**2)

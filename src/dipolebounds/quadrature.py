@@ -109,10 +109,21 @@ def pv_integral(f, nodes: np.ndarray, pole, weights: np.ndarray | None = None):
     ``f`` may be a callable (evaluated at the nodes and the pole) or an array
     of samples, in which case ``f(pole)`` is obtained by local quadratic
     interpolation.  ``pole`` may be a scalar or an array of poles; each pole
-    gets the same subtraction rule, and the result has the shape of
-    ``pole``.  Every pole must lie strictly inside ``(nodes[0], nodes[-1])``.
-    An array of ``P`` poles builds ``(P, nodes.size)`` intermediates, so
-    callers with many poles pass them in blocks.
+    gets the same subtraction rule.  Every pole must lie strictly inside
+    ``(nodes[0], nodes[-1])``.
+
+    The rule is linear in the samples.  With the real ``(P, n)`` matrix
+    ``c = w / (k - p)`` for the ``P`` poles, whose on-pole entries are
+    replaced by a central-difference stencil for the removable ratio
+    ``f'(p)``, and ``s`` the row sums of ``c`` without that stencil,
+
+        PV = F @ c.T - f(p) s + f(p) ln((b-p)/(p-a)).
+
+    So samples may carry leading axes: ``(T, n)`` samples (``T`` functions
+    on the same nodes, such as one per time) give a result of shape
+    ``(T,) + pole.shape``, from one matrix product.  An array of ``P`` poles
+    builds ``(P, nodes.size)`` intermediates, so callers with many poles
+    pass them in blocks.
 
     Returns the principal value only; the causal prescription's delta-function
     part, ``-i pi f(pole)``, is the caller's to add.
@@ -131,19 +142,25 @@ def pv_integral(f, nodes: np.ndarray, pole, weights: np.ndarray | None = None):
     else:
         fk = np.asarray(f)
         fp = _interp_quadratic(nodes, fk, poles)
+    lead = fk.shape[:-1]
+    p = poles.reshape(-1)
 
-    diff = nodes - poles[..., None]
-    on_pole = np.abs(diff) < 1e-14 * np.maximum(np.abs(poles), 1.0)[..., None]
-    # multiplying by the reciprocal is numpy's own rule for a complex over a
-    # real divisor, without the complex division loop
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (fk - fp[..., None]) * (1.0 / diff)
-    # removable singularity: use the derivative from neighbouring nodes
-    idx = np.nonzero(on_pole)
-    lo = np.maximum(idx[-1] - 1, 0)
-    hi = np.minimum(idx[-1] + 1, nodes.size - 1)
-    ratio[idx] = (fk[hi] - fk[lo]) / (nodes[hi] - nodes[lo])
-    return real_matmul(ratio, weights) + fp * np.log((b - poles) / (poles - a))
+    diff = nodes - p[:, None]
+    on_pole = np.abs(diff) < 1e-14 * np.maximum(np.abs(p), 1.0)[:, None]
+    with np.errstate(divide="ignore"):
+        c = weights / diff
+    c[on_pole] = 0.0
+    c_sum = c.sum(axis=1)
+    # removable singularity: w_i f'(p) from the neighbouring nodes
+    row, col = np.nonzero(on_pole)
+    lo = np.maximum(col - 1, 0)
+    hi = np.minimum(col + 1, nodes.size - 1)
+    stencil = weights[col] / (nodes[hi] - nodes[lo])
+    c[row, hi] += stencil
+    c[row, lo] -= stencil
+    fp = fp.reshape(lead + p.shape)
+    pv = real_matmul(fk, c.T) + fp * (np.log((b - p) / (p - a)) - c_sum)
+    return pv.reshape(lead + poles.shape)
 
 
 def real_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -162,14 +179,15 @@ def real_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _interp_quadratic(x: np.ndarray, y: np.ndarray, x0):
     """Quadratic (3-point Lagrange) interpolation of samples at ``x0``.
 
-    ``x0`` may be a scalar or an array; the result has its shape.
+    ``y`` holds samples along its last axis; ``x0`` may be a scalar or an
+    array, and the result has shape ``y.shape[:-1] + x0.shape``.
     """
     i = np.clip(np.searchsorted(x, x0), 1, x.size - 2)
     xa, xb, xc = x[i - 1], x[i], x[i + 1]
     l0 = (x0 - xb) * (x0 - xc) / ((xa - xb) * (xa - xc))
     l1 = (x0 - xa) * (x0 - xc) / ((xb - xa) * (xb - xc))
     l2 = (x0 - xa) * (x0 - xb) / ((xc - xa) * (xc - xb))
-    return y[i - 1] * l0 + y[i] * l1 + y[i + 1] * l2
+    return y[..., i - 1] * l0 + y[..., i] * l1 + y[..., i + 1] * l2
 
 
 def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
@@ -213,18 +231,16 @@ def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
     off_sum = m.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_term = np.log((b - nodes) / (nodes - a))
-    for i in range(n):
-        lt = log_term[i]
-        if not np.isfinite(lt):
-            if support is not None and not support[i]:
-                lt = 0.0          # multiplies f(p_i) == 0
-            else:
-                continue          # boundary pole: keep the plain-excision row
-        m[i, i] += lt - off_sum[i]
-        # on-pole removable ratio: w_i * f'(p_i) via neighbouring nodes
-        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
-        span = nodes[hi] - nodes[lo]
-        m[i, hi] += weights[i] / span
-        m[i, lo] -= weights[i] / span
+    if support is not None:
+        # an endpoint outside the support: the log term multiplies f(p_i) == 0
+        log_term[~np.isfinite(log_term) & ~support] = 0.0
+    # a boundary pole with an infinite log term keeps the plain-excision row
+    rows = np.nonzero(np.isfinite(log_term))[0]
+    m[rows, rows] += log_term[rows] - off_sum[rows]
+    # on-pole removable ratio: w_i * f'(p_i) via neighbouring nodes
+    lo = np.maximum(rows - 1, 0)
+    hi = np.minimum(rows + 1, n - 1)
+    stencil = weights[rows] / (nodes[hi] - nodes[lo])
+    m[rows, hi] += stencil
+    m[rows, lo] -= stencil
     return m
-

@@ -242,6 +242,25 @@ class TestScatteredPhotons:
             one = nsc_series(scat_532, spectral_200, [times[i]])[0]
             assert series[i] == pytest.approx(one, rel=1e-13)
 
+    def test_pv_calls_scale_with_time_blocks(self, scat_532, spectral_200,
+                                             monkeypatch):
+        # pole subtraction runs once per block of times, not once per time
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pv_integral(*args, **kwargs)
+
+        monkeypatch.setattr(qfi, "pv_integral", counted)
+        nsc_series(scat_532, spectral_200, [0.0])
+        single = len(calls)
+        calls.clear()
+        n = spectral_200.grid.size
+        nsc_series(scat_532, spectral_200,
+                   np.linspace(-300.0, 600.0, qfi._BLOCK_ELEMENTS // n + 9))
+        assert single > 0
+        assert len(calls) == 2 * single
+
     def test_independent_of_the_qfi_route(self, scat_532, spectral_200,
                                           monkeypatch):
         # the photon identity is a check only while the two routes share

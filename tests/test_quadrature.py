@@ -77,6 +77,13 @@ class TestPvIntegral:
         assert block.shape == (2, 2)
         for p, g in zip(poles[:4], block.ravel()):
             assert g == pytest.approx(pv_integral(fn, nodes, p), rel=1e-13)
+        # samples with a leading axis: one row of poles per function
+        fs = f * np.exp(1j * np.outer(np.arange(1.0, 6.0), nodes))
+        rows = pv_integral(fs, nodes, poles)
+        assert rows.shape == (5, poles.size)
+        for f_row, row in zip(fs, rows):
+            np.testing.assert_allclose(row, pv_integral(f_row, nodes, poles),
+                                       rtol=1e-12)
 
     def test_pole_on_a_node_is_removable(self):
         # odd subtracted part + zero log term: exact zero again
@@ -100,6 +107,33 @@ class TestPvMatrix:
     def test_boundary_rows_stay_finite(self):
         m = pv_matrix(self.nodes)
         assert np.all(np.isfinite(m))
+
+    @pytest.mark.parametrize("mask", ["none", "masked", "all"])
+    def test_matches_row_by_row_construction(self, mask):
+        # reference: the row-by-row build, in the same order of updates
+        grid = SinhGrid()
+        k, w = grid.nodes, grid.weights
+        n = k.size
+        support = {"none": None, "all": np.ones(n, dtype=bool),
+                   "masked": (k > 0.5) & (k < 2.0)}[mask]
+        with np.errstate(divide="ignore"):
+            ref = w[None, :] / (k[None, :] - k[:, None])
+        np.fill_diagonal(ref, 0.0)
+        off_sum = ref.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_term = np.log((k[-1] - k) / (k - k[0]))
+        for i in range(n):
+            lt = log_term[i]
+            if not np.isfinite(lt):
+                if support is not None and not support[i]:
+                    lt = 0.0
+                else:
+                    continue
+            ref[i, i] += lt - off_sum[i]
+            lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+            ref[i, hi] += w[i] / (k[hi] - k[lo])
+            ref[i, lo] -= w[i] / (k[hi] - k[lo])
+        assert np.array_equal(pv_matrix(k, w, support=support), ref)
 
     def test_support_mask_drops_endpoint_log(self):
         support = np.ones(self.nodes.size, dtype=bool)
