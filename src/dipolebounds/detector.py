@@ -2,9 +2,9 @@
 
 The detector is a square planar array at ``z = Z`` (forward ``Z > 0`` or
 backward ``Z < 0``) normal to the z axis, so the counted flux is its z
-component and pixels carry no normal vector.  A grid is pixel centers,
-exact per-pixel areas and the signed plate distance; it is a deterministic
-pure function of its arguments.
+component and pixels carry no normal vector.  A grid is pixel centers and
+exact per-pixel areas; it is a deterministic pure function of its
+arguments.
 
 The planar transverse coordinates use a sinh stretching ``s = |Z| sinh(xi)``
 with uniform ``xi`` cell edges: pixels are small near the axis (where the
@@ -40,13 +40,10 @@ _ZONE_SAMPLES = 36
 
 @dataclass(frozen=True, eq=False)
 class PixelGrid:
-    """Pixels of a plate normal to z: centers, exact areas and the signed
-    plate position ``distance``, which scales the Fisher layer's
-    finite-difference step."""
+    """Pixels of a plate normal to z: centers and exact areas."""
 
     positions: np.ndarray
     areas: np.ndarray
-    distance: float
 
     def __post_init__(self) -> None:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -129,7 +126,7 @@ def planar_grid(distance: float, solid_angle: float,
     positions = np.column_stack([
         xc.ravel(), yc.ravel(), np.full(xc.size, z)])
     areas = np.outer(widths, widths).ravel()
-    return PixelGrid(positions, areas, z)
+    return PixelGrid(positions, areas)
 
 
 def solid_angle_sum(grid: PixelGrid) -> float:

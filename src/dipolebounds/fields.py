@@ -24,6 +24,7 @@ __all__ = [
     "incident_field",
     "scattered_point",
     "scattered_regularized",
+    "scattered_ex_by",
     "poynting_avg",
     "intensity_parts",
 ]
@@ -50,6 +51,19 @@ def _geometry(points: np.ndarray, r0) -> tuple[np.ndarray, np.ndarray]:
     rho_vec = pts - np.asarray(r0, dtype=float)
     rho = np.linalg.norm(rho_vec, axis=-1)
     return rho_vec, rho
+
+
+def _refuse_source_points(rho: np.ndarray, a0: float) -> None:
+    """Reject points where the field is singular or undefined: closer than
+    ``1e-6`` wavelengths to a point dipole (``a0 = 0``), or exactly at the
+    center of a finite source."""
+    if a0 <= 0:
+        if np.any(rho < _MIN_RHO_WAVELENGTHS * (2.0 * math.pi)):
+            raise PhysicsError(
+                "field requested closer than 1e-6 wavelengths to the point "
+                "dipole; use the regularized model to approach the source")
+    elif np.any(rho == 0.0):
+        raise PhysicsError("field requested exactly at the source center")
 
 
 def incident_field(points: np.ndarray, e_in: float = 1.0) -> FieldSet:
@@ -96,11 +110,7 @@ def scattered_point(points: np.ndarray, scatterer: Scatterer,
     Points closer than ``1e-6`` wavelengths to the dipole are rejected.
     """
     rho_vec, rho = _geometry(points, scatterer.r0)
-    if np.any(rho < _MIN_RHO_WAVELENGTHS * (2.0 * math.pi)):
-        raise PhysicsError(
-            "field requested closer than 1e-6 wavelengths to the point dipole; "
-            "use the regularized model to approach the source"
-        )
+    _refuse_source_points(rho, 0.0)
     t1, t2, cross = _transverse_terms(rho_vec, rho)
     pref = (scatterer.chi0 * e_in / (2.0 * math.pi)
             * np.exp(1j * (rho + scatterer.r0[2])))
@@ -144,6 +154,47 @@ def _magnetic_bracket(rho: np.ndarray, a0: float):
     return osc + core
 
 
+def _flux_profiles(rho: np.ndarray, a0: float):
+    """Radial profiles of the scattered ``E_x`` and ``B_y`` and their
+    rho-derivatives.
+
+    ``E_x`` goes as ``f1 (1 - n_x^2) + f3 (1 - 3 n_x^2)`` and ``B_y`` as
+    ``c n_z``, with ``f1 = e1 / rho``, ``f3 = (i rho e2 + e3) / rho^3`` and
+    ``c`` the magnetic bracket.  Returns ``(f1, f3, c)`` and
+    ``(f1', f3', c')``.  The point dipole (``a0 = 0``) is the special case
+    ``e1 = e2 = -e3 = exp(i rho)`` with no screened terms.  The brackets of
+    :func:`_envelope_brackets` and :func:`_magnetic_bracket` are rebuilt here
+    with their slopes, so the field functions stay an independent route.
+    """
+    osc = np.exp(1j * rho)
+    e1 = e2 = osc
+    e3 = -osc
+    de1 = de2 = 1j * osc
+    de3 = -de1
+    c = osc * (rho + 1j) / rho**2
+    dc = osc * (1j * rho**2 - 2.0 * rho - 2.0j) / rho**3
+    if a0 > 0:
+        # each screened term is p(rho) x with slope (p' - 2 p / a0) x
+        x = np.exp(-2.0 * rho / a0)
+        p1 = 4.0 * rho / a0**3 + (rho - a0) / a0
+        p2 = 1j * ((a0 - 2.0 * rho) / 4.0 - (a0 + 2.0 * rho) / a0**2)
+        p3 = rho / a0 + 1.0 + a0 * rho / 4.0
+        pc = 1j * (-1.0 / rho**2 - 2.0 / (a0 * rho) + 2.0 / a0**2 + 8.0 / a0**4)
+        e1 = e1 + p1 * x
+        e2 = e2 + p2 * x
+        e3 = e3 + p3 * x
+        c = c + pc * x
+        de1 = de1 + (4.0 / a0**3 + 1.0 / a0 - 2.0 * p1 / a0) * x
+        de2 = de2 + (-1j * (0.5 + 2.0 / a0**2) - 2.0 * p2 / a0) * x
+        de3 = de3 + (1.0 / a0 + a0 / 4.0 - 2.0 * p3 / a0) * x
+        dc = dc + (2j * (1.0 / rho**3 + 1.0 / (a0 * rho**2)) - 2.0 * pc / a0) * x
+    f1 = e1 / rho
+    f3 = (1j * rho * e2 + e3) / rho**3
+    df1 = (de1 - f1) / rho
+    df3 = (1j * (e2 + rho * de2) + de3) / rho**3 - 3.0 * f3 / rho
+    return (f1, f3, c), (df1, df3, dc)
+
+
 def scattered_regularized(points: np.ndarray, scatterer: Scatterer,
                           e_in: float = 1.0) -> FieldSet:
     """Field of a driven source with exponential charge profile of radius a0.
@@ -155,8 +206,7 @@ def scattered_regularized(points: np.ndarray, scatterer: Scatterer,
     if scatterer.a0 <= 0:
         return scattered_point(points, scatterer, e_in=e_in)
     rho_vec, rho = _geometry(points, scatterer.r0)
-    if np.any(rho == 0.0):
-        raise PhysicsError("field requested exactly at the source center")
+    _refuse_source_points(rho, scatterer.a0)
     t1, t2, cross = _transverse_terms(rho_vec, rho)
     e1, e2, e3 = _envelope_brackets(rho, scatterer.a0)
     xi = regularizer(1.0, scatterer.a0)
@@ -166,6 +216,49 @@ def scattered_regularized(points: np.ndarray, scatterer: Scatterer,
                 + (1j * rho * e2 + e3)[..., None] * t2 / rho[..., None] ** 3)
     b = pref * _magnetic_bracket(rho, scatterer.a0)[..., None] * cross
     return FieldSet(e, b)
+
+
+def scattered_ex_by(points: np.ndarray, scatterer: Scatterer,
+                    e_in: float = 1.0):
+    """Scattered ``E_x`` and ``B_y`` and their derivatives along the source
+    position ``r0 = (x0, y0, z0)``.
+
+    These are the only scattered components the z flux reads: the incident
+    wave has ``E_y = B_x = 0`` and the scattered ``B`` is along
+    ``e_rho x ex = (0, n_z, -n_y)``.  The field is that of
+    :func:`scattered_regularized` (the point dipole for ``a0 = 0``), so
+    ``E_x = pref [f1 (1 - n_x^2) + f3 (1 - 3 n_x^2)]`` and
+    ``B_y = pref c n_z`` with ``pref = chi0 e_in xi exp(i z0) / 2 pi``.
+    A translated source sees ``rho = r - r0``, so ``d/d r0 = -grad_r``, using
+    ``d n_i / d r_j = (delta_ij - n_i n_j) / rho``; the drive phase
+    ``exp(i z0)`` adds ``i E_x`` and ``i B_y`` to the z0 derivatives.
+
+    Returns ``(ex, by, d_ex, d_by)``; the derivatives carry a trailing axis
+    of length 3 ordered (x0, y0, z0).
+    """
+    rho_vec, rho = _geometry(points, scatterer.r0)
+    a0 = scatterer.a0
+    _refuse_source_points(rho, a0)
+    n = rho_vec / rho[..., None]
+    nx, nz = n[..., 0], n[..., 2]
+    (f1, f3, c), (df1, df3, dc) = _flux_profiles(rho, a0)
+    pref = (scatterer.chi0 * e_in * regularizer(1.0, a0) / (2.0 * math.pi)
+            * np.exp(1j * scatterer.r0[2]))
+    s1 = 1.0 - nx * nx
+    s3 = 1.0 - 3.0 * nx * nx
+    ex = pref * (f1 * s1 + f3 * s3)
+    by = pref * c * nz
+    # grad_r E_x = rad_ex n + ang_ex e_x and grad_r B_y = rad_by n + ang_by e_z
+    ang_ex = -2.0 * pref * nx * (f1 + 3.0 * f3) / rho
+    rad_ex = pref * (df1 * s1 + df3 * s3) - ang_ex * nx
+    ang_by = pref * c / rho
+    rad_by = (pref * dc - ang_by) * nz
+    d_ex = -rad_ex[..., None] * n
+    d_ex[..., 0] -= ang_ex
+    d_ex[..., 2] += 1j * ex
+    d_by = -rad_by[..., None] * n
+    d_by[..., 2] += 1j * by - ang_by
+    return ex, by, d_ex, d_by
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,17 @@ for the parameter vector (chi0, x0, y0, z0) is then
 
     I_jl = sum_i (1 / nbar_i) (d nbar_i / d theta_j) (d nbar_i / d theta_l).
 
-Polarizability derivatives are analytic (the flux is exactly quadratic in
-chi0); position derivatives use central finite differences of the scattered
-field only, since the incident wave does not move with the scatterer.
+All derivatives are analytic.  The flux is exactly quadratic in chi0, and
+the z flux reads only the ``E_x`` and ``B_y`` components, whose closed-form
+source-position derivatives come from
+:func:`~dipolebounds.fields.scattered_ex_by`; the incident wave does not move
+with the scatterer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +40,7 @@ __all__ = [
     "crb_bounds",
 ]
 
-_CHUNK = 1 << 17          # pixels per evaluation block
-_FD_FRACTION = 1e-4       # position finite-difference step, in units of
-                          # min(wavelength 2 pi, detector distance)
+_CHUNK = 1 << 12          # pixels per evaluation block
 
 
 def _counts_block(pos, da, scatterer, pulse):
@@ -72,14 +72,15 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     """Mean counts and their derivatives along (chi0, x0, y0, z0).
 
     Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``.  The
-    chi0 column is analytic: the interference part of the flux is linear and
+    chi0 column uses that the interference part of the flux is linear and
     the scattered part quadratic in chi0, so
-    ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.  Position columns are
-    central differences of the scattered field about ``r0``, with step
-    ``_FD_FRACTION * min(2 pi, |grid.distance|)``.
+    ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.  The z flux of the
+    total field is ``Re(E_x B_y*) / 2``, and only its scattered parts move
+    with the source, so the position columns are
+    ``Re(dE_x B_y* + E_x dB_y*) / 2`` with the closed-form derivatives of
+    :func:`~dipolebounds.fields.scattered_ex_by`, in the same pass over the
+    pixels as the counts.
     """
-    h = _FD_FRACTION * min(2.0 * math.pi, abs(grid.distance))
-
     nbar = np.empty(grid.size)
     grad = np.empty((grid.size, 4))
     for lo in range(0, grid.size, _CHUNK):
@@ -89,17 +90,13 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
         nbar[sl] = nb
         grad[sl, 0] = (parts["cross"] + 2.0 * parts["scattered"]) \
             / scatterer.chi0 * factor
-        for axis in range(3):
-            shift = np.zeros(3)
-            shift[axis] = h
-            flux = []
-            for sgn in (+1.0, -1.0):
-                moved = replace(scatterer,
-                                r0=tuple(np.asarray(scatterer.r0) + sgn * shift))
-                p = fields.intensity_parts(inc, fields.scattered_regularized(
-                    pos, moved, e_in=pulse.e_in))
-                flux.append(p["cross"] + p["scattered"])
-            grad[sl, 1 + axis] = (flux[0] - flux[1]) / (2.0 * h) * factor
+        ex, by, d_ex, d_by = fields.scattered_ex_by(pos, scatterer,
+                                                    e_in=pulse.e_in)
+        e_tot = inc.e[:, 0] + ex
+        b_tot = np.conj(inc.b[:, 1] + by)
+        grad[sl, 1:] = 0.5 * np.real(d_ex * b_tot[:, None]
+                                     + e_tot[:, None] * np.conj(d_by)) \
+            * factor[:, None]
     return nbar, grad
 
 

@@ -7,6 +7,7 @@ figure styling live in the command-line layer.
 
 The module also hosts :func:`validate_suite`, a battery of independent
 numerical oracles (analytic principal-value cases, brute-force limits,
+finite differences of the counts against their analytic derivatives,
 likelihood-level Fisher information, energy conservation, and the
 quantum-classical field comparison) used both by the test suite and the
 ``validate`` subcommand.
@@ -402,7 +403,7 @@ def _poisson_fi_error(scatterer: Scatterer, pulse: Pulse) -> float:
     z = 2.0 * _TWO_PI
     positions = np.column_stack([xs.ravel(), ys.ravel(), np.full(9, z)])
     areas = np.full(9, (coords[1] - coords[0]) ** 2)
-    grid = detector.PixelGrid(positions, areas, z)
+    grid = detector.PixelGrid(positions, areas)
     nbar, grad = fisher.count_gradients(grid, scatterer, pulse)
     direct = fisher.poisson_fi(nbar, grad)
 
@@ -415,6 +416,36 @@ def _poisson_fi_error(scatterer: Scatterer, pulse: Pulse) -> float:
         brute += fisher_scalar * np.outer(grad[i], grad[i])
     scale = np.abs(direct).max()
     return float(np.abs(direct - brute).max() / scale)
+
+
+def _position_gradient_error(pulse: Pulse) -> float:
+    """Central differences of the counts under a shifted source position vs
+    the closed-form position columns of ``count_gradients``.
+
+    Worst error over the x0, y0 and z0 columns, relative to each column's
+    largest magnitude, for a point and a finite source on a forward and a
+    backward plate.  A strong scatterer lifts the count differences well
+    above the rounding of the incident pedestal and gives the quadratic
+    (scattered) part of the flux a visible share.
+    """
+    worst = 0.0
+    for a0 in (0.0, _TWO_PI / 30.0):
+        scat = Scatterer(chi0=0.5, a0=a0)
+        for z in (0.3 * _TWO_PI, -0.3 * _TWO_PI):
+            grid = detector.planar_grid(z, math.pi)
+            _, grad = fisher.count_gradients(grid, scat, pulse)
+            h = 1e-4 * min(_TWO_PI, abs(z))
+            for axis in range(3):
+                shift = np.zeros(3)
+                shift[axis] = h
+                up = fisher.mean_counts(grid, replace(scat, r0=tuple(shift)),
+                                        pulse)
+                dn = fisher.mean_counts(grid, replace(scat, r0=tuple(-shift)),
+                                        pulse)
+                col = grad[:, 1 + axis]
+                err = np.abs((up - dn) / (2.0 * h) - col).max()
+                worst = max(worst, float(err / np.abs(col).max()))
+    return worst
 
 
 def _energy_conservation_error(scatterer: Scatterer) -> float:
@@ -505,6 +536,9 @@ def validate_suite(level: str = "quick") -> list:
     checks.append(_check("fd_vs_analytic_chi_gradient",
                          np.abs(fd - grad[:, 0]).max() / denom, 1e-6,
                          "finite difference vs exact quadratic derivative"))
+    checks.append(_check("fd_vs_analytic_position_gradient",
+                         _position_gradient_error(pulse), 1e-6,
+                         "shifted-r0 counts vs closed-form columns"))
 
     checks.append(_check("energy_conservation", _energy_conservation_error(scat),
                          5e-3, "far-sphere power vs cross section"))

@@ -172,12 +172,11 @@ class TestFarfield:
         assert (out / "plot.script").exists()
 
 
-@pytest.mark.slow
 def test_validate_quick_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert "11/11 checks passed" in out
-    assert out.count("PASS") == 11
+    assert "12/12 checks passed" in out
+    assert out.count("PASS") == 12
 
 
 @pytest.mark.slow

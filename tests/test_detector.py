@@ -52,7 +52,6 @@ class TestPlanarGrid:
         # pixel areas are built from shared edges, so the sum telescopes
         assert g.areas.sum() == pytest.approx((2.0 * a) ** 2, rel=1e-13)
         assert np.all(g.positions[:, 2] == 2.0 * LAM)
-        assert g.distance == 2.0 * LAM
         assert g.size == math.isqrt(g.size) ** 2
 
     @pytest.mark.parametrize("z_rel", [0.1, 2.0])
@@ -64,7 +63,6 @@ class TestPlanarGrid:
     def test_negative_distance_backward_plate(self):
         g = planar_grid(-0.5 * LAM, math.pi)
         assert np.all(g.positions[:, 2] == -0.5 * LAM)
-        assert g.distance == -0.5 * LAM
         # solid angle seen from the origin is unchanged
         assert solid_angle_sum(g) == pytest.approx(math.pi, rel=5e-3)
 
@@ -82,7 +80,4 @@ class TestPlanarGrid:
 
 def test_pixelgrid_validates_shapes():
     with pytest.raises(ValueError):
-        PixelGrid(np.zeros((2, 3)), np.ones(3), 1.0)
-    # the Fisher layer steps by the plate distance, so a grid needs one
-    with pytest.raises(TypeError):
-        PixelGrid(np.zeros((2, 3)), np.ones(2))
+        PixelGrid(np.zeros((2, 3)), np.ones(3))

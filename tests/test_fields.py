@@ -1,5 +1,6 @@
 """Dipole field solutions: closed forms, symmetries, Maxwell consistency."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dipolebounds.fields import (
     incident_field,
     intensity_parts,
     poynting_avg,
+    scattered_ex_by,
     scattered_point,
     scattered_regularized,
 )
@@ -170,6 +172,65 @@ class TestRegularizedSource:
         expect = (regularizer(1.0, scat_532.a0) ** 2
                   * scat_532.cross_section() * 0.5 * e_in ** 2)
         assert power == pytest.approx(expect, rel=1e-5)
+
+
+def test_z_flux_reads_only_ex_and_by(scat_532):
+    # premise of the analytic position gradients: with E_y = B_x = 0 in the
+    # incident wave and B_x = 0 in the scattered one, the z row of E x B*
+    # reduces to E_x B_y*
+    pts = np.random.default_rng(3).normal(scale=2.0, size=(50, 3))
+    inc = incident_field(pts, e_in=1.3)
+    assert np.all(inc.e[:, 1] == 0.0) and np.all(inc.b[:, 0] == 0.0)
+    point = Scatterer(chi0=scat_532.chi0, r0=(0.1, 0.2, -0.3))
+    for sc in (scattered_point(pts, point),
+               scattered_regularized(pts, scat_532)):
+        assert np.all(sc.b[:, 0] == 0.0)
+
+
+class TestSourcePositionGradients:
+    @staticmethod
+    def _cases():
+        # random points around a displaced source (z0 != 0), for the point
+        # dipole and for a finite source, the latter with points inside its
+        # core (rho < a0) where the screened terms dominate
+        rng = np.random.default_rng(7)
+        r0 = (0.15, -0.25, 0.6)
+        for a0, scale in ((0.0, 2.0), (LAM / 30.0, 2.0), (LAM / 30.0, 0.1)):
+            pts = np.asarray(r0) + rng.normal(scale=scale, size=(40, 3))
+            yield Scatterer(chi0=0.7, a0=a0, r0=r0), pts
+
+    @staticmethod
+    def _ex_by(pts, scat):
+        # the point field for a0 = 0, through the delegation tested above
+        fs = scattered_regularized(pts, scat, e_in=1.3)
+        return fs.e[:, 0], fs.b[:, 1]
+
+    def test_values_are_the_field_components(self):
+        for scat, pts in self._cases():
+            ex, by, _, _ = scattered_ex_by(pts, scat, e_in=1.3)
+            want_ex, want_by = self._ex_by(pts, scat)
+            np.testing.assert_allclose(ex, want_ex, rtol=1e-12)
+            np.testing.assert_allclose(by, want_by, rtol=1e-12)
+
+    def test_match_central_differences(self):
+        h = 1e-6
+        for scat, pts in self._cases():
+            _, _, d_ex, d_by = scattered_ex_by(pts, scat, e_in=1.3)
+            for axis in range(3):
+                shift = np.zeros(3)
+                shift[axis] = h
+                up = self._ex_by(pts, replace(scat, r0=tuple(scat.r0 + shift)))
+                dn = self._ex_by(pts, replace(scat, r0=tuple(scat.r0 - shift)))
+                for d, u, v in ((d_ex, up[0], dn[0]), (d_by, up[1], dn[1])):
+                    fd = (u - v) / (2.0 * h)
+                    scale = np.abs(d[:, axis]).max()
+                    assert np.abs(d[:, axis] - fd).max() < 1e-6 * scale
+
+    def test_refuses_source_points(self, scat_532):
+        with pytest.raises(PhysicsError, match="point dipole"):
+            scattered_ex_by(np.zeros((1, 3)), Scatterer(chi0=1.0))
+        with pytest.raises(PhysicsError, match="center"):
+            scattered_ex_by(np.zeros((1, 3)), scat_532)
 
 
 def test_intensity_parts_reconstruct_total_flux(scat_532):

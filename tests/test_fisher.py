@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from dipolebounds import fisher
 from dipolebounds.detector import planar_grid
-from dipolebounds.fields import incident_field, poynting_avg, scattered_regularized
+from dipolebounds.fields import (
+    incident_field,
+    intensity_parts,
+    poynting_avg,
+    scattered_regularized,
+)
 from dipolebounds.fisher import (
     count_gradients,
     crb_bounds,
@@ -94,18 +100,44 @@ class TestCountGradients:
 
     def test_position_columns_match_independent_differences(
             self, scat_1030, pulse_1030, small_grid):
-        _, grad = count_gradients(small_grid, scat_1030, pulse_1030)
+        # the point source on the forward plate, a finite source, and a
+        # backward plate, where only the scattered light carries the signal
+        finite = replace(scat_1030, a0=LAM / 30.0)
+        backward = planar_grid(-0.3 * LAM, math.pi)
         h = 1e-3
-        for axis in range(3):
-            shift = np.zeros(3)
-            shift[axis] = h
-            up = mean_counts(small_grid,
-                             replace(scat_1030, r0=tuple(shift)), pulse_1030)
-            dn = mean_counts(small_grid,
-                             replace(scat_1030, r0=tuple(-shift)), pulse_1030)
-            fd = (up - dn) / (2.0 * h)
-            scale = np.abs(grad[:, 1 + axis]).max()
-            assert np.abs(grad[:, 1 + axis] - fd).max() < 1e-4 * scale
+        for scat, grid in ((scat_1030, small_grid), (finite, small_grid),
+                           (scat_1030, backward)):
+            _, grad = count_gradients(grid, scat, pulse_1030)
+            for axis in range(3):
+                shift = np.zeros(3)
+                shift[axis] = h
+                up = mean_counts(grid, replace(scat, r0=tuple(shift)),
+                                 pulse_1030)
+                dn = mean_counts(grid, replace(scat, r0=tuple(-shift)),
+                                 pulse_1030)
+                fd = (up - dn) / (2.0 * h)
+                scale = np.abs(grad[:, 1 + axis]).max()
+                assert np.abs(grad[:, 1 + axis] - fd).max() < 1e-4 * scale
+
+    def test_counts_and_chi_column_are_the_closed_forms(
+            self, scat_1030, pulse_1030, small_grid, monkeypatch):
+        # the position columns share the pass over the pixels but leave the
+        # counts and the chi column as they are, block by block: the
+        # references are one block, count_gradients runs in several with a
+        # ragged last one
+        pos = small_grid.positions
+        inc = incident_field(pos, e_in=pulse_1030.e_in)
+        for scat in (scat_1030, replace(scat_1030, a0=LAM / 30.0)):
+            counts = mean_counts(small_grid, scat, pulse_1030)
+            parts = intensity_parts(inc, scattered_regularized(
+                pos, scat, e_in=pulse_1030.e_in))
+            chi = (parts["cross"] + 2.0 * parts["scattered"]) / scat.chi0 \
+                * (pulse_1030.tau * small_grid.areas)
+            with monkeypatch.context() as m:
+                m.setattr(fisher, "_CHUNK", 257)
+                nbar, grad = count_gradients(small_grid, scat, pulse_1030)
+            np.testing.assert_array_equal(nbar, counts)
+            np.testing.assert_array_equal(grad[:, 0], chi)
 
 
 def test_information_matrix_block_structure(scat_1030, pulse_1030, small_grid):

@@ -126,7 +126,7 @@ def test_size_scaling_sweep_structure(scat_532, pulse_200):
 
 class TestValidateSuite:
     def test_quick_battery_passes(self, quick_checks):
-        assert len(quick_checks) == 11
+        assert len(quick_checks) == 12
         failures = [c for c in quick_checks if not c.passed]
         assert not failures, "\n".join(c.line() for c in failures)
 
@@ -142,6 +142,6 @@ class TestValidateSuite:
     @pytest.mark.slow
     def test_full_battery_passes(self):
         checks = validate_suite("full")
-        assert len(checks) == 15
+        assert len(checks) == 16
         failures = [c for c in checks if not c.passed]
         assert not failures, "\n".join(c.line() for c in failures)
