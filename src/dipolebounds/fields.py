@@ -282,8 +282,8 @@ def intensity_parts(incident: FieldSet,
 
     Only the z row of the cross products is formed, with the same arithmetic
     as :func:`poynting_avg`.  The cross ("extinction") term is linear in the
-    scattering amplitude and the scattered term quadratic, which is what
-    makes the split useful for analytic parameter derivatives.
+    scattering amplitude and the scattered term quadratic.  The split serves
+    the full-field reference route for the counts, ``fisher.mean_counts``.
     """
     b_in = np.conj(incident.b)
     b_sc = np.conj(scattered.b)

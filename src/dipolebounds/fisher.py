@@ -6,17 +6,17 @@ energy flux through its area over the pulse,
     nbar_i = (flux_i) * tau * dA_i     (the carrier photon energy is 1 internally),
 
 with the flux taken along z, the normal of the planar detector.  The
-scattered field is :func:`~dipolebounds.fields.scattered_regularized`, which
-is the point-dipole solution when ``a0 = 0``.  The Fisher information
-for the parameter vector (chi0, x0, y0, z0) is then
+scattered field is that of a source of radius ``a0``, the point dipole when
+``a0 = 0``.  The Fisher information for the parameter vector
+(chi0, x0, y0, z0) is then
 
     I_jl = sum_i (1 / nbar_i) (d nbar_i / d theta_j) (d nbar_i / d theta_l).
 
-All derivatives are analytic.  The flux is exactly quadratic in chi0, and
-the z flux reads only the ``E_x`` and ``B_y`` components, whose closed-form
-source-position derivatives come from
-:func:`~dipolebounds.fields.scattered_ex_by`; the incident wave does not move
-with the scatterer.
+The z flux reads only ``E_x`` and ``B_y``.  :func:`count_gradients` takes the
+counts and all four derivative columns from one
+:func:`~dipolebounds.fields.scattered_ex_by` pass per pixel;
+:func:`mean_counts` sums the flux of the full fields, the independent
+reference that ``validate`` differentiates.
 """
 
 from __future__ import annotations
@@ -43,59 +43,60 @@ __all__ = [
 _CHUNK = 1 << 12          # pixels per evaluation block
 
 
-def _counts_block(pos, da, scatterer, pulse):
-    inc = fields.incident_field(pos, e_in=pulse.e_in)
-    sc = fields.scattered_regularized(pos, scatterer, e_in=pulse.e_in)
-    parts = fields.intensity_parts(inc, sc)
-    factor = pulse.tau * da
-    nbar = (parts["incident"] + parts["cross"] + parts["scattered"]) * factor
+def _positive(nbar: np.ndarray) -> np.ndarray:
     if np.any(nbar <= 0):
         raise PhysicsError(
             "non-positive mean count encountered; the net-flux detector model "
             "requires the incident wave to dominate every pixel")
-    return nbar, parts, factor, inc
+    return nbar
 
 
 def mean_counts(grid: PixelGrid, scatterer: Scatterer,
                 pulse: Pulse) -> np.ndarray:
-    """Expected photon counts per pixel over the pulse."""
+    """Expected photon counts per pixel over the pulse, from the z flux of
+    the full incident and scattered fields (the reference route)."""
     out = np.empty(grid.size)
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        nbar, _, _, _ = _counts_block(grid.positions[sl], grid.areas[sl],
-                                      scatterer, pulse)
-        out[sl] = nbar
+        pos = grid.positions[sl]
+        parts = fields.intensity_parts(
+            fields.incident_field(pos, e_in=pulse.e_in),
+            fields.scattered_regularized(pos, scatterer, e_in=pulse.e_in))
+        out[sl] = _positive(
+            (parts["incident"] + parts["cross"] + parts["scattered"])
+            * (pulse.tau * grid.areas[sl]))
     return out
 
 
 def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     """Mean counts and their derivatives along (chi0, x0, y0, z0).
 
-    Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``.  The
-    chi0 column uses that the interference part of the flux is linear and
-    the scattered part quadratic in chi0, so
-    ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.  The z flux of the
-    total field is ``Re(E_x B_y*) / 2``, and only its scattered parts move
-    with the source, so the position columns are
-    ``Re(dE_x B_y* + E_x dB_y*) / 2`` with the closed-form derivatives of
-    :func:`~dipolebounds.fields.scattered_ex_by`, in the same pass over the
-    pixels as the counts.
+    Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``.  With
+    ``b = conj(B_y)``, the z flux ``Re(E_x b) / 2`` splits into an incident
+    part, a cross part linear in chi0 and a scattered part quadratic in it,
+    so ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.  Only the
+    scattered field moves with the source, so the position columns are
+    ``Re(dE_x b + E_x conj(dB_y)) / 2``, with the closed-form derivatives of
+    :func:`~dipolebounds.fields.scattered_ex_by`.
     """
     nbar = np.empty(grid.size)
     grad = np.empty((grid.size, 4))
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        pos, da = grid.positions[sl], grid.areas[sl]
-        nb, parts, factor, inc = _counts_block(pos, da, scatterer, pulse)
-        nbar[sl] = nb
-        grad[sl, 0] = (parts["cross"] + 2.0 * parts["scattered"]) \
-            / scatterer.chi0 * factor
+        pos = grid.positions[sl]
+        inc = fields.incident_field(pos, e_in=pulse.e_in)
+        e_inc, b_inc = inc.e[:, 0], np.conj(inc.b[:, 1])
         ex, by, d_ex, d_by = fields.scattered_ex_by(pos, scatterer,
                                                     e_in=pulse.e_in)
-        e_tot = inc.e[:, 0] + ex
-        b_tot = np.conj(inc.b[:, 1] + by)
-        grad[sl, 1:] = 0.5 * np.real(d_ex * b_tot[:, None]
-                                     + e_tot[:, None] * np.conj(d_by)) \
+        b_sc = np.conj(by)
+        cross = 0.5 * np.real(e_inc * b_sc + ex * b_inc)
+        scattered = 0.5 * np.real(ex * b_sc)
+        factor = pulse.tau * grid.areas[sl]
+        nbar[sl] = _positive(
+            (0.5 * np.real(e_inc * b_inc) + cross + scattered) * factor)
+        grad[sl, 0] = (cross + 2.0 * scattered) / scatterer.chi0 * factor
+        grad[sl, 1:] = 0.5 * np.real(d_ex * (b_inc + b_sc)[:, None]
+                                     + (e_inc + ex)[:, None] * np.conj(d_by)) \
             * factor[:, None]
     return nbar, grad
 

@@ -21,7 +21,7 @@ the causal prescription ``1/(k - p + i0+) = PV - i pi delta(k - p)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import sici
@@ -163,17 +163,12 @@ class FrequencyIntegrals:
             raise ValueError(f"gauge must be one of {GAUGES}, got {gauge!r}")
         scatterer.check_off_resonance()
         self.spectral = spectral
-        self.scatterer = scatterer
-        self.gauge = gauge
-        grid = spectral.grid
-        self.nodes = grid.nodes
-        self.weights = grid.weights
-
-        k = self.nodes
+        self.nodes = k = spectral.grid.nodes
+        w = spectral.grid.weights
         xi = regularizer(k, scatterer.a0)
         chi = scatterer.chi(k)
-        self._pv = pv_matrix(k, self.weights, support=spectral.support)
-        self._plus = self.weights[None, :] / (k[None, :] + k[:, None])
+        self._pv = pv_matrix(k, w, support=spectral.support)
+        self._plus = w[None, :] / (k[None, :] + k[:, None])
 
         shift = 1.0 if gauge == "coulomb" else 0.0
         sign = -1.0 if gauge == "coulomb" else 1.0
@@ -237,9 +232,6 @@ class QfiSeries:
 
     times: np.ndarray
     j: np.ndarray                    # shape (ntimes, 4, 4)
-    gauge: str
-    corrections: bool
-    meta: dict = field(default_factory=dict)
 
     def diagonal(self) -> np.ndarray:
         return np.einsum("tii->ti", self.j)
@@ -292,8 +284,7 @@ def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
         j = out[blk]
         j[:, 0, 0], j[:, 1, 1], j[:, 2, 2], j[:, 3, 3] = j00, j11, 2.0 * j11, j33
         j[:, 0, 3] = j[:, 3, 0] = j03
-    meta = {"gauge": gauge, "corrections": corrections, "modes": grid.size}
-    return QfiSeries(times, out, gauge, corrections, meta)
+    return QfiSeries(times, out)
 
 
 # ---------------------------------------------------------------------------

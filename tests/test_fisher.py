@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from dipolebounds import fisher
+from dipolebounds import fields, fisher
 from dipolebounds.detector import planar_grid
 from dipolebounds.fields import (
     incident_field,
@@ -73,13 +73,15 @@ def test_finite_size_scatterer_counted_with_its_own_field(
                                expect, rtol=1e-13)
 
 
-def test_counts_reject_nonphysical_regime(pulse_1030):
+@pytest.mark.parametrize("route", [mean_counts, count_gradients, fi_matrix])
+def test_counts_reject_nonphysical_regime(pulse_1030, route):
     # a polarizability so large the shadow overwhelms incident-plus-scattered
-    # flux on some pixel is outside the weak-scatterer counting model
+    # flux on some pixel is outside the weak-scatterer counting model; the
+    # full-field counts and the E_x/B_y counts both refuse it
     grid = planar_grid(2.0 * LAM, math.pi)
     monster = Scatterer(chi0=150.0)
     with pytest.raises(PhysicsError, match="non-positive"):
-        mean_counts(grid, monster, pulse_1030)
+        route(grid, monster, pulse_1030)
 
 
 class TestCountGradients:
@@ -121,10 +123,11 @@ class TestCountGradients:
 
     def test_counts_and_chi_column_are_the_closed_forms(
             self, scat_1030, pulse_1030, small_grid, monkeypatch):
-        # the position columns share the pass over the pixels but leave the
-        # counts and the chi column as they are, block by block: the
-        # references are one block, count_gradients runs in several with a
-        # ragged last one
+        # count_gradients forms the counts and the chi column from E_x and
+        # B_y alone; the references split the flux of the full fields in one
+        # block, count_gradients runs in several with a ragged last one.
+        # The two routes round differently, so they agree to a bound, not
+        # bit for bit
         pos = small_grid.positions
         inc = incident_field(pos, e_in=pulse_1030.e_in)
         for scat in (scat_1030, replace(scat_1030, a0=LAM / 30.0)):
@@ -136,8 +139,26 @@ class TestCountGradients:
             with monkeypatch.context() as m:
                 m.setattr(fisher, "_CHUNK", 257)
                 nbar, grad = count_gradients(small_grid, scat, pulse_1030)
-            np.testing.assert_array_equal(nbar, counts)
-            np.testing.assert_array_equal(grad[:, 0], chi)
+            for got, ref in ((nbar, counts), (grad[:, 0], chi)):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_one_field_pass_per_pixel(self, scat_1030, pulse_1030, small_grid,
+                                      monkeypatch):
+        # the full-field route is the reference that validate differentiates;
+        # count_gradients must reach its answer without it
+        refs = [(scat, count_gradients(small_grid, scat, pulse_1030))
+                for scat in (scat_1030, replace(scat_1030, a0=LAM / 30.0))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-field route called")
+
+        for name in ("scattered_point", "scattered_regularized",
+                     "intensity_parts"):
+            monkeypatch.setattr(fields, name, refuse)
+        for scat, (nbar, grad) in refs:
+            got_nbar, got_grad = count_gradients(small_grid, scat, pulse_1030)
+            np.testing.assert_array_equal(got_nbar, nbar)
+            np.testing.assert_array_equal(got_grad, grad)
 
 
 def test_information_matrix_block_structure(scat_1030, pulse_1030, small_grid):

@@ -167,7 +167,6 @@ class TestQfiMatrix:
         # the only allowed off-diagonal entry couples chi0 and z0
         assert j[0, 1] == j[0, 2] == j[1, 2] == j[1, 3] == j[2, 3] == 0.0
         assert j[0, 3] == j[3, 0]
-        assert series.meta["modes"] == spectral_200.grid.size
         assert series.diagonal().shape == (2, 4)
 
     def test_linear_in_fluence(self, scat_532, pulse_200, spectral_200):
