@@ -106,6 +106,9 @@ def planar_grid(distance: float, solid_angle: float,
     The plate half-width is fixed by the requested solid angle.  Transverse
     pixel edges follow ``s = |Z| sinh(xi)`` with uniform ``xi``; the outermost
     edges land exactly on ``+-a`` so pixel areas tile the plate exactly.
+    The negative edges are the positive ones negated, so the plate is its own
+    mirror image under ``x -> -x`` and ``y -> -y`` bit for bit: the centre
+    edge is exactly 0 and no pixel centre lies on an axis.
     ``refinement`` doubles the linear pixel density per unit.
     """
     if refinement < 1 or int(refinement) != refinement:
@@ -117,8 +120,9 @@ def planar_grid(distance: float, solid_angle: float,
     dxi = min(1.0 / _AXIAL_SAMPLES,
               2.0 * math.pi / (_ZONE_SAMPLES * az)) / refinement
     half_cells = max(2, math.ceil(xi_max / dxi))
-    edges = az * np.sinh(np.linspace(-xi_max, xi_max, 2 * half_cells + 1))
-    edges[0], edges[-1] = -a, a
+    half = az * np.sinh(np.linspace(0.0, xi_max, half_cells + 1))
+    half[-1] = a
+    edges = np.concatenate([-half[:0:-1], half])
     centers = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
 

@@ -17,10 +17,20 @@ counts and all four derivative columns from one
 :func:`~dipolebounds.fields.scattered_ex_by` pass per pixel;
 :func:`mean_counts` sums the flux of the full fields, the independent
 reference that ``validate`` differentiates.
+
+The x-polarized drive is symmetric under ``x -> -x`` and ``y -> -y`` about a
+source on the z axis: the counts are even there and the x0 (y0) column is
+odd.  :func:`mirrored_fi_matrix` folds a plate that is its own mirror image
+(every :func:`~dipolebounds.detector.planar_grid` is) along each transverse
+axis whose mirror plane holds the source, evaluates one quarter of the
+pixels for a source on the z axis, and unfolds the information with the
+column signs.  Any other :class:`~dipolebounds.detector.PixelGrid` goes
+through :func:`fi_matrix`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +45,8 @@ __all__ = [
     "count_gradients",
     "poisson_fi",
     "fi_matrix",
+    "folded_axes",
+    "mirrored_fi_matrix",
     "n_scattered",
     "CrbResult",
     "crb_bounds",
@@ -114,6 +126,44 @@ def fi_matrix(grid: PixelGrid, scatterer: Scatterer,
     nbar, grad = count_gradients(grid, scatterer, pulse)
     m = poisson_fi(nbar, grad)
     return InfoMatrix(0.5 * (m + m.T))
+
+
+def folded_axes(scatterer: Scatterer) -> list:
+    """The transverse axes (0 for x, 1 for y) on whose mirror plane the
+    source lies, ``r0[axis] == 0``: the axes :func:`mirrored_fi_matrix`
+    folds."""
+    return [axis for axis in (0, 1) if scatterer.r0[axis] == 0.0]
+
+
+def mirrored_fi_matrix(grid: PixelGrid, scatterer: Scatterer,
+                       pulse: Pulse) -> InfoMatrix:
+    """:func:`fi_matrix` of a mirror-symmetric plate from one mirror cell.
+
+    Keeps the pixels with ``positions[:, axis] > 0`` on each of the
+    :func:`folded_axes`, ``grid.size / 2**folded`` of them, and takes their
+    information ``Q`` from :func:`fi_matrix`.  The plate's is
+    ``sum_s S Q S`` over the sign patterns ``S = diag(1, s_x, s_y, 1)`` with
+    ``s = -1`` or ``+1`` on a folded axis and ``+1`` elsewhere, that is ``Q``
+    times ``sum_s s s^T`` entry by entry.  A source off both planes has the
+    one pattern ``s = 1`` and the whole plate is evaluated.  The plate must
+    be its own mirror image about each folded plane, as every
+    :func:`~dipolebounds.detector.planar_grid` is; a pixel centre on such a
+    plane raises ``ValueError``.
+    """
+    folded = folded_axes(scatterer)
+    keep = np.ones(grid.size, dtype=bool)
+    for axis in folded:
+        keep &= grid.positions[:, axis] > 0.0
+    kept = np.flatnonzero(keep)
+    if kept.size << len(folded) != grid.size:
+        raise ValueError("the plate is not its own mirror image about the "
+                         "source's mirror planes")
+    signs = np.ones((2 ** len(folded), 4))
+    signs[:, [1 + axis for axis in folded]] = list(
+        itertools.product((1.0, -1.0), repeat=len(folded)))
+    cell = PixelGrid(grid.positions.take(kept, axis=0), grid.areas.take(kept))
+    return InfoMatrix(fi_matrix(cell, scatterer, pulse).matrix
+                      * (signs.T @ signs))
 
 
 def n_scattered(scatterer: Scatterer, pulse: Pulse) -> float:

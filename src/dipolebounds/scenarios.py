@@ -98,19 +98,19 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
     def one(z_rel: float):
         z = z_rel * _TWO_PI
         rows = []
-        cells = 0
+        sizes = []                  # (plate pixels, pixels after the fold)
         for sgn, scat in ((+1.0, point), (-1.0, point), (+1.0, finite)):
             grid = detector.planar_grid(sgn * z, solid_angle, refinement)
-            cells = max(cells, math.isqrt(grid.size))
-            info = fisher.fi_matrix(grid, scat, pulse)
+            sizes.append((grid.size,
+                          grid.size >> len(fisher.folded_axes(scat))))
+            info = fisher.mirrored_fi_matrix(grid, scat, pulse)
             rows.append(fisher.crb_bounds(info, scat, pulse).normalized)
-        return rows[0], rows[1], rows[2], cells
+        return rows, sizes
 
     results = [one(z_rel) for z_rel in z_over_lambda]
-    fwd = np.array([r[0] for r in results])
-    bwd = np.array([r[1] for r in results])
-    fin = np.array([r[2] for r in results])
-    cells = np.array([r[3] for r in results], dtype=float)
+    fwd, bwd, fin = (np.array([r[0][k] for r in results]) for k in range(3))
+    sizes = np.array([r[1] for r in results])
+    cells = np.sqrt(sizes[:, :, 0].max(axis=1))
     qcrb = qfi.farfield_qcrb_constants()
 
     columns = {}
@@ -134,6 +134,8 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
         "phi_internal": pulse.phi,
         "tau_internal": pulse.tau,
         "n_sc": fisher.n_scattered(point, pulse),
+        "pixels": int(sizes[:, :, 0].sum()),
+        "pixels_evaluated": int(sizes[:, :, 1].sum()),
     }
     return SweepResult("z_over_lambda", z_over_lambda, columns, meta)
 

@@ -204,7 +204,12 @@ class TestCrbScanEndToEnd:
 
         resolved = json.loads((out / "config.resolved.json").read_text())
         assert resolved["run"]["points_per_decade"] == 7
-        assert resolved["_meta"]["scenario"] == "crb_distance_sweep"
+        meta = resolved["_meta"]
+        assert meta["scenario"] == "crb_distance_sweep"
+        # the default source sits on both mirror planes of every plate
+        cells = table[:, names.index("cells_per_axis")]
+        assert meta["pixels"] == 3 * int(np.sum(cells**2))
+        assert meta["pixels_evaluated"] * 4 == meta["pixels"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -73,6 +73,23 @@ class TestPlanarGrid:
         assert abs(math.isqrt(g2.size) - 2 * math.isqrt(g1.size)) <= 2
         assert g2.areas.sum() == pytest.approx(g1.areas.sum(), rel=1e-13)
 
+    @pytest.mark.parametrize("refinement", [1, 2])
+    @pytest.mark.parametrize("z_rel", [0.3, -0.3])
+    def test_is_its_own_mirror_image(self, z_rel, refinement):
+        # the plate folds exactly under x -> -x and y -> -y: pixel (i, j) of
+        # the row-major n x n layout mirrors onto (n-1-i, j) and (i, n-1-j)
+        g = planar_grid(z_rel * LAM, 1.97 * math.pi, refinement)
+        n = math.isqrt(g.size)
+        assert n % 2 == 0
+        assert np.all(g.positions[:, :2] != 0.0)
+        pos = g.positions.reshape(n, n, 3)
+        areas = g.areas.reshape(n, n)
+        for axis in (0, 1):
+            mirrored = np.flip(pos, axis=axis).copy()
+            mirrored[..., axis] *= -1.0
+            np.testing.assert_array_equal(mirrored, pos)
+            np.testing.assert_array_equal(np.flip(areas, axis=axis), areas)
+
     def test_rejects_bad_refinement(self):
         with pytest.raises(ValueError):
             planar_grid(LAM, math.pi, refinement=0)

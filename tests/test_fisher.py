@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import poisson
 
 from dipolebounds import fields, fisher
-from dipolebounds.detector import planar_grid
+from dipolebounds.detector import PixelGrid, planar_grid
 from dipolebounds.fields import (
     incident_field,
     intensity_parts,
@@ -19,6 +19,8 @@ from dipolebounds.fisher import (
     crb_bounds,
     fi_matrix,
     mean_counts,
+    folded_axes,
+    mirrored_fi_matrix,
     n_scattered,
     poisson_fi,
 )
@@ -159,6 +161,54 @@ class TestCountGradients:
             got_nbar, got_grad = count_gradients(small_grid, scat, pulse_1030)
             np.testing.assert_array_equal(got_nbar, nbar)
             np.testing.assert_array_equal(got_grad, grad)
+
+
+class TestMirroredFiMatrix:
+    @pytest.mark.parametrize("a0", [0.0, LAM / 30.0])
+    @pytest.mark.parametrize("z_rel", [0.3, -0.3])
+    @pytest.mark.parametrize("r0", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.1),
+                                    (0.0, -0.2, 0.0), (0.2, -0.1, 0.05)])
+    def test_matches_the_full_plate(self, scat_1030, pulse_1030, r0, z_rel,
+                                    a0, monkeypatch):
+        # one mirror cell per folded axis, unfolded with the column signs,
+        # against every pixel of the plate; a source off both planes folds
+        # nothing and runs the whole plate through the same code
+        grid = planar_grid(z_rel * LAM, math.pi)
+        scat = replace(scat_1030, r0=r0, a0=a0)
+        full = fi_matrix(grid, scat, pulse_1030).matrix
+        evaluated = []
+
+        def spy(cell, *args):
+            evaluated.append(cell.size)
+            return fi_matrix(cell, *args)
+
+        monkeypatch.setattr(fisher, "fi_matrix", spy)
+        folded = mirrored_fi_matrix(grid, scat, pulse_1030).matrix
+        assert np.abs(folded - full).max() <= 1e-12 * np.abs(full).max()
+        n_folded = (r0[0] == 0.0) + (r0[1] == 0.0)
+        assert evaluated == [grid.size >> n_folded]
+        assert len(folded_axes(scat)) == n_folded
+
+    @pytest.mark.parametrize("a0", [0.0, LAM / 30.0])
+    @pytest.mark.parametrize("z_rel", [0.3, -0.3])
+    def test_mirror_pixels_count_alike(self, scat_1030, pulse_1030, z_rel, a0):
+        # the non-positive-count check on the kept quarter covers the whole
+        # plate only if every mirror pixel has the very same count
+        grid = planar_grid(z_rel * LAM, math.pi)
+        n = math.isqrt(grid.size)
+        nbar, _ = count_gradients(grid, replace(scat_1030, a0=a0), pulse_1030)
+        nbar = nbar.reshape(n, n)
+        for axis in (0, 1):
+            np.testing.assert_array_equal(np.flip(nbar, axis=axis), nbar)
+
+    def test_refuses_a_pixel_on_a_mirror_plane(self, scat_1030, pulse_1030):
+        # a 3 x 3 plate has its middle row and column on the mirror planes
+        coords = np.linspace(-2.0, 2.0, 3)
+        xs, ys = np.meshgrid(coords, coords, indexing="ij")
+        grid = PixelGrid(np.column_stack([xs.ravel(), ys.ravel(),
+                                          np.full(9, LAM)]), np.full(9, 4.0))
+        with pytest.raises(ValueError, match="mirror image"):
+            mirrored_fi_matrix(grid, scat_1030, pulse_1030)
 
 
 def test_information_matrix_block_structure(scat_1030, pulse_1030, small_grid):

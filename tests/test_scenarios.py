@@ -1,9 +1,13 @@
 """Sweep drivers and the built-in validation battery."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dipolebounds import fisher
+from dipolebounds.detector import planar_grid
+from dipolebounds.fisher import crb_bounds, fi_matrix
 from dipolebounds.qfi import farfield_qcrb_constants
 from dipolebounds.scenarios import (
     SweepResult,
@@ -15,6 +19,8 @@ from dipolebounds.scenarios import (
     size_scaling_sweep,
     validate_suite,
 )
+
+LAM = 2.0 * math.pi
 
 
 class TestSweepResult:
@@ -85,6 +91,37 @@ class TestCrbDistanceSweep:
         again = crb_distance_sweep(scat_1030, pulse_1030,
                                    z_over_lambda=[0.4, 0.8])
         np.testing.assert_array_equal(again.table(), sweep.table())
+
+    @pytest.mark.parametrize("r0", [(0.3, 0.0, 0.1), (0.2, -0.1, 0.05)])
+    def test_off_axis_source_matches_the_full_plates(self, scat_1030,
+                                                     pulse_1030, r0,
+                                                     monkeypatch):
+        # a source off a mirror plane folds only along the other axis (or
+        # not at all); the sweep must still give the full-plate bounds
+        scat = replace(scat_1030, r0=r0)
+        evaluated = []
+
+        def spy(cell, *args):
+            evaluated.append(cell.size)
+            return fi_matrix(cell, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(fisher, "fi_matrix", spy)
+            sweep = crb_distance_sweep(scat, pulse_1030, z_over_lambda=[0.4],
+                                       finite_a0=LAM / 30.0)
+        assert sweep.meta["pixels_evaluated"] == sum(evaluated)
+        for group, sgn, a0 in (("fwd", 1.0, 0.0), ("bwd", -1.0, 0.0),
+                               ("finite", 1.0, LAM / 30.0)):
+            src = replace(scat, a0=a0)
+            grid = planar_grid(sgn * 0.4 * LAM, 1.97 * math.pi)
+            want = crb_bounds(fi_matrix(grid, src, pulse_1030), src,
+                              pulse_1030).normalized
+            got = [sweep.columns[f"crb_{p}_norm_{group}"][0]
+                   for p in ("chi", "x", "y", "z")]
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+        n_folded = sum(x == 0.0 for x in r0[:2])
+        assert sweep.meta["pixels_evaluated"] << n_folded \
+            == sweep.meta["pixels"]
 
 
 def test_qfi_time_sweep_normalized_plateaus(scat_532, pulse_200):
