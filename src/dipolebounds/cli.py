@@ -238,6 +238,18 @@ def _parse_set(expr: str) -> tuple:
     return key.split("."), value
 
 
+def _non_finite_paths(node, prefix: str = ""):
+    """Dotted paths of the numbers in ``node`` that no finite float holds:
+    ``json.loads`` reads ``Infinity`` and ``NaN``, overflows ``1e400`` to
+    infinity and keeps integers of any length."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, val in items:
+            yield from _non_finite_paths(val, f"{prefix}{key}.")
+    elif isinstance(node, (int, float)) and not abs(node) <= sys.float_info.max:
+        yield prefix[:-1]
+
+
 def _nested(path: list, value) -> dict:
     node = value
     for part in reversed(path):
@@ -274,6 +286,10 @@ def resolve_config(config_path: str | None, preset: str | None,
         path, value = _parse_set(expr)
         cfg = _apply_layer(cfg, _nested(path, value))
 
+    where = next(_non_finite_paths(cfg), None)
+    if where is not None:
+        raise ConfigError(f"config field {where}: not a finite number",
+                          path=where)
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:

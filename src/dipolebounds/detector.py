@@ -37,6 +37,11 @@ __all__ = [
 _AXIAL_SAMPLES = 12
 _ZONE_SAMPLES = 36
 
+# the four pixel blocks of planar_grid, as signs of (x, y, z): the mirror
+# cell, then its images under x -> -x, y -> -y and both
+_MIRROR_SIGNS = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0],
+                          [1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
+
 
 @dataclass(frozen=True, eq=False)
 class PixelGrid:
@@ -106,10 +111,11 @@ def planar_grid(distance: float, solid_angle: float,
     The plate half-width is fixed by the requested solid angle.  Transverse
     pixel edges follow ``s = |Z| sinh(xi)`` with uniform ``xi``; the outermost
     edges land exactly on ``+-a`` so pixel areas tile the plate exactly.
-    The negative edges are the positive ones negated, so the plate is its own
-    mirror image under ``x -> -x`` and ``y -> -y`` bit for bit: the centre
-    edge is exactly 0 and no pixel centre lies on an axis.
     ``refinement`` doubles the linear pixel density per unit.
+    The pixels are the mirror cell ``x > 0, y > 0`` (row-major, x slowest)
+    followed by its images under ``x -> -x``, ``y -> -y`` and both, bit for
+    bit and with the same areas, the layout that
+    :func:`~dipolebounds.fisher.fi_matrix` folds.
     """
     if refinement < 1 or int(refinement) != refinement:
         raise ValueError(f"refinement must be a positive integer, got {refinement}")
@@ -122,15 +128,15 @@ def planar_grid(distance: float, solid_angle: float,
     half_cells = max(2, math.ceil(xi_max / dxi))
     half = az * np.sinh(np.linspace(0.0, xi_max, half_cells + 1))
     half[-1] = a
-    edges = np.concatenate([-half[:0:-1], half])
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
+    centers = 0.5 * (half[:-1] + half[1:])
+    widths = np.diff(half)
 
-    xc, yc = np.meshgrid(centers, centers, indexing="ij")
-    positions = np.column_stack([
-        xc.ravel(), yc.ravel(), np.full(xc.size, z)])
-    areas = np.outer(widths, widths).ravel()
-    return PixelGrid(positions, areas)
+    positions = np.empty((4, half_cells, half_cells, 3))
+    positions[..., 0] = _MIRROR_SIGNS[:, None, None, 0] * centers[:, None]
+    positions[..., 1] = _MIRROR_SIGNS[:, None, None, 1] * centers
+    positions[..., 2] = z
+    areas = np.tile(np.outer(widths, widths).ravel(), 4)
+    return PixelGrid(positions.reshape(-1, 3), areas)
 
 
 def solid_angle_sum(grid: PixelGrid) -> float:

@@ -19,25 +19,23 @@ counts and all four derivative columns from one
 reference that ``validate`` differentiates.
 
 The x-polarized drive is symmetric under ``x -> -x`` and ``y -> -y`` about a
-source on the z axis: the counts are even there and the x0 (y0) column is
-odd.  :func:`mirrored_fi_matrix` folds a plate that is its own mirror image
-(every :func:`~dipolebounds.detector.planar_grid` is) along each transverse
-axis whose mirror plane holds the source, evaluates one quarter of the
-pixels for a source on the z axis, and unfolds the information with the
-column signs.  Any other :class:`~dipolebounds.detector.PixelGrid` goes
-through :func:`fi_matrix`.
+source on the z axis: the counts are even there and the x0 and y0 columns
+odd.  :func:`fi_matrix` folds a plate that is a mirror cell followed by its
+images under ``x -> -x``, ``y -> -y`` and both, bit for bit in positions and
+areas (every :func:`~dipolebounds.detector.planar_grid` is), when the source
+is on the z axis: it evaluates the cell and multiplies its information by
+the parity mask.  Any other plate or source goes through every pixel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fields
-from .detector import PixelGrid
+from .detector import _MIRROR_SIGNS, PixelGrid
 from .model import InfoMatrix, PhysicsError, Pulse, Scatterer
 
 __all__ = [
@@ -45,14 +43,17 @@ __all__ = [
     "count_gradients",
     "poisson_fi",
     "fi_matrix",
-    "folded_axes",
-    "mirrored_fi_matrix",
     "n_scattered",
     "CrbResult",
     "crb_bounds",
 ]
 
 _CHUNK = 1 << 12          # pixels per evaluation block
+
+# sum of S Q S over the four sign images of a mirror cell, entry by entry,
+# with S = diag(1, s_x, s_y, 1): the x0 and y0 columns are odd
+_PARITY_MASK = 4.0 * np.array([[1, 0, 0, 1], [0, 1, 0, 0],
+                               [0, 0, 1, 0], [1, 0, 0, 1]])
 
 
 def _positive(nbar: np.ndarray) -> np.ndarray:
@@ -96,8 +97,8 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         pos = grid.positions[sl]
-        inc = fields.incident_field(pos, e_in=pulse.e_in)
-        e_inc, b_inc = inc.e[:, 0], np.conj(inc.b[:, 1])
+        e_inc = pulse.e_in * np.exp(1j * pos[:, 2])
+        b_inc = np.conj(e_inc)
         ex, by, d_ex, d_by = fields.scattered_ex_by(pos, scatterer,
                                                     e_in=pulse.e_in)
         b_sc = np.conj(by)
@@ -120,50 +121,27 @@ def poisson_fi(nbar: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (grad / nbar[:, None]).T @ grad
 
 
+def _fold(grid: PixelGrid, scatterer: Scatterer) -> tuple:
+    """The pixels to evaluate and the factor that turns their information
+    into the plate's: the mirror cell and the parity mask, or all and 1."""
+    if scatterer.r0[0] == 0.0 and scatterer.r0[1] == 0.0 \
+            and grid.size % 4 == 0:
+        pos = grid.positions.reshape(4, -1, 3)
+        areas = grid.areas.reshape(4, -1)
+        if all(np.array_equal(pos[k], pos[0] * signs)
+               and np.array_equal(areas[k], areas[0])
+               for k, signs in enumerate(_MIRROR_SIGNS[1:], 1)):
+            return PixelGrid(pos[0], areas[0]), _PARITY_MASK
+    return grid, 1.0
+
+
 def fi_matrix(grid: PixelGrid, scatterer: Scatterer,
               pulse: Pulse) -> InfoMatrix:
-    """Fisher-information matrix of the pixel counts for (chi0, x0, y0, z0)."""
-    nbar, grad = count_gradients(grid, scatterer, pulse)
-    m = poisson_fi(nbar, grad)
-    return InfoMatrix(0.5 * (m + m.T))
-
-
-def folded_axes(scatterer: Scatterer) -> list:
-    """The transverse axes (0 for x, 1 for y) on whose mirror plane the
-    source lies, ``r0[axis] == 0``: the axes :func:`mirrored_fi_matrix`
-    folds."""
-    return [axis for axis in (0, 1) if scatterer.r0[axis] == 0.0]
-
-
-def mirrored_fi_matrix(grid: PixelGrid, scatterer: Scatterer,
-                       pulse: Pulse) -> InfoMatrix:
-    """:func:`fi_matrix` of a mirror-symmetric plate from one mirror cell.
-
-    Keeps the pixels with ``positions[:, axis] > 0`` on each of the
-    :func:`folded_axes`, ``grid.size / 2**folded`` of them, and takes their
-    information ``Q`` from :func:`fi_matrix`.  The plate's is
-    ``sum_s S Q S`` over the sign patterns ``S = diag(1, s_x, s_y, 1)`` with
-    ``s = -1`` or ``+1`` on a folded axis and ``+1`` elsewhere, that is ``Q``
-    times ``sum_s s s^T`` entry by entry.  A source off both planes has the
-    one pattern ``s = 1`` and the whole plate is evaluated.  The plate must
-    be its own mirror image about each folded plane, as every
-    :func:`~dipolebounds.detector.planar_grid` is; a pixel centre on such a
-    plane raises ``ValueError``.
-    """
-    folded = folded_axes(scatterer)
-    keep = np.ones(grid.size, dtype=bool)
-    for axis in folded:
-        keep &= grid.positions[:, axis] > 0.0
-    kept = np.flatnonzero(keep)
-    if kept.size << len(folded) != grid.size:
-        raise ValueError("the plate is not its own mirror image about the "
-                         "source's mirror planes")
-    signs = np.ones((2 ** len(folded), 4))
-    signs[:, [1 + axis for axis in folded]] = list(
-        itertools.product((1.0, -1.0), repeat=len(folded)))
-    cell = PixelGrid(grid.positions.take(kept, axis=0), grid.areas.take(kept))
-    return InfoMatrix(fi_matrix(cell, scatterer, pulse).matrix
-                      * (signs.T @ signs))
+    """Fisher-information matrix of the pixel counts for (chi0, x0, y0, z0),
+    from one quarter of a mirror-built plate for a source on the z axis."""
+    pixels, mask = _fold(grid, scatterer)
+    m = poisson_fi(*count_gradients(pixels, scatterer, pulse))
+    return InfoMatrix(0.5 * (m + m.T) * mask)
 
 
 def n_scattered(scatterer: Scatterer, pulse: Pulse) -> float:

@@ -98,19 +98,18 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
     def one(z_rel: float):
         z = z_rel * _TWO_PI
         rows = []
-        sizes = []                  # (plate pixels, pixels after the fold)
+        sizes = []
         for sgn, scat in ((+1.0, point), (-1.0, point), (+1.0, finite)):
             grid = detector.planar_grid(sgn * z, solid_angle, refinement)
-            sizes.append((grid.size,
-                          grid.size >> len(fisher.folded_axes(scat))))
-            info = fisher.mirrored_fi_matrix(grid, scat, pulse)
+            sizes.append(grid.size)
+            info = fisher.fi_matrix(grid, scat, pulse)
             rows.append(fisher.crb_bounds(info, scat, pulse).normalized)
         return rows, sizes
 
     results = [one(z_rel) for z_rel in z_over_lambda]
     fwd, bwd, fin = (np.array([r[0][k] for r in results]) for k in range(3))
     sizes = np.array([r[1] for r in results])
-    cells = np.sqrt(sizes[:, :, 0].max(axis=1))
+    cells = np.sqrt(sizes.max(axis=1))
     qcrb = qfi.farfield_qcrb_constants()
 
     columns = {}
@@ -134,8 +133,7 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
         "phi_internal": pulse.phi,
         "tau_internal": pulse.tau,
         "n_sc": fisher.n_scattered(point, pulse),
-        "pixels": int(sizes[:, :, 0].sum()),
-        "pixels_evaluated": int(sizes[:, :, 1].sum()),
+        "pixels": int(sizes.sum()),
     }
     return SweepResult("z_over_lambda", z_over_lambda, columns, meta)
 

@@ -76,19 +76,23 @@ class TestPlanarGrid:
     @pytest.mark.parametrize("refinement", [1, 2])
     @pytest.mark.parametrize("z_rel", [0.3, -0.3])
     def test_is_its_own_mirror_image(self, z_rel, refinement):
-        # the plate folds exactly under x -> -x and y -> -y: pixel (i, j) of
-        # the row-major n x n layout mirrors onto (n-1-i, j) and (i, n-1-j)
+        # the plate is the mirror cell x > 0, y > 0 (row-major, x slowest)
+        # and its images under x -> -x, y -> -y and both: pixel k of every
+        # block is the sign image of pixel k of the first, bit for bit
         g = planar_grid(z_rel * LAM, 1.97 * math.pi, refinement)
-        n = math.isqrt(g.size)
-        assert n % 2 == 0
-        assert np.all(g.positions[:, :2] != 0.0)
-        pos = g.positions.reshape(n, n, 3)
-        areas = g.areas.reshape(n, n)
-        for axis in (0, 1):
-            mirrored = np.flip(pos, axis=axis).copy()
-            mirrored[..., axis] *= -1.0
-            np.testing.assert_array_equal(mirrored, pos)
-            np.testing.assert_array_equal(np.flip(areas, axis=axis), areas)
+        n = math.isqrt(g.size // 4)
+        assert 4 * n * n == g.size
+        pos = g.positions.reshape(4, n * n, 3)
+        areas = g.areas.reshape(4, n * n)
+        cell = pos[0].reshape(n, n, 3)
+        assert np.all(cell[..., :2] > 0.0)
+        assert np.all(np.diff(cell[:, 0, 0]) > 0.0)
+        assert np.all(cell[:, :, 0] == cell[:, :1, 0])
+        assert np.all(cell[:, :, 1] == cell[:1, :, 1])
+        for block, signs in enumerate(((-1.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+                                       (-1.0, -1.0, 1.0)), 1):
+            np.testing.assert_array_equal(pos[block], pos[0] * signs)
+            np.testing.assert_array_equal(areas[block], areas[0])
 
     def test_rejects_bad_refinement(self):
         with pytest.raises(ValueError):

@@ -19,8 +19,6 @@ from dipolebounds.fisher import (
     crb_bounds,
     fi_matrix,
     mean_counts,
-    folded_axes,
-    mirrored_fi_matrix,
     n_scattered,
     poisson_fi,
 )
@@ -163,58 +161,99 @@ class TestCountGradients:
             np.testing.assert_array_equal(got_grad, grad)
 
 
+def _unfolded(grid, scat, pulse):
+    # the information of every pixel of the plate, symmetrised
+    m = poisson_fi(*count_gradients(grid, scat, pulse))
+    return 0.5 * (m + m.T)
+
+
 class TestMirroredFiMatrix:
+    """fi_matrix on mirror-built plates: folded for on-axis sources only."""
+
     @pytest.mark.parametrize("a0", [0.0, LAM / 30.0])
     @pytest.mark.parametrize("z_rel", [0.3, -0.3])
     @pytest.mark.parametrize("r0", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.1),
                                     (0.0, -0.2, 0.0), (0.2, -0.1, 0.05)])
     def test_matches_the_full_plate(self, scat_1030, pulse_1030, r0, z_rel,
                                     a0, monkeypatch):
-        # one mirror cell per folded axis, unfolded with the column signs,
-        # against every pixel of the plate; a source off both planes folds
-        # nothing and runs the whole plate through the same code
+        # a source on both mirror planes takes the first quarter of the
+        # plate and the parity mask; one on a single plane or on neither
+        # takes every pixel
         grid = planar_grid(z_rel * LAM, math.pi)
         scat = replace(scat_1030, r0=r0, a0=a0)
-        full = fi_matrix(grid, scat, pulse_1030).matrix
+        full = _unfolded(grid, scat, pulse_1030)
         evaluated = []
 
         def spy(cell, *args):
             evaluated.append(cell.size)
-            return fi_matrix(cell, *args)
+            return count_gradients(cell, *args)
 
-        monkeypatch.setattr(fisher, "fi_matrix", spy)
-        folded = mirrored_fi_matrix(grid, scat, pulse_1030).matrix
-        assert np.abs(folded - full).max() <= 1e-12 * np.abs(full).max()
-        n_folded = (r0[0] == 0.0) + (r0[1] == 0.0)
-        assert evaluated == [grid.size >> n_folded]
-        assert len(folded_axes(scat)) == n_folded
+        monkeypatch.setattr(fisher, "count_gradients", spy)
+        got = fi_matrix(grid, scat, pulse_1030).matrix
+        assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max()
+        on_axis = r0[0] == 0.0 and r0[1] == 0.0
+        assert evaluated == [grid.size // 4 if on_axis else grid.size]
 
     @pytest.mark.parametrize("a0", [0.0, LAM / 30.0])
     @pytest.mark.parametrize("z_rel", [0.3, -0.3])
     def test_mirror_pixels_count_alike(self, scat_1030, pulse_1030, z_rel, a0):
-        # the non-positive-count check on the kept quarter covers the whole
-        # plate only if every mirror pixel has the very same count
+        # the non-positive-count check on the first quarter covers the whole
+        # plate only if the four blocks have the very same counts
         grid = planar_grid(z_rel * LAM, math.pi)
-        n = math.isqrt(grid.size)
         nbar, _ = count_gradients(grid, replace(scat_1030, a0=a0), pulse_1030)
-        nbar = nbar.reshape(n, n)
-        for axis in (0, 1):
-            np.testing.assert_array_equal(np.flip(nbar, axis=axis), nbar)
+        blocks = nbar.reshape(4, -1)
+        for block in blocks[1:]:
+            np.testing.assert_array_equal(block, blocks[0])
 
-    def test_refuses_a_pixel_on_a_mirror_plane(self, scat_1030, pulse_1030):
-        # a 3 x 3 plate has its middle row and column on the mirror planes
+    @staticmethod
+    def _toy_plate():
+        # 3 x 3 row-major plate, its middle row and column on the mirror
+        # planes
         coords = np.linspace(-2.0, 2.0, 3)
         xs, ys = np.meshgrid(coords, coords, indexing="ij")
-        grid = PixelGrid(np.column_stack([xs.ravel(), ys.ravel(),
+        return PixelGrid(np.column_stack([xs.ravel(), ys.ravel(),
                                           np.full(9, LAM)]), np.full(9, 4.0))
-        with pytest.raises(ValueError, match="mirror image"):
-            mirrored_fi_matrix(grid, scat_1030, pulse_1030)
+
+    @staticmethod
+    def _one_area_changed():
+        grid = planar_grid(0.3 * LAM, math.pi)
+        areas = grid.areas.copy()
+        areas[2 * grid.size // 4 + 5] *= 1.5
+        return PixelGrid(grid.positions, areas)
+
+    @staticmethod
+    def _one_position_changed():
+        grid = planar_grid(0.3 * LAM, math.pi)
+        positions = grid.positions.copy()
+        positions[3 * grid.size // 4 + 7, 0] *= 1.01
+        return PixelGrid(positions, grid.areas)
+
+    @pytest.mark.parametrize("plate", ["toy3x3", "area", "position"])
+    def test_other_plates_go_through_every_pixel(self, scat_1030, pulse_1030,
+                                                 plate, monkeypatch):
+        # an on-axis source, but a plate that is not a mirror cell and its
+        # three sign images bit for bit
+        grid = {"toy3x3": self._toy_plate, "area": self._one_area_changed,
+                "position": self._one_position_changed}[plate]()
+        full = _unfolded(grid, scat_1030, pulse_1030)
+        evaluated = []
+
+        def spy(cell, *args):
+            evaluated.append(cell.size)
+            return count_gradients(cell, *args)
+
+        monkeypatch.setattr(fisher, "count_gradients", spy)
+        np.testing.assert_array_equal(
+            fi_matrix(grid, scat_1030, pulse_1030).matrix, full)
+        assert evaluated == [grid.size]
 
 
 def test_information_matrix_block_structure(scat_1030, pulse_1030, small_grid):
     # x-polarized drive on a centred square plate: x and y are decoupled
-    # from everything by mirror symmetry, chi and z mix through the phase
-    m = fi_matrix(small_grid, scat_1030, pulse_1030).matrix
+    # from everything by mirror symmetry, chi and z mix through the phase.
+    # fi_matrix imposes these zeros with its parity mask, so the pixel sum
+    # over the whole plate is what shows them
+    m = _unfolded(small_grid, scat_1030, pulse_1030)
     scale = np.abs(np.diag(m)).max()
     for i in range(4):
         for j in range(i + 1, 4):

@@ -7,7 +7,8 @@ import pytest
 
 from dipolebounds import fisher
 from dipolebounds.detector import planar_grid
-from dipolebounds.fisher import crb_bounds, fi_matrix
+from dipolebounds.fisher import count_gradients, crb_bounds, poisson_fi
+from dipolebounds.model import InfoMatrix
 from dipolebounds.qfi import farfield_qcrb_constants
 from dipolebounds.scenarios import (
     SweepResult,
@@ -96,32 +97,30 @@ class TestCrbDistanceSweep:
     def test_off_axis_source_matches_the_full_plates(self, scat_1030,
                                                      pulse_1030, r0,
                                                      monkeypatch):
-        # a source off a mirror plane folds only along the other axis (or
-        # not at all); the sweep must still give the full-plate bounds
+        # a source off the z axis cannot be folded: the sweep goes through
+        # every pixel of every plate and gives the full-plate bounds
         scat = replace(scat_1030, r0=r0)
         evaluated = []
 
-        def spy(cell, *args):
-            evaluated.append(cell.size)
-            return fi_matrix(cell, *args)
+        def spy(grid, *args):
+            evaluated.append(grid.size)
+            return count_gradients(grid, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(fisher, "fi_matrix", spy)
+            m.setattr(fisher, "count_gradients", spy)
             sweep = crb_distance_sweep(scat, pulse_1030, z_over_lambda=[0.4],
                                        finite_a0=LAM / 30.0)
-        assert sweep.meta["pixels_evaluated"] == sum(evaluated)
+        assert sweep.meta["pixels"] == sum(evaluated)
         for group, sgn, a0 in (("fwd", 1.0, 0.0), ("bwd", -1.0, 0.0),
                                ("finite", 1.0, LAM / 30.0)):
             src = replace(scat, a0=a0)
             grid = planar_grid(sgn * 0.4 * LAM, 1.97 * math.pi)
-            want = crb_bounds(fi_matrix(grid, src, pulse_1030), src,
-                              pulse_1030).normalized
+            info = InfoMatrix(poisson_fi(*count_gradients(grid, src,
+                                                          pulse_1030)))
+            want = crb_bounds(info, src, pulse_1030).normalized
             got = [sweep.columns[f"crb_{p}_norm_{group}"][0]
                    for p in ("chi", "x", "y", "z")]
             np.testing.assert_allclose(got, want, rtol=1e-10)
-        n_folded = sum(x == 0.0 for x in r0[:2])
-        assert sweep.meta["pixels_evaluated"] << n_folded \
-            == sweep.meta["pixels"]
 
 
 def test_qfi_time_sweep_normalized_plateaus(scat_532, pulse_200):
