@@ -484,7 +484,7 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
 
     span = (run["t_min_over_tau"], run["t_max_over_tau"])
     t1 = scenarios.default_time_axis(pulse1, run["samples_per_period"], span)
-    t_fs = np.array([units1.time_from_internal(t) for t in t1]) * 1e15
+    t_fs = units1.time_from_internal(t1) * 1e15
 
     sweep1 = scenarios.qfi_time_sweep(scat1, pulse1, times=t1, gauges=gauges,
                                       corrections=run["corrections"],
@@ -503,7 +503,7 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
         phi1_si = units1.fluence_from_internal(pulse1.phi)
         phi2 = units2.fluence_to_internal(ratio * phi1_si)
         pulse2 = build_pulse(cfg, units2, scat2, phi_internal=phi2)
-        t2 = np.array([units2.time_to_internal(t * 1e-15) for t in t_fs])
+        t2 = units2.time_to_internal(t_fs * 1e-15)
         sweep2 = scenarios.qfi_time_sweep(scat2, pulse2, times=t2,
                                           gauges=gauges,
                                           corrections=run["corrections"],

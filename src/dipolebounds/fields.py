@@ -40,9 +40,6 @@ class FieldSet:
     e: np.ndarray
     b: np.ndarray
 
-    def __add__(self, other: "FieldSet") -> "FieldSet":
-        return FieldSet(self.e + other.e, self.b + other.b)
-
 
 def _geometry(points: np.ndarray, r0) -> tuple[np.ndarray, np.ndarray]:
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -84,9 +84,6 @@ class UnitSystem:
         """Angular frequency (rad/s) to internal units (where omega = k)."""
         return rad_per_s / (C_SI * self.k_si)
 
-    def frequency_from_internal(self, w):
-        return w * C_SI * self.k_si
-
     # -- matter / light ------------------------------------------------------
 
     def polarizability_to_internal(self, m3):

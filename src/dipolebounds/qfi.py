@@ -5,6 +5,7 @@ Gaussian, so the quantum Fisher information (QFI) for the parameters
 (chi0, x0, y0, z0) reduces to radial-momentum integrals over three complex
 amplitude-derivative profiles ``f1, f2, f3`` (and, in the multipolar
 light-matter coupling, small corrections from the matter-light covariances).
+Two of them are independent: the position profile is ``f2 = chi0 p f3``.
 This module builds those profiles on a stretched momentum grid, assembles the
 time-resolved QFI matrix, and provides independent cross-checks: the mean
 scattered photon number from the scattering amplitude itself, the analytic
@@ -74,8 +75,6 @@ class SpectralPulse:
 
     grid: SinhGrid
     alpha: np.ndarray
-    phi: float
-    tau: float
 
     @classmethod
     def from_pulse(cls, pulse: Pulse, grid: SinhGrid | None = None) -> "SpectralPulse":
@@ -95,7 +94,7 @@ class SpectralPulse:
                 "use a longer pulse or a wider grid")
         norm_sq = (np.abs(profile) ** 2) @ grid.weights / (2.0 * math.pi)
         alpha = math.sqrt(pulse.phi / norm_sq) * profile
-        return cls(grid, alpha, pulse.phi, pulse.tau)
+        return cls(grid, alpha)
 
     @property
     def support(self) -> np.ndarray:
@@ -121,10 +120,9 @@ class SpectralPulse:
 
 # (p-power, k-power, sign of the alpha* term, sign of the causal alpha term)
 # for the multipolar coupling; the Coulomb coupling shifts one power of k
-# from p and flips the overall sign.
+# from p and flips the overall sign.  f2 has no row: it is chi0 p f3.
 _PROFILE_SHAPES = {
     "f1": (0.5, 1.5, +1.0, -1.0),
-    "f2": (1.5, 0.5, +1.0, +1.0),
     "f3": (0.5, 0.5, +1.0, +1.0),
 }
 
@@ -132,18 +130,21 @@ _PROFILE_SHAPES = {
 class FrequencyIntegrals:
     """Evaluator of the amplitude-derivative profiles f1, f2, f3.
 
-    Each profile has the common structure
+    The two independent profiles, f1 and f3, have the common structure
 
         f(p, t) = s * p^a xi_p [ s+ int dk/2pi K(k) alpha*(k,t) / (k + p)
                                + s- ( PV int dk/2pi K(k) alpha(k,t) / (k - p)
                                       - (i/2) K(p) alpha(p,t) ) ]
 
     with kernel ``K(k) = k^b xi_k chi(k)`` (``chi/chi0`` for f3).  The
+    position profile is ``f2 = chi0 p f3`` in both couplings: the x0 and chi0
+    derivatives of one scattered amplitude bring out the emitted momentum p
+    and divide by chi0, so f2 shares f3's kernel and signs.  The
     principal-value and smooth 1/(k+p) transforms are precomputed as real
     matrices over the grid.  :meth:`eval` takes a block of ``T`` times and
-    applies each matrix to the real and imaginary parts of the ``(T, n)``
-    block of kernel-weighted amplitudes, so a block costs four real
-    matrix-matrix products per profile, whatever ``T`` is.
+    applies each matrix to the stacked real and imaginary parts of the
+    ``(T, n)`` block of kernel-weighted amplitudes, so a block costs four
+    :func:`~dipolebounds.quadrature.real_matmul` products, whatever ``T`` is.
 
     Parameters
     ----------
@@ -163,6 +164,7 @@ class FrequencyIntegrals:
             raise ValueError(f"gauge must be one of {GAUGES}, got {gauge!r}")
         scatterer.check_off_resonance()
         self.spectral = spectral
+        self._chi0 = scatterer.chi0
         self.nodes = k = spectral.grid.nodes
         w = spectral.grid.weights
         xi = regularizer(k, scatterer.a0)
@@ -194,6 +196,7 @@ class FrequencyIntegrals:
             pv = real_matmul(fk, self._pv.T)
             out[name] = pref * (s_plus * plus / (2.0 * math.pi)
                                 + s_minus * (pv / (2.0 * math.pi) - 0.5j * fk))
+        out["f2"] = self._chi0 * self.nodes * out["f3"]
         return out
 
 

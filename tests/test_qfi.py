@@ -18,7 +18,8 @@ from dipolebounds.qfi import (
     qfi_matrix,
     regularizer,
 )
-from dipolebounds.quadrature import SinhGrid, pv_integral, trapezoid_weights
+from dipolebounds.quadrature import (SinhGrid, pv_integral, real_matmul,
+                                     trapezoid_weights)
 from dipolebounds.scenarios import fit_power_law
 
 LAM = 2.0 * math.pi
@@ -82,33 +83,58 @@ class TestFrequencyIntegrals:
         with pytest.raises(PhysicsError, match="resonance"):
             FrequencyIntegrals(spectral_200, Scatterer(chi0=1.0, omega0=1.5))
 
+    @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
+    @pytest.mark.parametrize("near", [0.9, 1.0, 1.1])
     def test_f2_against_dense_uniform_grid(self, spectral_200, scat_532,
-                                           pulse_200):
-        """Oracle check: rebuild f2 at the carrier on an independent grid.
+                                           pulse_200, near, gauge):
+        """Oracle check: rebuild f2 at a grid node on an independent grid.
 
         The dense uniform grid spans the whole spectral support, so the only
         shared machinery with the production path is the pole-subtraction
-        rule, which is validated on analytic cases elsewhere.
+        rule, which is validated on analytic cases elsewhere.  The nodes
+        near p = 0.9 and 1.1 check the factor p in f2 = chi0 p f3, which
+        cannot show at the carrier.  The Coulomb coupling shifts one power
+        of k from p and flips the sign.
         """
+        shift, sign = (1.0, -1.0) if gauge == "coulomb" else (0.0, 1.0)
+        i = int(np.argmin(np.abs(spectral_200.grid.nodes - near)))
+        p = spectral_200.grid.nodes[i]
         k = np.linspace(0.5, 1.5, 50001)  # k = 1 is a node
         a0, tau, phi = scat_532.a0, pulse_200.tau, pulse_200.phi
-        gauss = np.exp(-np.square(k - 1.0) * tau ** 2 / (2.0 * math.pi))
-        profile = gauss / (1j * np.sqrt(k))
         w = trapezoid_weights(k)
-        norm_sq = (np.abs(profile) ** 2) @ w / (2.0 * math.pi)
-        alpha = math.sqrt(phi / norm_sq) * profile
 
-        kern = np.sqrt(k) * regularizer(k, a0) * scat_532.chi(k)
-        plus = (kern * np.conj(alpha) / (k + 1.0)) @ w
-        pv = pv_integral(kern * alpha, k, 1.0, weights=w)
-        i1 = k.size // 2
-        oracle = regularizer(1.0, a0) * (
+        def alpha(x):
+            gauss = np.exp(-np.square(x - 1.0) * tau ** 2 / (2.0 * math.pi))
+            return gauss / (1j * np.sqrt(x))
+
+        def kern(x):
+            return x ** (0.5 + shift) * regularizer(x, a0) * scat_532.chi(x)
+
+        norm = math.sqrt(phi / ((np.abs(alpha(k)) ** 2) @ w / (2.0 * math.pi)))
+        plus = (kern(k) * np.conj(norm * alpha(k)) / (k + p)) @ w
+        pv = pv_integral(kern(k) * norm * alpha(k), k, p, weights=w)
+        oracle = sign * p ** (1.5 - shift) * regularizer(p, a0) * (
             plus / (2.0 * math.pi) + pv / (2.0 * math.pi)
-            - 0.5j * kern[i1] * alpha[i1])
+            - 0.5j * kern(p) * norm * alpha(p))
+
+        integ = FrequencyIntegrals(spectral_200, scat_532, gauge)
+        got = integ.eval(0.0)["f2"][i]
+        assert got == pytest.approx(oracle, rel=1e-9)
+
+    def test_a_block_costs_four_products(self, spectral_200, scat_532,
+                                         monkeypatch):
+        # f1 and f3 take one PV and one 1/(k+p) product each; f2 is formed
+        # from f3, not integrated a second time
+        calls = []
+
+        def counted(x, m):
+            calls.append(x.shape)
+            return real_matmul(x, m)
 
         integ = FrequencyIntegrals(spectral_200, scat_532)
-        got = integ.eval(0.0)["f2"][spectral_200.grid.carrier_index]
-        assert got == pytest.approx(oracle, rel=1e-9)
+        monkeypatch.setattr(qfi, "real_matmul", counted)
+        integ.eval(np.linspace(-100.0, 100.0, 7))
+        assert calls == [(7, spectral_200.grid.size)] * 4
 
     @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
     def test_array_of_times_stacks_single_times(self, spectral_200, scat_532,
