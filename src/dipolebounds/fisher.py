@@ -141,7 +141,7 @@ def fi_matrix(grid: PixelGrid, scatterer: Scatterer,
     from one quarter of a mirror-built plate for a source on the z axis."""
     pixels, mask = _fold(grid, scatterer)
     m = poisson_fi(*count_gradients(pixels, scatterer, pulse))
-    return InfoMatrix(0.5 * (m + m.T) * mask)
+    return InfoMatrix(m * mask)
 
 
 def n_scattered(scatterer: Scatterer, pulse: Pulse) -> float:

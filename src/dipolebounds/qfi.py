@@ -5,7 +5,9 @@ Gaussian, so the quantum Fisher information (QFI) for the parameters
 (chi0, x0, y0, z0) reduces to radial-momentum integrals over three complex
 amplitude-derivative profiles ``f1, f2, f3`` (and, in the multipolar
 light-matter coupling, small corrections from the matter-light covariances).
-Two of them are independent: the position profile is ``f2 = chi0 p f3``.
+All three come from one kernel: f1's kernel is ``chi0 k`` times f3's, with the
+same prefactor and the causal term's sign flipped, and ``f2 = chi0 p f3``,
+so the PV and 1/(k+p) transforms enter only as their sum and difference.
 This module builds those profiles on a stretched momentum grid, assembles the
 time-resolved QFI matrix, and provides independent cross-checks: the mean
 scattered photon number from the scattering amplitude itself, the analytic
@@ -118,33 +120,24 @@ class SpectralPulse:
 # the three derivative profiles
 # ---------------------------------------------------------------------------
 
-# (p-power, k-power, sign of the alpha* term, sign of the causal alpha term)
-# for the multipolar coupling; the Coulomb coupling shifts one power of k
-# from p and flips the overall sign.  f2 has no row: it is chi0 p f3.
-_PROFILE_SHAPES = {
-    "f1": (0.5, 1.5, +1.0, -1.0),
-    "f3": (0.5, 0.5, +1.0, +1.0),
-}
-
-
 class FrequencyIntegrals:
     """Evaluator of the amplitude-derivative profiles f1, f2, f3.
 
-    The two independent profiles, f1 and f3, have the common structure
+    With ``g(k, t) = K(k) alpha(k, t)``, kernel
+    ``K(k) = k^(1/2+s) xi_k chi(k) / chi0`` and prefactor
+    ``pref(p) = sign p^(1/2-s) xi_p`` (``s = 0, sign = 1`` multipolar;
+    ``s = 1, sign = -1`` Coulomb), ``h = k g`` and ``I = int dk/2pi``,
 
-        f(p, t) = s * p^a xi_p [ s+ int dk/2pi K(k) alpha*(k,t) / (k + p)
-                               + s- ( PV int dk/2pi K(k) alpha(k,t) / (k - p)
-                                      - (i/2) K(p) alpha(p,t) ) ]
+        f3 = pref [ I g*/(k + p) + PV I g/(k - p) - (i/2) g(p) ]
+        f1 = chi0 pref [ I h*/(k + p) - PV I h/(k - p) + (i/2) h(p) ]
 
-    with kernel ``K(k) = k^b xi_k chi(k)`` (``chi/chi0`` for f3).  The
-    position profile is ``f2 = chi0 p f3`` in both couplings: the x0 and chi0
-    derivatives of one scattered amplitude bring out the emitted momentum p
-    and divide by chi0, so f2 shares f3's kernel and signs.  The
-    principal-value and smooth 1/(k+p) transforms are precomputed as real
-    matrices over the grid.  :meth:`eval` takes a block of ``T`` times and
-    applies each matrix to the stacked real and imaginary parts of the
-    ``(T, n)`` block of kernel-weighted amplitudes, so a block costs four
-    :func:`~dipolebounds.quadrature.real_matmul` products, whatever ``T`` is.
+    and ``f2 = chi0 p f3``: the x0 and chi0 derivatives of one scattered
+    amplitude bring out the emitted momentum p and divide by chi0.  For the
+    PV matrix V and the 1/(k+p) matrix P, ``g = a + ib`` gives
+    ``g* P + g V = a (V + P) + i b (V - P)`` and ``h = c + id`` gives
+    ``h* P - h V = -(c (V - P) + i d (V + P))``, so only ``V + P`` and
+    ``V - P`` are kept, and :meth:`eval` costs two real matrix products on
+    ``(2, T, n)`` stacks per block of ``T`` times, whatever ``T`` is.
 
     Parameters
     ----------
@@ -168,18 +161,17 @@ class FrequencyIntegrals:
         self.nodes = k = spectral.grid.nodes
         w = spectral.grid.weights
         xi = regularizer(k, scatterer.a0)
-        chi = scatterer.chi(k)
-        self._pv = pv_matrix(k, w, support=spectral.support)
-        self._plus = w[None, :] / (k[None, :] + k[:, None])
+        pv = pv_matrix(k, w, support=spectral.support)
+        plus = w[None, :] / (k[None, :] + k[:, None])
+        # V - P first, then V + P in place: at most three n x n arrays live
+        self._diff = (pv - plus).T
+        pv += plus
+        self._sum = pv.T
 
         shift = 1.0 if gauge == "coulomb" else 0.0
         sign = -1.0 if gauge == "coulomb" else 1.0
-        self._pieces = {}
-        for name, (a, b, s_plus, s_minus) in _PROFILE_SHAPES.items():
-            resp = chi / scatterer.chi0 if name == "f3" else chi
-            kern = k ** (b + shift) * xi * resp
-            pref = sign * k ** (a - shift) * xi
-            self._pieces[name] = (pref, kern, s_plus, s_minus)
+        self._kern = k ** (0.5 + shift) * xi * scatterer.chi(k) / self._chi0
+        self._pref = sign * k ** (0.5 - shift) * xi
 
     def eval(self, t) -> dict[str, np.ndarray]:
         """Profiles at all grid nodes, keyed ``f1, f2, f3``.
@@ -188,16 +180,14 @@ class FrequencyIntegrals:
         ``t.shape + (n,)``.  The working arrays grow with ``t.size``, so long
         series are passed in blocks (as :func:`qfi_matrix` does).
         """
-        alpha_t = self.spectral.values(t)
-        out = {}
-        for name, (pref, kern, s_plus, s_minus) in self._pieces.items():
-            fk = kern * alpha_t
-            plus = real_matmul(kern * np.conj(alpha_t), self._plus.T)
-            pv = real_matmul(fk, self._pv.T)
-            out[name] = pref * (s_plus * plus / (2.0 * math.pi)
-                                + s_minus * (pv / (2.0 * math.pi) - 0.5j * fk))
-        out["f2"] = self._chi0 * self.nodes * out["f3"]
-        return out
+        g = self._kern * self.spectral.values(t)
+        h = self.nodes * g
+        x = np.stack((g.real, h.imag)) @ self._sum
+        y = np.stack((g.imag, h.real)) @ self._diff
+        f3 = self._pref * ((x[0] + 1j * y[0]) / (2.0 * math.pi) - 0.5j * g)
+        f1 = -self._chi0 * self._pref * (
+            (y[1] + 1j * x[1]) / (2.0 * math.pi) - 0.5j * h)
+        return {"f1": f1, "f2": self._chi0 * self.nodes * f3, "f3": f3}
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +383,7 @@ def _angular_profiles(x: np.ndarray):
     return ft1, ft2, g
 
 
-def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
-                        e_in: float = 1.0, rel_tol: float = 1e-6):
+def mode_integral_field(points: np.ndarray, scatterer: Scatterer):
     """Stationary scattered field assembled mode by mode.
 
     Integrates the radial-mode decomposition of the driven source's field
@@ -404,7 +393,8 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
     both the closed forms and the causal pole prescription.  Requires a
     finite source size (``a0 > 0``) for momentum-space convergence.
 
-    Returns a ``(E, B)`` pair of complex arrays shaped like ``points``.
+    Returns the ``(E, B)`` pair for a unit incident amplitude, complex
+    arrays shaped like ``points``.
     """
     if scatterer.a0 <= 0:
         raise PhysicsError("mode-integral field needs a finite source size a0")
@@ -417,8 +407,8 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
     a0 = scatterer.a0
     # momentum cutoff: the integrand tail is ~ 16 sin(p rho)/(a0^4 rho p^3),
     # so truncating at p_max leaves a relative error ~ 16/(a0^4 rho p_max^3)
-    # against the O(1/rho) field scale
-    p_max = (16.0 / (rel_tol * a0**4 * rho.min())) ** (1.0 / 3.0)
+    # against the O(1/rho) field scale; it is held at 1e-6
+    p_max = (16.0 / (1e-6 * a0**4 * rho.min())) ** (1.0 / 3.0)
     p_max = max(p_max, 6.0, 8.0 / a0)
     dp = min(2.0 * math.pi / (10.0 * rho.max()), 1.0 / 40.0)
     dp = 1.0 / math.ceil(1.0 / dp)          # land the pole exactly on a node
@@ -437,8 +427,7 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer,
 
     # the half-residue at p = 1 carries the regularizer through the sampled
     # integrand, so the prefactor itself stays regularizer-free
-    pref = scatterer.chi0 * e_in * np.exp(1j * scatterer.r0[2]) \
-        / (2.0 * math.pi**2)
+    pref = scatterer.chi0 * np.exp(1j * scatterer.r0[2]) / (2.0 * math.pi**2)
     e_out = np.empty(pts.shape, dtype=complex)
     b_out = np.empty(pts.shape, dtype=complex)
     i_pole = int(round(1.0 / dp))           # the node carrying the pole

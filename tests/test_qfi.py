@@ -18,8 +18,7 @@ from dipolebounds.qfi import (
     qfi_matrix,
     regularizer,
 )
-from dipolebounds.quadrature import (SinhGrid, pv_integral, real_matmul,
-                                     trapezoid_weights)
+from dipolebounds.quadrature import SinhGrid, pv_integral, trapezoid_weights
 from dipolebounds.scenarios import fit_power_law
 
 LAM = 2.0 * math.pi
@@ -83,24 +82,25 @@ class TestFrequencyIntegrals:
         with pytest.raises(PhysicsError, match="resonance"):
             FrequencyIntegrals(spectral_200, Scatterer(chi0=1.0, omega0=1.5))
 
-    @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
-    @pytest.mark.parametrize("near", [0.9, 1.0, 1.1])
-    def test_f2_against_dense_uniform_grid(self, spectral_200, scat_532,
-                                           pulse_200, near, gauge):
-        """Oracle check: rebuild f2 at a grid node on an independent grid.
+    # (p-power, k-power, sign of the causal term) of each profile in the
+    # multipolar coupling, stated independently of qfi.py; the Coulomb
+    # coupling shifts one power of k from p and flips the overall sign
+    DENSE_ORACLE_SHAPES = {"f1": (0.5, 1.5, -1.0), "f2": (1.5, 0.5, +1.0)}
 
-        The dense uniform grid spans the whole spectral support, so the only
-        shared machinery with the production path is the pole-subtraction
-        rule, which is validated on analytic cases elsewhere.  The nodes
-        near p = 0.9 and 1.1 check the factor p in f2 = chi0 p f3, which
-        cannot show at the carrier.  The Coulomb coupling shifts one power
-        of k from p and flips the sign.
+    def dense_oracle(self, spectral, scat, pulse, profile, near, gauge):
+        """Rebuild a profile at the grid node nearest ``near`` on a dense
+        uniform grid spanning the whole spectral support, at t = 0.
+
+        The only machinery shared with the production path is the
+        pole-subtraction rule, which is validated on analytic cases
+        elsewhere.  Returns the production value and the oracle.
         """
+        a, b, causal = self.DENSE_ORACLE_SHAPES[profile]
         shift, sign = (1.0, -1.0) if gauge == "coulomb" else (0.0, 1.0)
-        i = int(np.argmin(np.abs(spectral_200.grid.nodes - near)))
-        p = spectral_200.grid.nodes[i]
+        i = int(np.argmin(np.abs(spectral.grid.nodes - near)))
+        p = spectral.grid.nodes[i]
         k = np.linspace(0.5, 1.5, 50001)  # k = 1 is a node
-        a0, tau, phi = scat_532.a0, pulse_200.tau, pulse_200.phi
+        a0, tau, phi = scat.a0, pulse.tau, pulse.phi
         w = trapezoid_weights(k)
 
         def alpha(x):
@@ -108,33 +108,56 @@ class TestFrequencyIntegrals:
             return gauss / (1j * np.sqrt(x))
 
         def kern(x):
-            return x ** (0.5 + shift) * regularizer(x, a0) * scat_532.chi(x)
+            return x ** (b + shift) * regularizer(x, a0) * scat.chi(x)
 
         norm = math.sqrt(phi / ((np.abs(alpha(k)) ** 2) @ w / (2.0 * math.pi)))
         plus = (kern(k) * np.conj(norm * alpha(k)) / (k + p)) @ w
         pv = pv_integral(kern(k) * norm * alpha(k), k, p, weights=w)
-        oracle = sign * p ** (1.5 - shift) * regularizer(p, a0) * (
-            plus / (2.0 * math.pi) + pv / (2.0 * math.pi)
-            - 0.5j * kern(p) * norm * alpha(p))
+        oracle = sign * p ** (a - shift) * regularizer(p, a0) * (
+            plus / (2.0 * math.pi) + causal * (
+                pv / (2.0 * math.pi) - 0.5j * kern(p) * norm * alpha(p)))
+        got = FrequencyIntegrals(spectral, scat, gauge).eval(0.0)[profile][i]
+        return got, oracle
 
-        integ = FrequencyIntegrals(spectral_200, scat_532, gauge)
-        got = integ.eval(0.0)["f2"][i]
-        assert got == pytest.approx(oracle, rel=1e-9)
+    @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
+    @pytest.mark.parametrize("near", [0.9, 1.0, 1.1])
+    def test_f2_against_dense_uniform_grid(self, spectral_200, scat_532,
+                                           pulse_200, near, gauge):
+        # the nodes near p = 0.9 and 1.1 check the factor p in
+        # f2 = chi0 p f3, which cannot show at the carrier
+        got, oracle = self.dense_oracle(spectral_200, scat_532, pulse_200,
+                                        "f2", near, gauge)
+        assert got == pytest.approx(oracle, rel=1e-8, abs=0)
 
-    def test_a_block_costs_four_products(self, spectral_200, scat_532,
-                                         monkeypatch):
-        # f1 and f3 take one PV and one 1/(k+p) product each; f2 is formed
-        # from f3, not integrated a second time
+    @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
+    @pytest.mark.parametrize("near", [0.9, 1.0, 1.1])
+    def test_f1_against_dense_uniform_grid(self, spectral_200, scat_532,
+                                           pulse_200, near, gauge):
+        # f1 is built from f3's kernel times k, with the causal sign flipped
+        got, oracle = self.dense_oracle(spectral_200, scat_532, pulse_200,
+                                        "f1", near, gauge)
+        assert got == pytest.approx(oracle, rel=1e-8, abs=0)
+
+    def test_a_block_costs_two_products(self, spectral_200, scat_532,
+                                        monkeypatch):
+        # V + P and V - P each act once on a (2, T, n) stack: f1 and f3
+        # share them, and f2 is formed from f3
         calls = []
 
-        def counted(x, m):
-            calls.append(x.shape)
-            return real_matmul(x, m)
+        class Spy(np.ndarray):
+            def __rmatmul__(self, other):
+                calls.append(other.shape)
+                return other @ self.view(np.ndarray)
 
         integ = FrequencyIntegrals(spectral_200, scat_532)
-        monkeypatch.setattr(qfi, "real_matmul", counted)
-        integ.eval(np.linspace(-100.0, 100.0, 7))
-        assert calls == [(7, spectral_200.grid.size)] * 4
+        times = np.linspace(-100.0, 100.0, 7)
+        plain = integ.eval(times)
+        monkeypatch.setattr(integ, "_sum", integ._sum.view(Spy))
+        monkeypatch.setattr(integ, "_diff", integ._diff.view(Spy))
+        spied = integ.eval(times)
+        assert calls == [(2, 7, spectral_200.grid.size)] * 2
+        for name in ("f1", "f2", "f3"):
+            np.testing.assert_array_equal(spied[name], plain[name])
 
     @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
     def test_array_of_times_stacks_single_times(self, spectral_200, scat_532,
