@@ -30,10 +30,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c as C_SI
 
 from . import __version__, qfi, scenarios
-from .model import PhysicsError, Pulse, Scatterer, UnitSystem
+from .model import C_SI, PhysicsError, Pulse, Scatterer, UnitSystem
 from .quadrature import SinhGrid
 
 EXIT_OK = 0

@@ -9,7 +9,7 @@ i.e. lengths are measured in units of the reduced drive wavelength
 energy is 1.  :class:`UnitSystem` is the only place where that unit is
 fixed, so no function downstream takes a wavenumber or wavelength argument.
 It is also the single place where SI values enter or leave; the rest of the
-library never sees metres or joules.
+library never sees metres or joules.  The SI constants are CODATA 2022.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_SI
-from scipy.constants import epsilon_0 as EPS0_SI
-from scipy.constants import hbar as HBAR_SI
+
+C_SI = 299792458.0                   # speed of light, m/s (exact)
+EPS0_SI = 8.8541878188e-12           # vacuum permittivity, F/m
+HBAR_SI = 1.0545718176461565e-34     # h / 2 pi with h exact, J s
 
 #: Canonical parameter ordering used by every 4x4 information matrix.
 PARAM_NAMES = ("chi0", "x0", "y0", "z0")

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .fields import regularizer
 from .model import PhysicsError, Pulse, Scatterer
@@ -314,7 +313,7 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     pole_blocks = [inside[b] for b in _blocks(inside.size, n)]
     # pole outside the spectral support or at a grid boundary: plain
     # excision, with negligible weight downstream
-    outside = np.setdiff1d(np.arange(n), inside)
+    outside = np.flatnonzero(~np.isin(np.arange(n), inside))
     with np.errstate(divide="ignore"):
         excise = w[None, :] / (k[None, :] - k[outside, None])
     excise[np.arange(outside.size), outside] = 0.0
@@ -390,12 +389,13 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer):
     numerically over momentum (principal value across the on-shell pole plus
     the resonant half-residue) instead of using the closed forms in
     :mod:`dipolebounds.fields`.  Agreement between the two routes validates
-    both the closed forms and the causal pole prescription.  Requires a
-    finite source size (``a0 > 0``) for momentum-space convergence.
+    both the closed forms and the causal pole prescription.  Needs scipy
+    and a finite source size (``a0 > 0``, for momentum-space convergence).
 
     Returns the ``(E, B)`` pair for a unit incident amplitude, complex
     arrays shaped like ``points``.
     """
+    from scipy.special import sici
     if scatterer.a0 <= 0:
         raise PhysicsError("mode-integral field needs a finite source size a0")
     pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -1,12 +1,17 @@
 """Command-line interface: config resolution, outputs, exit codes."""
 import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dipolebounds
 from dipolebounds import cli, scenarios
 from dipolebounds.cli import (
     DEFAULT_CONFIG,
@@ -239,6 +244,53 @@ class TestCrbScanEndToEnd:
         assert main(["crb-scan", *self.ARGS, "--out", str(b)]) == 0
         capsys.readouterr()
         assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
+
+
+# The solver path must run without scipy; only the validate oracles use it.
+# A fresh interpreter, because other tests import scipy into this one.
+_NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import importlib.abc
+    import sys
+
+    class RefuseScipy(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"refused: {name}")
+            return None
+
+    sys.meta_path.insert(0, RefuseScipy())
+    sys.path.insert(0, sys.argv[1])
+    out = sys.argv[2]
+    from dipolebounds.cli import main
+
+    runs = [
+        ["farfield", "--set", "scatterer.chi0_nm3=13",
+         "--set", "pulse.nsc_target=1"],
+        ["crb-scan", "--set", "run.z_min_over_lambda=1",
+         "--set", "run.z_max_over_lambda=2",
+         "--set", "run.points_per_decade=1",
+         "--set", "detector.solid_angle_over_pi=0.5", "--out", out + "/crb"],
+        ["qfi-time", "--preset", "fig3", "--set", "run.t_min_over_tau=-0.5",
+         "--set", "run.t_max_over_tau=0.5",
+         "--set", "run.samples_per_period=2", "--out", out + "/qfi"],
+        ["size-scan", "--set", "run.sizes=3", "--set", "run.peak_samples=5",
+         "--out", out + "/size"],
+    ]
+    codes = [main(argv) for argv in runs]
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    print("RESULT", codes, loaded)
+""")
+
+
+def test_solver_subcommands_run_without_scipy(tmp_path):
+    src = str(Path(dipolebounds.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, src, str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0, 0] []", proc.stderr
+    for name in ("crb", "qfi", "size"):
+        assert (tmp_path / name / "data.csv").is_file()
 
 
 def test_qfi_time_two_color_columns(tmp_path, capsys):

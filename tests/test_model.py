@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import constants
 from scipy.integrate import quad
 
 from dipolebounds.model import (
+    C_SI,
+    EPS0_SI,
+    HBAR_SI,
     PARAM_NAMES,
     InfoMatrix,
     PhysicsError,
@@ -18,6 +22,19 @@ from dipolebounds.model import (
 
 wavelengths = st.floats(min_value=1e-7, max_value=1e-5)
 magnitudes = st.floats(min_value=1e-12, max_value=1e12)
+
+
+class TestConstants:
+    def test_codata_2022_literals(self):
+        # pinned, so results do not depend on the CODATA edition of scipy
+        assert C_SI == 299792458.0
+        assert EPS0_SI == 8.8541878188e-12
+        assert HBAR_SI == 1.0545718176461565e-34
+
+    def test_agree_with_scipy(self):
+        assert C_SI == pytest.approx(constants.c, rel=1e-9)
+        assert EPS0_SI == pytest.approx(constants.epsilon_0, rel=1e-9)
+        assert HBAR_SI == pytest.approx(constants.hbar, rel=1e-9)
 
 
 class TestUnitSystem:
