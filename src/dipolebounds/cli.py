@@ -53,138 +53,104 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# schema, defaults, presets
+# fields (default and rule), presets
 # ---------------------------------------------------------------------------
 
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
+def _number(gt=None, ge=None, lt=None, integer=False, nullable=False):
+    """Rule for a number (only an ``int`` if ``integer``, or ``None`` if
+    ``nullable``) that is ``> gt``, ``>= ge`` and ``< lt`` where given."""
+    def rule(value):
+        if value is None and nullable:
+            return None
+        if isinstance(value, bool) or not isinstance(
+                value, int if integer else (int, float)):
+            return f"{value!r} is not {'an integer' if integer else 'a number'}"
+        if gt is not None and not value > gt:
+            return f"{value!r} is not > {gt}"
+        if ge is not None and not value >= ge:
+            return f"{value!r} is not >= {ge}"
+        if lt is not None and not value < lt:
+            return f"{value!r} is not < {lt}"
+        return None
+    return rule
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "scatterer": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "chi0_nm3": _POS,
-                "a0_nm": _NONNEG,
-                "resonance_nm": _POS,
-                "position_nm": {
-                    "type": "array",
-                    "items": _NUM,
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-            },
-        },
-        "pulse": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lambda_nm": _POS,
-                "tau_fs": _POS,
-                "phi_per_um2": _POS,
-                "nsc_target": _POS,
-            },
-            "not": {"required": ["phi_per_um2", "nsc_target"]},
-        },
-        "detector": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "solid_angle_over_pi": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 2,
-                },
-                "refinement": {"type": "integer", "minimum": 1},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "d_over_k0": _POS,
-                "delta": _POS,
-                "kmax_over_k0": {"type": "number", "exclusiveMinimum": 1},
-            },
-        },
-        "run": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                # crb-scan
-                "z_min_over_lambda": _POS,
-                "z_max_over_lambda": _POS,
-                "points_per_decade": {"type": "integer", "minimum": 1},
-                "finite_a0_nm": _POS,
-                # qfi-time
-                "t_min_over_tau": _NUM,
-                "t_max_over_tau": _NUM,
-                "samples_per_period": {"type": "integer", "minimum": 2},
-                "second_lambda_nm": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "fluence_ratio": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "gauges": {
-                    "type": "array",
-                    "items": {"enum": ["multipolar", "coulomb"]},
-                    "minItems": 1,
-                },
-                "corrections": {"type": "boolean"},
-                "normalize": {"type": "boolean"},
-                # size-scan
-                "a0_min_over_lambda": _POS,
-                "a0_max_over_lambda": _POS,
-                "sizes": {"type": "integer", "minimum": 3},
-                "peak_samples": {"type": "integer", "minimum": 5},
-                # validate
-                "level": {"enum": ["quick", "full"]},
-            },
-        },
+
+def _choice(options):
+    return lambda value: (None if value in options
+                          else f"{value!r} is not one of {list(options)}")
+
+
+def _boolean(value):
+    return None if isinstance(value, bool) else f"{value!r} is not a boolean"
+
+
+def _position(value):
+    ok = isinstance(value, list) and len(value) == 3 and not any(map(_NUM, value))
+    return None if ok else f"{value!r} is not a list of 3 numbers"
+
+
+def _gauges(value):
+    ok = isinstance(value, list) and value and not any(map(_GAUGE, value))
+    return None if ok else f"{value!r} is not a non-empty list of {list(qfi.GAUGES)}"
+
+
+_NUM = _number()
+_POS = _number(gt=0)
+_GAUGE = _choice(qfi.GAUGES)
+_NO_DEFAULT = object()
+
+#: section -> key -> (default, rule); a rule returns ``None`` or a reason
+FIELDS = {
+    "scatterer": {
+        "chi0_nm3": (13.0, _POS),
+        "a0_nm": (0.0, _number(ge=0)),
+        "resonance_nm": (100.0, _POS),
+        "position_nm": ([0.0, 0.0, 0.0], _position),
+    },
+    "pulse": {
+        "lambda_nm": (1030.0, _POS),
+        "tau_fs": (24.0, _POS),
+        "phi_per_um2": (_NO_DEFAULT, _POS),
+        "nsc_target": (1.0, _POS),
+    },
+    "detector": {
+        "solid_angle_over_pi": (1.97, _number(gt=0, lt=2)),
+        "refinement": (1, _number(ge=1, integer=True)),
+    },
+    "grid": {
+        "d_over_k0": (2.5e-3, _POS),
+        "delta": (3.8e-2, _POS),
+        "kmax_over_k0": (1.1e3, _number(gt=1)),
+    },
+    "run": {
+        # crb-scan
+        "z_min_over_lambda": (0.02, _POS),
+        "z_max_over_lambda": (10.0, _POS),
+        "points_per_decade": (40, _number(ge=1, integer=True)),
+        "finite_a0_nm": (35.0, _POS),
+        # qfi-time
+        "t_min_over_tau": (-3.0, _NUM),
+        "t_max_over_tau": (5.0, _NUM),
+        "samples_per_period": (8, _number(ge=2, integer=True)),
+        "second_lambda_nm": (None, _number(gt=0, nullable=True)),
+        "fluence_ratio": (None, _number(gt=0, nullable=True)),
+        "gauges": (["multipolar"], _gauges),
+        "corrections": (False, _boolean),
+        "normalize": (False, _boolean),
+        # size-scan
+        "a0_min_over_lambda": (1.0 / 120.0, _POS),
+        "a0_max_over_lambda": (1.0 / 20.0, _POS),
+        "sizes": (8, _number(ge=3, integer=True)),
+        "peak_samples": (65, _number(ge=5, integer=True)),
+        # validate
+        "level": ("quick", _choice(("quick", "full"))),
     },
 }
 
 DEFAULT_CONFIG = {
-    "scatterer": {
-        "chi0_nm3": 13.0,
-        "a0_nm": 0.0,
-        "resonance_nm": 100.0,
-        "position_nm": [0.0, 0.0, 0.0],
-    },
-    "pulse": {
-        "lambda_nm": 1030.0,
-        "tau_fs": 24.0,
-        "nsc_target": 1.0,
-    },
-    "detector": {
-        "solid_angle_over_pi": 1.97,
-        "refinement": 1,
-    },
-    "grid": {
-        "d_over_k0": 2.5e-3,
-        "delta": 3.8e-2,
-        "kmax_over_k0": 1.1e3,
-    },
-    "run": {
-        "z_min_over_lambda": 0.02,
-        "z_max_over_lambda": 10.0,
-        "points_per_decade": 40,
-        "finite_a0_nm": 35.0,
-        "t_min_over_tau": -3.0,
-        "t_max_over_tau": 5.0,
-        "samples_per_period": 8,
-        "second_lambda_nm": None,
-        "fluence_ratio": None,
-        "gauges": ["multipolar"],
-        "corrections": False,
-        "normalize": False,
-        "a0_min_over_lambda": 1.0 / 120.0,
-        "a0_max_over_lambda": 1.0 / 20.0,
-        "sizes": 8,
-        "peak_samples": 65,
-        "level": "quick",
-    },
+    section: {key: default for key, (default, _) in fields.items()
+              if default is not _NO_DEFAULT}
+    for section, fields in FIELDS.items()
 }
 
 #: each preset holds only what differs from ``DEFAULT_CONFIG``
@@ -249,6 +215,25 @@ def _non_finite_paths(node, prefix: str = ""):
         yield prefix[:-1]
 
 
+def _field_errors(cfg: dict):
+    """(dotted path, reason) of each non-finite, unknown or refused field."""
+    for where in _non_finite_paths(cfg):
+        yield where, "not a finite number"
+    for section, body in cfg.items():
+        fields = FIELDS.get(section)
+        if fields is None:
+            yield section, "unknown section"
+        elif not isinstance(body, dict):
+            yield section, f"{body!r} is not an object"
+        else:
+            for key, value in body.items():
+                reason = fields[key][1](value) if key in fields else "unknown key"
+                if reason is not None:
+                    yield f"{section}.{key}", reason
+    if all(key in cfg["pulse"] for key in _FLUENCE_KEYS):
+        yield "pulse", "phi_per_um2 and nsc_target are given together"
+
+
 def _nested(path: list, value) -> dict:
     node = value
     for part in reversed(path):
@@ -259,8 +244,6 @@ def _nested(path: list, value) -> dict:
 def resolve_config(config_path: str | None, preset: str | None,
                    overrides: list | None) -> dict:
     """Merge defaults, preset, config file, and --set overrides; validate."""
-    import jsonschema
-
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if preset is not None:
         if preset not in PRESETS:
@@ -285,16 +268,8 @@ def resolve_config(config_path: str | None, preset: str | None,
         path, value = _parse_set(expr)
         cfg = _apply_layer(cfg, _nested(path, value))
 
-    where = next(_non_finite_paths(cfg), None)
-    if where is not None:
-        raise ConfigError(f"config field {where}: not a finite number",
-                          path=where)
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field {where}: {err.message}", path=where)
+    for where, reason in _field_errors(cfg):
+        raise ConfigError(f"config field {where}: {reason}", path=where)
     run = cfg["run"]
     for lo, hi in _RANGES:
         if run[lo] >= run[hi]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import detector, fields, fisher, qfi
-from .model import PhysicsError, Pulse, Scatterer
+from .model import Pulse, Scatterer
 from .quadrature import SinhGrid, pv_integral
 
 __all__ = [

@@ -86,6 +86,71 @@ class TestResolveConfig:
         with pytest.raises(ConfigError):
             resolve_config(None, None, ["run.level=paranoid"])
 
+    @pytest.mark.parametrize("override,path", [
+        ("scatterer.chi0_nm3=0", "scatterer.chi0_nm3"),           # > 0
+        ("scatterer.a0_nm=-0.1", "scatterer.a0_nm"),              # >= 0
+        ("detector.solid_angle_over_pi=2", "detector.solid_angle_over_pi"),
+        ("grid.kmax_over_k0=1", "grid.kmax_over_k0"),             # > 1
+        ("detector.refinement=0", "detector.refinement"),         # int >= 1
+        ("run.sizes=2", "run.sizes"),                             # int >= 3
+        ("run.points_per_decade=2.5", "run.points_per_decade"),
+        ("detector.refinement=true", "detector.refinement"),
+        ("scatterer.a0_nm=true", "scatterer.a0_nm"),
+        ("run.t_min_over_tau=\"a\"", "run.t_min_over_tau"),
+        ("pulse.tau_fs=null", "pulse.tau_fs"),
+        ("run.second_lambda_nm=0", "run.second_lambda_nm"),       # nullable
+        ("run.fluence_ratio=\"a\"", "run.fluence_ratio"),
+        ("run.corrections=1", "run.corrections"),                 # boolean
+        ("run.normalize=\"yes\"", "run.normalize"),
+        ("run.level=1", "run.level"),                             # choice
+        ("scatterer.position_nm=[1,2]", "scatterer.position_nm"),
+        ("scatterer.position_nm=[1,2,3,4]", "scatterer.position_nm"),
+        ("scatterer.position_nm=[1,\"a\",3]", "scatterer.position_nm"),
+        ("scatterer.position_nm=[1,true,3]", "scatterer.position_nm"),
+        ("scatterer.position_nm=5", "scatterer.position_nm"),
+        ("run.gauges=[]", "run.gauges"),
+        ("run.gauges=[\"x\"]", "run.gauges"),
+        ("run.gauges=\"coulomb\"", "run.gauges"),
+        ("bogus=1", "bogus"),                                     # root key
+        ("pulse.bogus=1", "pulse.bogus"),                         # section key
+        ("scatterer=5", "scatterer"),                             # not an object
+        ("run=null", "run"),
+    ])
+    def test_rule_rejects_with_the_path(self, override, path):
+        with pytest.raises(ConfigError) as err:
+            resolve_config(None, None, [override])
+        assert err.value.path == path
+        assert str(err.value).startswith(f"config field {path}: ")
+
+    @pytest.mark.parametrize("override", [
+        "detector.solid_angle_over_pi=1.99",
+        "scatterer.a0_nm=0",
+        "grid.kmax_over_k0=1.0001",
+        "detector.refinement=1",
+        "run.sizes=3",
+        "run.samples_per_period=2",
+        "run.t_min_over_tau=-10",
+        "run.second_lambda_nm=null",
+        "run.fluence_ratio=0.5",
+        "run.corrections=true",
+        "run.level=full",
+        "scatterer.position_nm=[1, -2.5, 3]",
+        "run.gauges=[\"coulomb\", \"multipolar\"]",
+        "pulse.phi_per_um2=2",
+    ])
+    def test_rule_accepts_edge_values(self, override):
+        path, value = _parse_set(override)
+        cfg = resolve_config(None, None, [override])
+        assert cfg[path[0]][path[1]] == value
+
+    def test_both_fluence_keys_in_one_file(self, tmp_path):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"pulse": {"phi_per_um2": 1.0,
+                                           "nsc_target": 1.0}}))
+        with pytest.raises(ConfigError) as err:
+            resolve_config(str(f), None, None)
+        assert err.value.path == "pulse"
+
 
 class TestParseSet:
     def test_dotted_path_and_json_value(self):
@@ -161,6 +226,21 @@ class TestExitCodes:
             assert rc == 2
             assert f"config field {path}: not a finite number" \
                 in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,where,value", [
+        ("size-scan", "run.sizes", "3.0"),
+        ("size-scan", "run.peak_samples", "5.0"),
+        ("crb-scan", "detector.refinement", "2.0"),
+    ])
+    def test_integral_float_in_integer_field_is_2(self, tmp_path, capsys,
+                                                   command, where, value):
+        # an integer field takes only an int; 3.0 used to pass the check
+        # and then crash the scan with a TypeError (exit 1)
+        rc = main([command, "--set", f"{where}={value}",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"config field {where}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,lo,hi", [
@@ -246,19 +326,20 @@ class TestCrbScanEndToEnd:
         assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
 
 
-# The solver path must run without scipy; only the validate oracles use it.
+# The solver path must run without scipy, which only the validate oracles
+# use, and without jsonschema, which the package does not use at all.
 # A fresh interpreter, because other tests import scipy into this one.
 _NO_SCIPY_SCRIPT = textwrap.dedent("""
     import importlib.abc
     import sys
 
-    class RefuseScipy(importlib.abc.MetaPathFinder):
+    class RefuseImports(importlib.abc.MetaPathFinder):
         def find_spec(self, name, path=None, target=None):
-            if name.split(".")[0] == "scipy":
+            if name.split(".")[0] in ("scipy", "jsonschema"):
                 raise ImportError(f"refused: {name}")
             return None
 
-    sys.meta_path.insert(0, RefuseScipy())
+    sys.meta_path.insert(0, RefuseImports())
     sys.path.insert(0, sys.argv[1])
     out = sys.argv[2]
     from dipolebounds.cli import main
@@ -277,12 +358,13 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
          "--out", out + "/size"],
     ]
     codes = [main(argv) for argv in runs]
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded = sorted(m for m in sys.modules
+                    if m.split(".")[0] in ("scipy", "jsonschema"))
     print("RESULT", codes, loaded)
 """)
 
 
-def test_solver_subcommands_run_without_scipy(tmp_path):
+def test_solver_subcommands_run_without_scipy_or_jsonschema(tmp_path):
     src = str(Path(dipolebounds.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, src, str(tmp_path)],
