@@ -24,7 +24,7 @@ __all__ = [
     "incident_field",
     "scattered_point",
     "scattered_regularized",
-    "scattered_ex_by",
+    "z_flux_parts",
     "poynting_avg",
     "intensity_parts",
 ]
@@ -46,7 +46,10 @@ def _geometry(points: np.ndarray, r0) -> tuple[np.ndarray, np.ndarray]:
     if pts.shape[-1] != 3:
         raise ValueError("points must have shape (..., 3)")
     rho_vec = pts - np.asarray(r0, dtype=float)
-    rho = np.linalg.norm(rho_vec, axis=-1)
+    x, y, z = rho_vec[..., 0], rho_vec[..., 1], rho_vec[..., 2]
+    # np.linalg.norm(rho_vec, axis=-1) bit for bit, without its slow
+    # reduction over a length-3 axis
+    rho = np.sqrt(x * x + y * y + z * z)
     return rho_vec, rho
 
 
@@ -151,44 +154,60 @@ def _magnetic_bracket(rho: np.ndarray, a0: float):
     return osc + core
 
 
-def _flux_profiles(rho: np.ndarray, a0: float):
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``re + i im`` without the complex temporaries of that expression."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _flux_profiles(inv: np.ndarray, a0: float, osc: np.ndarray, screen):
     """Radial profiles of the scattered ``E_x`` and ``B_y`` and their
     rho-derivatives.
 
     ``E_x`` goes as ``f1 (1 - n_x^2) + f3 (1 - 3 n_x^2)`` and ``B_y`` as
-    ``c n_z``, with ``f1 = e1 / rho``, ``f3 = (i rho e2 + e3) / rho^3`` and
-    ``c`` the magnetic bracket.  Returns ``(f1, f3, c)`` and
-    ``(f1', f3', c')``.  The point dipole (``a0 = 0``) is the special case
-    ``e1 = e2 = -e3 = exp(i rho)`` with no screened terms.  The brackets of
-    :func:`_envelope_brackets` and :func:`_magnetic_bracket` are rebuilt here
-    with their slopes, so the field functions stay an independent route.
+    ``c n_z``.  Each profile is a polynomial in ``q = 1 / rho`` (``inv``)
+    times the outgoing wave ``osc``, its phase ``exp(i rho)`` times any
+    common factor, plus, for a source of radius ``a0 > 0``, a polynomial
+    times the screened wave ``screen``, ``exp(-2 rho / a0)`` times the same
+    factor::
+
+        f1 = osc q             + screen (4 / a0^3 + 1 / a0 - q)
+        f3 = osc (i q^2 - q^3) + screen (q^3 + 2 q^2 / a0 + (1/2 + 2 / a0^2) q)
+        c  = osc (q + i q^2)   + i screen (2 / a0^2 + 8 / a0^4 - 2 q / a0 - q^2)
+
+    These are the brackets of :func:`_envelope_brackets`
+    (``f1 = e1 / rho``, ``f3 = (i rho e2 + e3) / rho^3``) and of
+    :func:`_magnetic_bracket`, multiplied out, so the field functions stay
+    an independent route.  A wave of slope ``k w`` (``k = i`` for ``osc``,
+    ``-2 / a0`` for ``screen``) times ``P(rho)`` has slope
+    ``(k P + P') w``.  The caller picks the common factor, which is the
+    phase reference.  Returns ``(f1, f3, c)`` and ``(f1', f3', c')``.
     """
-    osc = np.exp(1j * rho)
-    e1 = e2 = osc
-    e3 = -osc
-    de1 = de2 = 1j * osc
-    de3 = -de1
-    c = osc * (rho + 1j) / rho**2
-    dc = osc * (1j * rho**2 - 2.0 * rho - 2.0j) / rho**3
+    q2 = inv * inv
+    q3 = q2 * inv
+    f1 = osc * inv
+    f3 = osc * _complex(-q3, q2)
+    c = osc * _complex(inv, q2)
+    df1 = osc * _complex(-q2, inv)
+    df3 = osc * _complex(3.0 * q2 * q2 - q2, -3.0 * q3)
+    dc = osc * _complex(-2.0 * q2, inv - 2.0 * q3)
     if a0 > 0:
-        # each screened term is p(rho) x with slope (p' - 2 p / a0) x
-        x = np.exp(-2.0 * rho / a0)
-        p1 = 4.0 * rho / a0**3 + (rho - a0) / a0
-        p2 = 1j * ((a0 - 2.0 * rho) / 4.0 - (a0 + 2.0 * rho) / a0**2)
-        p3 = rho / a0 + 1.0 + a0 * rho / 4.0
-        pc = 1j * (-1.0 / rho**2 - 2.0 / (a0 * rho) + 2.0 / a0**2 + 8.0 / a0**4)
-        e1 = e1 + p1 * x
-        e2 = e2 + p2 * x
-        e3 = e3 + p3 * x
-        c = c + pc * x
-        de1 = de1 + (4.0 / a0**3 + 1.0 / a0 - 2.0 * p1 / a0) * x
-        de2 = de2 + (-1j * (0.5 + 2.0 / a0**2) - 2.0 * p2 / a0) * x
-        de3 = de3 + (1.0 / a0 + a0 / 4.0 - 2.0 * p3 / a0) * x
-        dc = dc + (2j * (1.0 / rho**3 + 1.0 / (a0 * rho**2)) - 2.0 * pc / a0) * x
-    f1 = e1 / rho
-    f3 = (1j * rho * e2 + e3) / rho**3
-    df1 = (de1 - f1) / rho
-    df3 = (1j * (e2 + rho * de2) + de3) / rho**3 - 3.0 * f3 / rho
+        decay = 2.0 / a0                  # screen goes as exp(-decay rho)
+        g1 = (4.0 / a0**3 + 1.0 / a0) - inv
+        g3 = q3 + decay * q2 + (0.5 + 2.0 / a0**2) * inv
+        gc = (2.0 / a0**2 + 8.0 / a0**4) - decay * inv - q2
+        dg1 = q2
+        dg3 = -3.0 * q2 * q2 - 2.0 * decay * q3 - (0.5 + 2.0 / a0**2) * q2
+        dgc = decay * q2 + 2.0 * q3
+        iscreen = 1j * screen
+        f1 = f1 + screen * g1
+        f3 = f3 + screen * g3
+        c = c + iscreen * gc
+        df1 = df1 + screen * (dg1 - decay * g1)
+        df3 = df3 + screen * (dg3 - decay * g3)
+        dc = dc + iscreen * (dgc - decay * gc)
     return (f1, f3, c), (df1, df3, dc)
 
 
@@ -215,47 +234,75 @@ def scattered_regularized(points: np.ndarray, scatterer: Scatterer,
     return FieldSet(e, b)
 
 
-def scattered_ex_by(points: np.ndarray, scatterer: Scatterer,
-                    e_in: float = 1.0):
-    """Scattered ``E_x`` and ``B_y`` and their derivatives along the source
-    position ``r0 = (x0, y0, z0)``.
+def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
+                 e_in: float = 1.0):
+    """Cross and scattered parts of the z flux ``Re(E x B*)_z / 2`` and the
+    gradient of their sum along the source position ``r0 = (x0, y0, z0)``.
 
-    These are the only scattered components the z flux reads: the incident
-    wave has ``E_y = B_x = 0`` and the scattered ``B`` is along
-    ``e_rho x ex = (0, n_z, -n_y)``.  The field is that of
-    :func:`scattered_regularized` (the point dipole for ``a0 = 0``), so
-    ``E_x = pref [f1 (1 - n_x^2) + f3 (1 - 3 n_x^2)]`` and
-    ``B_y = pref c n_z`` with ``pref = chi0 e_in xi exp(i z0) / 2 pi``.
+    This is the per-pixel kernel of the classical information; the incident
+    part is ``e_in^2 / 2`` everywhere.  The z flux reads only ``E_x`` and
+    ``B_y``: the incident wave has ``E_y = B_x = 0`` and the scattered ``B``
+    is along ``e_rho x ex = (0, n_z, -n_y)``.  The scattered field is that
+    of :func:`scattered_regularized` (the point dipole for ``a0 = 0``), so
+    ``E_x = f1 (1 - n_x^2) + f3 (1 - 3 n_x^2)`` and ``B_y = c n_z`` up to
+    ``chi0 e_in xi exp(i z0) / 2 pi``, with the profiles of
+    :func:`_flux_profiles`.
+
+    Products ``Re(E conj(B))`` do not change under a common phase, so every
+    field is formed relative to the incident wave ``e_in exp(i z)``: the
+    incident field is the real ``e_in``, and the outgoing wave and the
+    screened terms carry ``exp(-i (z - z0))``.  That is one complex
+    exponential per pixel for the point dipole, and a second one, the
+    screened ``exp(-2 rho / a0 - i (z - z0))``, for a finite source.
+
     A translated source sees ``rho = r - r0``, so ``d/d r0 = -grad_r``, using
-    ``d n_i / d r_j = (delta_ij - n_i n_j) / rho``; the drive phase
-    ``exp(i z0)`` adds ``i E_x`` and ``i B_y`` to the z0 derivatives.
+    ``d n_i / d r_j = (delta_ij - n_i n_j) / rho``.  Then
+    ``grad_r E_x = rad_ex n + ang_ex e_x`` and
+    ``grad_r B_y = rad_by n + ang_by e_z``, and the drive phase ``exp(i z0)``
+    adds ``i E_x`` and ``i B_y`` to the z0 derivatives.  With
+    ``E = e_in + E_x`` and ``B = e_in + conj(B_y)`` the gradient is
+    ``-n R / 2`` with ``R = Re(rad_ex B + E conj(rad_by))``, plus
+    ``-Re(ang_ex B) / 2`` on x0 and ``-(e_in Im(E_x + B_y) +
+    Re(E conj(ang_by))) / 2`` on z0.
 
-    Returns ``(ex, by, d_ex, d_by)``; the derivatives carry a trailing axis
-    of length 3 ordered (x0, y0, z0).
+    Returns ``(cross, scattered, grad)``, ``grad`` of shape ``(npoints, 3)``
+    ordered (x0, y0, z0).
     """
     rho_vec, rho = _geometry(points, scatterer.r0)
     a0 = scatterer.a0
     _refuse_source_points(rho, a0)
-    n = rho_vec / rho[..., None]
-    nx, nz = n[..., 0], n[..., 2]
-    (f1, f3, c), (df1, df3, dc) = _flux_profiles(rho, a0)
-    pref = (scatterer.chi0 * e_in * regularizer(1.0, a0) / (2.0 * math.pi)
-            * np.exp(1j * scatterer.r0[2]))
-    s1 = 1.0 - nx * nx
-    s3 = 1.0 - 3.0 * nx * nx
-    ex = pref * (f1 * s1 + f3 * s3)
-    by = pref * c * nz
+    inv = 1.0 / rho
+    nx, ny, nz = (rho_vec[..., i] * inv for i in range(3))
+    # z - z0 is the phase of the incident wave relative to the source
+    dz = rho_vec[..., 2]
+    pref = scatterer.chi0 * e_in * regularizer(1.0, a0) / (2.0 * math.pi)
+    osc = pref * np.exp(1j * (rho - dz))
+    screen = pref * np.exp(-2.0 / a0 * rho - 1j * dz) if a0 > 0 else None
+    (f1, f3, c), (df1, df3, dc) = _flux_profiles(inv, a0, osc, screen)
+    nx2 = nx * nx
+    s1 = 1.0 - nx2
+    s3 = 1.0 - 3.0 * nx2
+    ex = f1 * s1 + f3 * s3
+    by = c * nz
     # grad_r E_x = rad_ex n + ang_ex e_x and grad_r B_y = rad_by n + ang_by e_z
-    ang_ex = -2.0 * pref * nx * (f1 + 3.0 * f3) / rho
-    rad_ex = pref * (df1 * s1 + df3 * s3) - ang_ex * nx
-    ang_by = pref * c / rho
-    rad_by = (pref * dc - ang_by) * nz
-    d_ex = -rad_ex[..., None] * n
-    d_ex[..., 0] -= ang_ex
-    d_ex[..., 2] += 1j * ex
-    d_by = -rad_by[..., None] * n
-    d_by[..., 2] += 1j * by - ang_by
-    return ex, by, d_ex, d_by
+    ang_ex = (f1 + 3.0 * f3) * (-2.0 * inv * nx)
+    rad_ex = df1 * s1 + df3 * s3 - ang_ex * nx
+    ang_by = c * inv
+    rad_by = (dc - ang_by) * nz
+    # total fields relative to the incident wave, whose field is e_in
+    b_sc = np.conj(by)
+    e_tot = ex + e_in
+    b_tot = b_sc + e_in
+    both = ex + by
+    cross = (0.5 * e_in) * both.real
+    scattered = 0.5 * np.real(ex * b_sc)
+    r = np.real(rad_ex * b_tot + e_tot * np.conj(rad_by))
+    grad = np.empty(rho.shape + (3,))
+    grad[..., 0] = nx * r + np.real(ang_ex * b_tot)
+    grad[..., 1] = ny * r
+    grad[..., 2] = nz * r + e_in * both.imag + np.real(e_tot * np.conj(ang_by))
+    grad *= -0.5
+    return cross, scattered, grad
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ scattered field is that of a source of radius ``a0``, the point dipole when
 
 The z flux reads only ``E_x`` and ``B_y``.  :func:`count_gradients` takes the
 counts and all four derivative columns from one
-:func:`~dipolebounds.fields.scattered_ex_by` pass per pixel;
-:func:`mean_counts` sums the flux of the full fields, the independent
-reference that ``validate`` differentiates.
+:func:`~dipolebounds.fields.z_flux_parts` pass per pixel, which forms the
+fields relative to the incident wave: one complex exponential per pixel for
+a point source and two for a finite one.  :func:`mean_counts` sums the flux
+of the full fields, the independent reference that ``validate``
+differentiates.
 
 The x-polarized drive is symmetric under ``x -> -x`` and ``y -> -y`` about a
 source on the z axis: the counts are even there and the x0 and y0 columns
@@ -84,33 +86,25 @@ def mean_counts(grid: PixelGrid, scatterer: Scatterer,
 def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     """Mean counts and their derivatives along (chi0, x0, y0, z0).
 
-    Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``.  With
-    ``b = conj(B_y)``, the z flux ``Re(E_x b) / 2`` splits into an incident
-    part, a cross part linear in chi0 and a scattered part quadratic in it,
-    so ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.  Only the
-    scattered field moves with the source, so the position columns are
-    ``Re(dE_x b + E_x conj(dB_y)) / 2``, with the closed-form derivatives of
-    :func:`~dipolebounds.fields.scattered_ex_by`.
+    Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``.  The
+    z flux ``Re(E_x conj(B_y)) / 2`` splits into an incident part
+    ``e_in^2 / 2``, a cross part linear in chi0 and a scattered part
+    quadratic in it, so ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.
+    The cross and scattered parts and the closed-form position gradient of
+    the flux come from :func:`~dipolebounds.fields.z_flux_parts`, one block
+    of pixels at a time.
     """
     nbar = np.empty(grid.size)
     grad = np.empty((grid.size, 4))
+    incident = 0.5 * pulse.e_in**2
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        pos = grid.positions[sl]
-        e_inc = pulse.e_in * np.exp(1j * pos[:, 2])
-        b_inc = np.conj(e_inc)
-        ex, by, d_ex, d_by = fields.scattered_ex_by(pos, scatterer,
-                                                    e_in=pulse.e_in)
-        b_sc = np.conj(by)
-        cross = 0.5 * np.real(e_inc * b_sc + ex * b_inc)
-        scattered = 0.5 * np.real(ex * b_sc)
+        cross, scattered, d_r0 = fields.z_flux_parts(
+            grid.positions[sl], scatterer, e_in=pulse.e_in)
         factor = pulse.tau * grid.areas[sl]
-        nbar[sl] = _positive(
-            (0.5 * np.real(e_inc * b_inc) + cross + scattered) * factor)
+        nbar[sl] = _positive((incident + cross + scattered) * factor)
         grad[sl, 0] = (cross + 2.0 * scattered) / scatterer.chi0 * factor
-        grad[sl, 1:] = 0.5 * np.real(d_ex * (b_inc + b_sc)[:, None]
-                                     + (e_inc + ex)[:, None] * np.conj(d_by)) \
-            * factor[:, None]
+        grad[sl, 1:] = d_r0 * factor[:, None]
     return nbar, grad
 
 

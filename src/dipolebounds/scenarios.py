@@ -424,27 +424,28 @@ def _position_gradient_error(pulse: Pulse) -> float:
 
     Worst error over the x0, y0 and z0 columns, relative to each column's
     largest magnitude, for a point and a finite source on a forward and a
-    backward plate.  A strong scatterer lifts the count differences well
-    above the rounding of the incident pedestal and gives the quadratic
+    backward plate, each at the origin and displaced off the axis and
+    along z.  A strong scatterer lifts the count differences well above
+    the rounding of the incident pedestal and gives the quadratic
     (scattered) part of the flux a visible share.
     """
     worst = 0.0
     for a0 in (0.0, _TWO_PI / 30.0):
-        scat = Scatterer(chi0=0.5, a0=a0)
-        for z in (0.3 * _TWO_PI, -0.3 * _TWO_PI):
-            grid = detector.planar_grid(z, math.pi)
-            _, grad = fisher.count_gradients(grid, scat, pulse)
-            h = 1e-4 * min(_TWO_PI, abs(z))
-            for axis in range(3):
-                shift = np.zeros(3)
-                shift[axis] = h
-                up = fisher.mean_counts(grid, replace(scat, r0=tuple(shift)),
-                                        pulse)
-                dn = fisher.mean_counts(grid, replace(scat, r0=tuple(-shift)),
-                                        pulse)
-                col = grad[:, 1 + axis]
-                err = np.abs((up - dn) / (2.0 * h) - col).max()
-                worst = max(worst, float(err / np.abs(col).max()))
+        for r0 in ((0.0, 0.0, 0.0), (0.3, -0.2, 0.4)):
+            scat = Scatterer(chi0=0.5, a0=a0, r0=r0)
+            for z in (0.3 * _TWO_PI, -0.3 * _TWO_PI):
+                grid = detector.planar_grid(z, math.pi)
+                _, grad = fisher.count_gradients(grid, scat, pulse)
+                h = 1e-4 * min(_TWO_PI, abs(z))
+                for axis in range(3):
+                    shift = np.zeros(3)
+                    shift[axis] = h
+                    up, dn = (fisher.mean_counts(
+                        grid, replace(scat, r0=tuple(r0 + step)), pulse)
+                        for step in (shift, -shift))
+                    col = grad[:, 1 + axis]
+                    err = np.abs((up - dn) / (2.0 * h) - col).max()
+                    worst = max(worst, float(err / np.abs(col).max()))
     return worst
 
 

@@ -10,9 +10,9 @@ from dipolebounds.fields import (
     incident_field,
     intensity_parts,
     poynting_avg,
-    scattered_ex_by,
     scattered_point,
     scattered_regularized,
+    z_flux_parts,
 )
 from dipolebounds.model import PhysicsError, Scatterer
 
@@ -200,37 +200,38 @@ class TestSourcePositionGradients:
             yield Scatterer(chi0=0.7, a0=a0, r0=r0), pts
 
     @staticmethod
-    def _ex_by(pts, scat):
-        # the point field for a0 = 0, through the delegation tested above
-        fs = scattered_regularized(pts, scat, e_in=1.3)
-        return fs.e[:, 0], fs.b[:, 1]
+    def _parts(pts, scat):
+        # the full-field route: the point field for a0 = 0, through the
+        # delegation tested above
+        parts = intensity_parts(incident_field(pts, e_in=1.3),
+                                scattered_regularized(pts, scat, e_in=1.3))
+        return parts["cross"], parts["scattered"]
 
-    def test_values_are_the_field_components(self):
+    def test_values_are_the_flux_parts(self):
         for scat, pts in self._cases():
-            ex, by, _, _ = scattered_ex_by(pts, scat, e_in=1.3)
-            want_ex, want_by = self._ex_by(pts, scat)
-            np.testing.assert_allclose(ex, want_ex, rtol=1e-12)
-            np.testing.assert_allclose(by, want_by, rtol=1e-12)
+            cross, scattered, _ = z_flux_parts(pts, scat, e_in=1.3)
+            want_cross, want_scattered = self._parts(pts, scat)
+            np.testing.assert_allclose(cross, want_cross, rtol=1e-12)
+            np.testing.assert_allclose(scattered, want_scattered, rtol=1e-12)
 
     def test_match_central_differences(self):
         h = 1e-6
         for scat, pts in self._cases():
-            _, _, d_ex, d_by = scattered_ex_by(pts, scat, e_in=1.3)
+            _, _, grad = z_flux_parts(pts, scat, e_in=1.3)
             for axis in range(3):
                 shift = np.zeros(3)
                 shift[axis] = h
-                up = self._ex_by(pts, replace(scat, r0=tuple(scat.r0 + shift)))
-                dn = self._ex_by(pts, replace(scat, r0=tuple(scat.r0 - shift)))
-                for d, u, v in ((d_ex, up[0], dn[0]), (d_by, up[1], dn[1])):
-                    fd = (u - v) / (2.0 * h)
-                    scale = np.abs(d[:, axis]).max()
-                    assert np.abs(d[:, axis] - fd).max() < 1e-6 * scale
+                up, dn = (sum(self._parts(pts, replace(scat, r0=tuple(r0))))
+                          for r0 in (scat.r0 + shift, scat.r0 - shift))
+                fd = (up - dn) / (2.0 * h)
+                scale = np.abs(grad[:, axis]).max()
+                assert np.abs(grad[:, axis] - fd).max() < 1e-6 * scale
 
     def test_refuses_source_points(self, scat_532):
         with pytest.raises(PhysicsError, match="point dipole"):
-            scattered_ex_by(np.zeros((1, 3)), Scatterer(chi0=1.0))
+            z_flux_parts(np.zeros((1, 3)), Scatterer(chi0=1.0))
         with pytest.raises(PhysicsError, match="center"):
-            scattered_ex_by(np.zeros((1, 3)), scat_532)
+            z_flux_parts(np.zeros((1, 3)), scat_532)
 
 
 def test_intensity_parts_reconstruct_total_flux(scat_532):

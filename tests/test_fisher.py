@@ -105,20 +105,25 @@ class TestCountGradients:
     def test_position_columns_match_independent_differences(
             self, scat_1030, pulse_1030, small_grid):
         # the point source on the forward plate, a finite source, and a
-        # backward plate, where only the scattered light carries the signal
+        # backward plate, where only the scattered light carries the signal;
+        # then a source displaced off the axis and along z, point and finite,
+        # on both plates, where z - z0 enters the phases of the waves
         finite = replace(scat_1030, a0=LAM / 30.0)
         backward = planar_grid(-0.3 * LAM, math.pi)
+        displaced = [replace(scat, r0=(0.3, -0.2, 0.4))
+                     for scat in (scat_1030, finite)]
         h = 1e-3
         for scat, grid in ((scat_1030, small_grid), (finite, small_grid),
-                           (scat_1030, backward)):
+                           (scat_1030, backward),
+                           *((scat, grid) for scat in displaced
+                             for grid in (small_grid, backward))):
             _, grad = count_gradients(grid, scat, pulse_1030)
             for axis in range(3):
                 shift = np.zeros(3)
                 shift[axis] = h
-                up = mean_counts(grid, replace(scat, r0=tuple(shift)),
-                                 pulse_1030)
-                dn = mean_counts(grid, replace(scat, r0=tuple(-shift)),
-                                 pulse_1030)
+                up, dn = (mean_counts(grid, replace(scat, r0=tuple(r0)),
+                                      pulse_1030)
+                          for r0 in (scat.r0 + shift, scat.r0 - shift))
                 fd = (up - dn) / (2.0 * h)
                 scale = np.abs(grad[:, 1 + axis]).max()
                 assert np.abs(grad[:, 1 + axis] - fd).max() < 1e-4 * scale
