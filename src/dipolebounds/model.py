@@ -175,11 +175,11 @@ class Scatterer:
         """Total scattering cross section ``2 chi0^2 / (3 pi)`` (internal)."""
         return 2.0 * self.chi0**2 / (3.0 * math.pi)
 
-    def check_off_resonance(self, margin: float = 2.0) -> None:
-        """Require the drive (frequency 1) to sit below resonance by ``margin``."""
-        if self.omega0 <= margin:
+    def check_off_resonance(self) -> None:
+        """Require the resonance to exceed twice the drive frequency 1."""
+        if self.omega0 <= 2.0:
             raise PhysicsError(
-                f"resonance omega0={self.omega0:g} must exceed {margin:g} x drive "
+                f"resonance omega0={self.omega0:g} must exceed 2 x drive "
                 "frequency 1; the linear-response treatment assumes an "
                 "off-resonant drive"
             )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,8 @@ class SpectralPulse:
     amplitude is ``alpha(k) exp(-i k t)`` (:meth:`values`).  The normalization
     ties the amplitude to the photon fluence:
     ``phi = (1/2pi) int |alpha(k)|^2 dk`` holds on the grid by construction.
+    It also holds the grid-only transforms V + P and V - P
+    (:attr:`transforms`), shared by every :class:`FrequencyIntegrals` on it.
     """
 
     grid: SinhGrid
@@ -100,6 +103,21 @@ class SpectralPulse:
     @property
     def support(self) -> np.ndarray:
         return self.alpha != 0
+
+    @cached_property
+    def transforms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``((V + P).T, (V - P).T)``, V the PV and P the 1/(k+p) matrix.
+
+        Built on first use: a pulse used only by :func:`nsc_series` never
+        holds them.
+        """
+        k, w = self.grid.nodes, self.grid.weights
+        pv = pv_matrix(k, w)
+        plus = w[None, :] / (k[None, :] + k[:, None])
+        # V - P first, then V + P in place: at most three n x n arrays live
+        diff = (pv - plus).T
+        pv += plus
+        return pv.T, diff
 
     def values(self, t) -> np.ndarray:
         """Time-evolved spectral amplitude ``alpha(k) exp(-i k t)``.
@@ -135,8 +153,9 @@ class FrequencyIntegrals:
     PV matrix V and the 1/(k+p) matrix P, ``g = a + ib`` gives
     ``g* P + g V = a (V + P) + i b (V - P)`` and ``h = c + id`` gives
     ``h* P - h V = -(c (V - P) + i d (V + P))``, so only ``V + P`` and
-    ``V - P`` are kept, and :meth:`eval` costs two real matrix products on
-    ``(2, T, n)`` stacks per block of ``T`` times, whatever ``T`` is.
+    ``V - P`` are kept (the pulse holds them, built once), and :meth:`eval`
+    costs two real matrix products on ``(2, T, n)`` stacks per block of
+    ``T`` times, whatever ``T`` is.
 
     Parameters
     ----------
@@ -158,14 +177,8 @@ class FrequencyIntegrals:
         self.spectral = spectral
         self._chi0 = scatterer.chi0
         self.nodes = k = spectral.grid.nodes
-        w = spectral.grid.weights
         xi = regularizer(k, scatterer.a0)
-        pv = pv_matrix(k, w, support=spectral.support)
-        plus = w[None, :] / (k[None, :] + k[:, None])
-        # V - P first, then V + P in place: at most three n x n arrays live
-        self._diff = (pv - plus).T
-        pv += plus
-        self._sum = pv.T
+        self._sum, self._diff = spectral.transforms
 
         shift = 1.0 if gauge == "coulomb" else 0.0
         sign = -1.0 if gauge == "coulomb" else 1.0

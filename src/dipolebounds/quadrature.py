@@ -190,8 +190,7 @@ def _interp_quadratic(x: np.ndarray, y: np.ndarray, x0):
     return y[..., i - 1] * l0 + y[..., i] * l1 + y[..., i + 1] * l2
 
 
-def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
-              support: np.ndarray | None = None) -> np.ndarray:
+def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Matrix form of the principal-value transform on a fixed grid.
 
     Returns ``M`` such that ``M @ f`` approximates
@@ -201,25 +200,13 @@ def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
     ``w_j / (k_j - p_i)``, the subtracted ``-f(p) sum w_j/(k_j - p_i)`` and
     the boundary log term fold into column ``i``, and the removable on-pole
     ratio ``f'(p)`` is realized by a central-difference stencil on the
-    neighbouring columns.
-
-    Parameters
-    ----------
-    nodes, weights : ndarray
-        Grid nodes and quadrature weights.
-    support : ndarray of bool, optional
-        Marks nodes where sampled functions may be nonzero.  Rows whose pole
-        sits at a grid endpoint get an infinite log term with coefficient
-        ``f(p)``; when ``support`` is given and excludes those endpoints the
-        term is dropped (it multiplies an exact zero).  Otherwise those rows
-        fall back to plain pole excision, accurate only when the integrand is
-        small there -- which holds for this package's integrands, whose
-        measure vanishes at both grid ends.
+    neighbouring columns.  The two endpoint rows, whose log term is
+    infinite, get plain pole excision: accurate only where the integrand is
+    small, as this package's are at both grid ends.
     """
     nodes = np.asarray(nodes, dtype=float)
     if weights is None:
         weights = trapezoid_weights(nodes)
-    n = nodes.size
     a, b = nodes[0], nodes[-1]
 
     diff = nodes[None, :] - nodes[:, None]          # k_j - p_i
@@ -227,20 +214,12 @@ def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
         m = weights[None, :] / diff
     np.fill_diagonal(m, 0.0)
 
-    # column-i corrections: -f(p_i) * sum_j' w_j/(k_j - p_i) + f(p_i) * log(...)
-    off_sum = m.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = np.log((b - nodes) / (nodes - a))
-    if support is not None:
-        # an endpoint outside the support: the log term multiplies f(p_i) == 0
-        log_term[~np.isfinite(log_term) & ~support] = 0.0
-    # a boundary pole with an infinite log term keeps the plain-excision row
-    rows = np.nonzero(np.isfinite(log_term))[0]
-    m[rows, rows] += log_term[rows] - off_sum[rows]
+    # interior rows, column i: -f(p_i) sum_j' w_j/(k_j - p_i) + f(p_i) log(...)
+    i = np.arange(1, nodes.size - 1)
+    p = nodes[i]
+    m[i, i] += np.log((b - p) / (p - a)) - m.sum(axis=1)[i]
     # on-pole removable ratio: w_i * f'(p_i) via neighbouring nodes
-    lo = np.maximum(rows - 1, 0)
-    hi = np.minimum(rows + 1, n - 1)
-    stencil = weights[rows] / (nodes[hi] - nodes[lo])
-    m[rows, hi] += stencil
-    m[rows, lo] -= stencil
+    stencil = weights[i] / (nodes[i + 1] - nodes[i - 1])
+    m[i, i + 1] += stencil
+    m[i, i - 1] -= stencil
     return m

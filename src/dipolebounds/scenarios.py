@@ -166,6 +166,8 @@ def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
         times = default_time_axis(pulse)
     times = np.asarray(times, dtype=float)
     spectral = qfi.SpectralPulse.from_pulse(pulse, grid)
+    # first: the QFI's n x n transforms, built on first use, are not yet held
+    nsc = qfi.nsc_series(scatterer, spectral, times)
     columns = {}
     for gauge in gauges:
         series = qfi.qfi_matrix(scatterer, spectral, times, gauge=gauge,
@@ -181,7 +183,6 @@ def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
         for j, name in enumerate(("j00", "j11", "j22", "j33")):
             columns[f"{name}_{gauge}"] = diag[:, j] / scale[j]
         columns[f"j03_{gauge}"] = j03 / scale03
-    nsc = qfi.nsc_series(scatterer, spectral, times)
     nsc_total = fisher.n_scattered(scatterer, pulse)
     columns["nsc"] = nsc / nsc_total if normalize else nsc
 

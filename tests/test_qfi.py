@@ -18,8 +18,9 @@ from dipolebounds.qfi import (
     qfi_matrix,
     regularizer,
 )
-from dipolebounds.quadrature import SinhGrid, pv_integral, trapezoid_weights
-from dipolebounds.scenarios import fit_power_law
+from dipolebounds.quadrature import (SinhGrid, pv_integral, pv_matrix,
+                                     trapezoid_weights)
+from dipolebounds.scenarios import fit_power_law, size_scaling_sweep
 
 LAM = 2.0 * math.pi
 
@@ -158,6 +159,24 @@ class TestFrequencyIntegrals:
         assert calls == [(2, 7, spectral_200.grid.size)] * 2
         for name in ("f1", "f2", "f3"):
             np.testing.assert_array_equal(spied[name], plain[name])
+
+    def test_one_transform_build_per_spectrum(self, scat_532, pulse_200,
+                                              spectral_200, monkeypatch):
+        # V +- P depend on the grid alone: a size sweep over radii and both
+        # gauges builds them once, on the spectrum the sweep makes itself
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pv_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(qfi, "pv_matrix", counted)
+        size_scaling_sweep(scat_532, pulse_200, [1 / 60, 1 / 40, 1 / 30],
+                           gauges=("multipolar", "coulomb"), peak_samples=5)
+        assert len(calls) == 1
+        one = FrequencyIntegrals(spectral_200, scat_532)
+        two = FrequencyIntegrals(spectral_200, scat_532, "coulomb")
+        assert two._sum is one._sum
 
     @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
     def test_array_of_times_stacks_single_times(self, spectral_200, scat_532,

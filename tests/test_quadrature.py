@@ -108,14 +108,11 @@ class TestPvMatrix:
         m = pv_matrix(self.nodes)
         assert np.all(np.isfinite(m))
 
-    @pytest.mark.parametrize("mask", ["none", "masked", "all"])
-    def test_matches_row_by_row_construction(self, mask):
+    def test_matches_row_by_row_construction(self):
         # reference: the row-by-row build, in the same order of updates
         grid = SinhGrid()
         k, w = grid.nodes, grid.weights
         n = k.size
-        support = {"none": None, "all": np.ones(n, dtype=bool),
-                   "masked": (k > 0.5) & (k < 2.0)}[mask]
         with np.errstate(divide="ignore"):
             ref = w[None, :] / (k[None, :] - k[:, None])
         np.fill_diagonal(ref, 0.0)
@@ -125,25 +122,12 @@ class TestPvMatrix:
         for i in range(n):
             lt = log_term[i]
             if not np.isfinite(lt):
-                if support is not None and not support[i]:
-                    lt = 0.0
-                else:
-                    continue
+                continue
             ref[i, i] += lt - off_sum[i]
             lo, hi = max(i - 1, 0), min(i + 1, n - 1)
             ref[i, hi] += w[i] / (k[hi] - k[lo])
             ref[i, lo] -= w[i] / (k[hi] - k[lo])
-        assert np.array_equal(pv_matrix(k, w, support=support), ref)
-
-    def test_support_mask_drops_endpoint_log(self):
-        support = np.ones(self.nodes.size, dtype=bool)
-        support[0] = support[-1] = False
-        m = pv_matrix(self.nodes, support=support)
-        assert np.all(np.isfinite(m))
-        # interior behaviour is untouched by the mask
-        out = m @ self.f
-        ref = pv_integral(self.f, self.nodes, self.nodes[100])
-        assert out[100] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert np.array_equal(pv_matrix(k, w), ref)
 
 
 class TestSinhGrid:
