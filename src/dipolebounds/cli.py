@@ -26,6 +26,7 @@ import argparse
 import copy
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -314,9 +315,21 @@ def build_pulse(cfg: dict, units: UnitSystem, scatterer: Scatterer,
 
 
 def build_grid(cfg: dict) -> SinhGrid:
+    """The momentum grid, refused before any ``n x n`` operator on it is
+    built if three such float64 arrays (the QFI's working set) would not
+    fit in physical memory."""
     g = cfg["grid"]
-    return SinhGrid(d=g["d_over_k0"], delta=g["delta"],
+    grid = SinhGrid(d=g["d_over_k0"], delta=g["delta"],
                     k_max=g["kmax_over_k0"])
+    need = 3 * 8 * grid.size**2
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryError(
+            f"momentum grid of {grid.size} nodes needs {need / 2**30:.1f} GiB "
+            f"for three {grid.size} x {grid.size} arrays, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory; raise grid.delta "
+            "or lower grid.kmax_over_k0")
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ import numpy as np
 
 from .fields import regularizer
 from .model import PhysicsError, Pulse, Scatterer
-from .quadrature import (SinhGrid, pv_integral, pv_matrix, real_matmul,
-                         trapezoid_weights)
+from .quadrature import (SinhGrid, _pole_subtraction, pv_integral, pv_matrix,
+                         real_matmul, trapezoid_weights)
 
 __all__ = [
     "GAUGES",
@@ -49,9 +49,9 @@ __all__ = [
 
 GAUGES = ("multipolar", "coulomb")
 
-#: element budget of one working array: times (or poles) are processed in
-#: blocks of ``_BLOCK_ELEMENTS // n`` rows of ``n`` grid values, which keeps
-#: memory flat however long the requested series is
+#: element budget of one working array: times are processed in blocks of
+#: ``_BLOCK_ELEMENTS // n`` rows of ``n`` grid values, which keeps memory
+#: flat however long the requested series is
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -296,6 +296,28 @@ def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
 # scattered photon number (independent route through the amplitude itself)
 # ---------------------------------------------------------------------------
 
+def _pv_operator(nodes: np.ndarray, weights: np.ndarray,
+                 inside: np.ndarray) -> np.ndarray:
+    """Real ``(n, n)`` operator ``V`` with ``f @ V`` the principal values of
+    ``int f(k)/(k - p) dk`` at every node ``p``.
+
+    The columns of the poles ``inside`` follow :func:`pv_integral`'s pole
+    subtraction, its log term folded into the pole's own entry; the other
+    columns get plain excision, ``w / (k - p)`` without the on-pole node.
+    """
+    n = nodes.size
+    op = np.empty((n, n))
+    c, coef = _pole_subtraction(nodes, weights, nodes[inside])
+    op[:, inside] = c.T
+    op[inside, inside] = coef
+    del c
+    outside = np.flatnonzero(~np.isin(np.arange(n), inside))
+    with np.errstate(divide="ignore"):
+        op[:, outside] = weights[:, None] / (nodes[:, None] - nodes[outside])
+    op[outside, outside] = 0.0
+    return op
+
+
 def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarray:
     """Mean scattered photon number at each time, from the mode amplitudes.
 
@@ -305,14 +327,16 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
                   [ alpha(k,t)/(k - p + i0+) + alpha*(k,t)/(k + p) ],
 
     and sums ``|s|^2`` over modes:  N_sc(t) = (1/3 pi^2) int dp p^2 |s|^2.
-    Deliberately does not reuse :class:`FrequencyIntegrals` or
+    Deliberately does not reuse :class:`FrequencyIntegrals`,
+    :attr:`SpectralPulse.transforms` or
     :func:`~dipolebounds.quadrature.pv_matrix`, so it can serve as an
     independent consistency check of the QFI pipeline
     (J_00 = 4 N_sc / chi0^2 at all times).  Poles inside the spectral support
-    get pole subtraction from :func:`~dipolebounds.quadrature.pv_integral`,
-    one call per block of times for each block of poles; the remaining poles
-    get plain excision, applied to a block of times as one real matrix
-    product.
+    get :func:`~dipolebounds.quadrature.pv_integral`'s pole subtraction; the
+    remaining poles get plain excision.  Both are built once per call, as one
+    real operator V, and combined with the 1/(k+p) operator P: for the real
+    kernel, ``f = a + ib`` gives ``f V + f* P = a (V + P) + i b (V - P)``,
+    two real matrix products per block of times.
     """
     grid = spectral.grid
     k = grid.nodes
@@ -320,29 +344,24 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     n = k.size
     xi = regularizer(k, scatterer.a0)
     kern = np.sqrt(k) * xi * scatterer.chi(k)
-    inv_sum = 1.0 / (k[:, None] + k[None, :])
     idx = np.nonzero(spectral.support)[0]
-    inside = np.arange(max(idx[0], 1), min(idx[-1], n - 2) + 1)
-    pole_blocks = [inside[b] for b in _blocks(inside.size, n)]
-    # pole outside the spectral support or at a grid boundary: plain
+    # a pole outside the spectral support or at a grid boundary gets plain
     # excision, with negligible weight downstream
-    outside = np.flatnonzero(~np.isin(np.arange(n), inside))
-    with np.errstate(divide="ignore"):
-        excise = w[None, :] / (k[None, :] - k[outside, None])
-    excise[np.arange(outside.size), outside] = 0.0
+    inside = np.arange(max(idx[0], 1), min(idx[-1], n - 2) + 1)
+    v_plus = _pv_operator(k, w, inside)
+    plus = np.add.outer(k, k)
+    np.divide(w[:, None], plus, out=plus)
+    # V - P first, then V + P in place: at most three n x n arrays live
+    v_minus = v_plus - plus
+    v_plus += plus
+    del plus
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty(times.size)
     for blk in _blocks(times.size, n):
-        alpha_t = spectral.values(times[blk])
-        fk = kern * alpha_t
-        plus = real_matmul(w * kern * np.conj(alpha_t), inv_sum)
-        pv = np.empty_like(fk)
-        pv[:, outside] = real_matmul(fk, excise.T)
-        for poles in pole_blocks:
-            pv[:, poles] = pv_integral(fk, k, k[poles], weights=w)
-        s = (pv / (2.0 * math.pi) - 0.5j * fk + plus / (2.0 * math.pi)) \
-            * (np.sqrt(k) * xi)
+        fk = kern * spectral.values(times[blk])
+        amp = fk.real @ v_plus + 1j * (fk.imag @ v_minus)
+        s = (amp / (2.0 * math.pi) - 0.5j * fk) * (np.sqrt(k) * xi)
         out[blk] = np.square(np.abs(s)) @ (w * k**2) / (3.0 * math.pi**2)
     return out
 

@@ -123,7 +123,9 @@ def pv_integral(f, nodes: np.ndarray, pole, weights: np.ndarray | None = None):
     on the same nodes, such as one per time) give a result of shape
     ``(T,) + pole.shape``, from one matrix product.  An array of ``P`` poles
     builds ``(P, nodes.size)`` intermediates, so callers with many poles
-    pass them in blocks.
+    pass them in blocks.  ``c`` and ``ln((b-p)/(p-a)) - s`` come from
+    :func:`_pole_subtraction`, which callers that apply the rule to many
+    sample sets at fixed poles can build once.
 
     Returns the principal value only; the causal prescription's delta-function
     part, ``-i pi f(pole)``, is the caller's to add.
@@ -144,13 +146,28 @@ def pv_integral(f, nodes: np.ndarray, pole, weights: np.ndarray | None = None):
         fp = _interp_quadratic(nodes, fk, poles)
     lead = fk.shape[:-1]
     p = poles.reshape(-1)
+    c, coef = _pole_subtraction(nodes, weights, p)
+    fp = fp.reshape(lead + p.shape)
+    pv = real_matmul(fk, c.T) + fp * coef
+    return pv.reshape(lead + poles.shape)
 
-    diff = nodes - p[:, None]
-    on_pole = np.abs(diff) < 1e-14 * np.maximum(np.abs(p), 1.0)[:, None]
+
+def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray):
+    """:func:`pv_integral`'s rule for the 1-d poles ``p``, as ``(c, coef)``.
+
+    ``PV = F @ c.T + f(p) coef``: ``c`` is the real ``(P, n)`` matrix
+    ``w / (k - p)`` with each on-pole entry zeroed and the central-difference
+    stencil for ``f'(p)`` on its neighbours, and
+    ``coef = ln((b-p)/(p-a)) - s``, ``s`` the row sums of ``c`` without
+    the stencil.  Every pole must lie strictly inside the node range.
+    """
+    a, b = nodes[0], nodes[-1]
+    c = nodes - p[:, None]
+    on_pole = np.abs(c) < 1e-14 * np.maximum(np.abs(p), 1.0)[:, None]
     with np.errstate(divide="ignore"):
-        c = weights / diff
+        np.divide(weights, c, out=c)
     c[on_pole] = 0.0
-    c_sum = c.sum(axis=1)
+    coef = np.log((b - p) / (p - a)) - c.sum(axis=1)
     # removable singularity: w_i f'(p) from the neighbouring nodes
     row, col = np.nonzero(on_pole)
     lo = np.maximum(col - 1, 0)
@@ -158,9 +175,7 @@ def pv_integral(f, nodes: np.ndarray, pole, weights: np.ndarray | None = None):
     stencil = weights[col] / (nodes[hi] - nodes[lo])
     c[row, hi] += stencil
     c[row, lo] -= stencil
-    fp = fp.reshape(lead + p.shape)
-    pv = real_matmul(fk, c.T) + fp * (np.log((b - p) / (p - a)) - c_sum)
-    return pv.reshape(lead + poles.shape)
+    return c, coef
 
 
 def real_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,26 @@ class TestExitCodes:
         assert rc == 2
         assert "detector.solid_angle_over_pi" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_oversized_qfi_grid_is_4(self, tmp_path, capsys):
+        # ~272 k nodes: three n x n float64 arrays would take ~1.8 TB, so
+        # the grid is refused before anything n x n is allocated
+        start = time.perf_counter()
+        rc = main(["qfi-time", "--set", "grid.delta=1e-4",
+                   "--set", "grid.kmax_over_k0=1e6",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert time.perf_counter() - start < 1.0
+        assert "271849 nodes" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "data.csv").exists()
+
+    def test_grid_limit_is_physical_memory(self, tmp_path, monkeypatch):
+        # the default 537-node grid needs 6.9 MB: refused with 4 MB of RAM
+        sizes = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
+        rc = main(["qfi-time", "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert not (tmp_path / "out" / "data.csv").exists()
 
     @pytest.mark.parametrize("where,value", [
         ("run.z_max_over_lambda", "Infinity"),

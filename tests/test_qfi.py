@@ -309,27 +309,51 @@ class TestScatteredPhotons:
             one = nsc_series(scat_532, spectral_200, [times[i]])[0]
             assert series[i] == pytest.approx(one, rel=1e-13)
 
-    def test_pv_calls_scale_with_time_blocks(self, scat_532, spectral_200,
-                                             monkeypatch):
-        # pole subtraction runs once per block of times, not once per time
+    def test_pole_subtraction_built_once_per_series(
+            self, scat_532, spectral_200, monkeypatch):
+        # the pole-subtraction weights depend on the grid alone: one build
+        # per call, however many blocks of times the series spans
         calls = []
+        helper = qfi._pole_subtraction
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return pv_integral(*args, **kwargs)
+            return helper(*args, **kwargs)
 
-        monkeypatch.setattr(qfi, "pv_integral", counted)
+        monkeypatch.setattr(qfi, "_pole_subtraction", counted)
         nsc_series(scat_532, spectral_200, [0.0])
-        single = len(calls)
+        assert len(calls) == 1
         calls.clear()
         n = spectral_200.grid.size
         nsc_series(scat_532, spectral_200,
                    np.linspace(-300.0, 600.0, qfi._BLOCK_ELEMENTS // n + 9))
-        assert single > 0
-        assert len(calls) == 2 * single
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("ends", [(0.25, 0.75), (0.0, 1.0)])
+    def test_operator_columns_are_pv_integral(self, ends):
+        # pole columns apply pv_integral's rule, the rest plain excision;
+        # (0, 1) puts poles on the nodes next to both grid ends
+        grid = SinhGrid()
+        k, w, n = grid.nodes, grid.weights, grid.size
+        lo = max(1, int(ends[0] * n))
+        hi = min(n - 2, int(ends[1] * n))
+        inside = np.arange(lo, hi + 1)
+        op = qfi._pv_operator(k, w, inside)
+        f = np.exp(-np.square(k - 1.0)) * np.sqrt(k)
+        pv = f @ op
+        for i in inside:
+            assert pv[i] == pytest.approx(
+                pv_integral(f, k, k[i], weights=w), rel=1e-12)
+        excised = np.concatenate((np.arange(lo), np.arange(hi + 1, n)))
+        assert excised[0] == 0 and excised[-1] == n - 1
+        for i in excised:
+            with np.errstate(divide="ignore"):
+                col = w / (k - k[i])
+            col[i] = 0.0
+            assert pv[i] == pytest.approx(f @ col, rel=1e-12)
 
     def test_independent_of_the_qfi_route(self, scat_532, spectral_200,
-                                          monkeypatch):
+                                          pulse_200, monkeypatch):
         # the photon identity is a check only while the two routes share
         # neither the profile evaluator nor the principal-value matrix
         def forbidden(*args, **kwargs):
@@ -338,6 +362,10 @@ class TestScatteredPhotons:
         monkeypatch.setattr(qfi, "pv_matrix", forbidden)
         monkeypatch.setattr(qfi, "FrequencyIntegrals", forbidden)
         assert nsc_series(scat_532, spectral_200, [0.0])[0] > 0.0
+        # nor the QFI's V +- P, which a fresh pulse builds on first use
+        fresh = SpectralPulse.from_pulse(pulse_200)
+        assert nsc_series(scat_532, fresh, [0.0])[0] > 0.0
+        assert "transforms" not in vars(fresh)
 
     def test_causality(self, scat_532, spectral_200, pulse_200):
         early, late = nsc_series(scat_532, spectral_200,
