@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, qfi, scenarios
+from . import __version__, detector, qfi, scenarios
 from .model import C_SI, PhysicsError, Pulse, Scatterer, UnitSystem
 from .quadrature import SinhGrid
 
@@ -321,15 +321,20 @@ def build_grid(cfg: dict) -> SinhGrid:
     g = cfg["grid"]
     grid = SinhGrid(d=g["d_over_k0"], delta=g["delta"],
                     k_max=g["kmax_over_k0"])
-    need = 3 * 8 * grid.size**2
+    _within_memory(3 * 8 * grid.size**2,
+                   f"momentum grid of {grid.size} nodes",
+                   f"three {grid.size} x {grid.size} arrays",
+                   "raise grid.delta or lower grid.kmax_over_k0")
+    return grid
+
+
+def _within_memory(need: int, what: str, held: str, remedy: str) -> None:
+    """Raise ``MemoryError`` if ``need`` bytes exceed physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(
-            f"momentum grid of {grid.size} nodes needs {need / 2**30:.1f} GiB "
-            f"for three {grid.size} x {grid.size} arrays, more than the "
-            f"{have / 2**30:.1f} GiB of physical memory; raise grid.delta "
-            "or lower grid.kmax_over_k0")
-    return grid
+            f"{what} needs {need / 2**30:.1f} GiB for {held}, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory; {remedy}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +425,16 @@ def cmd_crb_scan(cfg: dict, out_dir: Path) -> int:
                                            run["z_max_over_lambda"],
                                            run["points_per_decade"])
     finite_a0 = units.length_to_internal(run["finite_a0_nm"] * 1e-9)
+    solid_angle = det["solid_angle_over_pi"] * math.pi
+    # pixels grow with distance; a mirror cell holds a center and an area
+    cells = detector.cell_pixels(axis[-1] * _TWO_PI, solid_angle,
+                                 det["refinement"])
+    _within_memory(4 * 8 * cells, f"plate at {axis[-1]:g} wavelengths",
+                   f"a mirror cell of {cells} pixels",
+                   "lower run.z_max_over_lambda or detector.refinement")
     result = scenarios.crb_distance_sweep(
         scatterer, pulse,
-        solid_angle=det["solid_angle_over_pi"] * math.pi,
+        solid_angle=solid_angle,
         z_over_lambda=axis,
         finite_a0=finite_a0,
         refinement=det["refinement"],

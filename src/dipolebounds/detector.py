@@ -4,7 +4,8 @@ The detector is a square planar array at ``z = Z`` (forward ``Z > 0`` or
 backward ``Z < 0``) normal to the z axis, so the counted flux is its z
 component and pixels carry no normal vector.  A grid is pixel centers and
 exact per-pixel areas; it is a deterministic pure function of its
-arguments.
+arguments.  :func:`planar_grid` stores only the mirror cell of its plate,
+a :class:`MirroredGrid`; :meth:`PixelGrid.plate` expands every pixel.
 
 The planar transverse coordinates use a sinh stretching ``s = |Z| sinh(xi)``
 with uniform ``xi`` cell edges: pixels are small near the axis (where the
@@ -25,9 +26,11 @@ import numpy as np
 
 __all__ = [
     "PixelGrid",
+    "MirroredGrid",
     "planar_solid_angle",
     "half_width_for_solid_angle",
     "planar_grid",
+    "cell_pixels",
     "solid_angle_sum",
 ]
 
@@ -37,8 +40,8 @@ __all__ = [
 _AXIAL_SAMPLES = 12
 _ZONE_SAMPLES = 36
 
-# the four pixel blocks of planar_grid, as signs of (x, y, z): the mirror
-# cell, then its images under x -> -x, y -> -y and both
+# the four pixel blocks of a mirrored plate, as signs of (x, y, z): the
+# mirror cell, then its images under x -> -x, y -> -y and both
 _MIRROR_SIGNS = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0],
                           [1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
 
@@ -49,6 +52,7 @@ class PixelGrid:
 
     positions: np.ndarray
     areas: np.ndarray
+    images = 1              # sign images of the stored pixels in the plate
 
     def __post_init__(self) -> None:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -60,7 +64,23 @@ class PixelGrid:
 
     @property
     def size(self) -> int:
-        return self.areas.size
+        return self.images * self.areas.size
+
+    def plate(self) -> PixelGrid:
+        """Every pixel of the plate."""
+        return self
+
+
+class MirroredGrid(PixelGrid):
+    """A plate stored as its mirror cell ``x > 0, y > 0``, which its images
+    under ``x -> -x``, ``y -> -y`` and both (same areas) complete."""
+
+    images = len(_MIRROR_SIGNS)
+
+    def plate(self) -> PixelGrid:
+        """The cell, then its three sign images, bit for bit."""
+        return PixelGrid((_MIRROR_SIGNS[:, None] * self.positions).reshape(-1, 3),
+                         np.tile(self.areas, self.images))
 
 
 # ---------------------------------------------------------------------------
@@ -104,44 +124,54 @@ def half_width_for_solid_angle(solid_angle: float, distance: float) -> float:
 # grid builders
 # ---------------------------------------------------------------------------
 
+def _half_axis(distance: float, solid_angle: float, refinement: int):
+    """``|Z|``, the plate half-width, the stretched half-width ``xi_max``
+    and the cells per half axis of :func:`planar_grid`."""
+    if refinement < 1 or int(refinement) != refinement:
+        raise ValueError(f"refinement must be a positive integer, got {refinement}")
+    az = abs(float(distance))
+    a = half_width_for_solid_angle(solid_angle, az)
+    xi_max = math.asinh(a / az)
+    dxi = min(1.0 / _AXIAL_SAMPLES,
+              2.0 * math.pi / (_ZONE_SAMPLES * az)) / refinement
+    return az, a, xi_max, max(2, math.ceil(xi_max / dxi))
+
+
 def planar_grid(distance: float, solid_angle: float,
-                refinement: int = 1) -> PixelGrid:
+                refinement: int = 1) -> MirroredGrid:
     """Square planar detector at ``z = distance`` (signed), normal ``+z``.
 
     The plate half-width is fixed by the requested solid angle.  Transverse
     pixel edges follow ``s = |Z| sinh(xi)`` with uniform ``xi``; the outermost
     edges land exactly on ``+-a`` so pixel areas tile the plate exactly.
     ``refinement`` doubles the linear pixel density per unit.
-    The pixels are the mirror cell ``x > 0, y > 0`` (row-major, x slowest)
-    followed by its images under ``x -> -x``, ``y -> -y`` and both, bit for
-    bit and with the same areas, the layout that
-    :func:`~dipolebounds.fisher.fi_matrix` folds.
+    The grid stores the mirror cell ``x > 0, y > 0`` (row-major, x
+    slowest); its sign images complete the plate, which
+    :func:`~dipolebounds.fisher.fi_matrix` folds for a source on the z axis.
     """
-    if refinement < 1 or int(refinement) != refinement:
-        raise ValueError(f"refinement must be a positive integer, got {refinement}")
-    z = float(distance)
-    az = abs(z)
-    a = half_width_for_solid_angle(solid_angle, az)
-    xi_max = math.asinh(a / az)
-    dxi = min(1.0 / _AXIAL_SAMPLES,
-              2.0 * math.pi / (_ZONE_SAMPLES * az)) / refinement
-    half_cells = max(2, math.ceil(xi_max / dxi))
+    az, a, xi_max, half_cells = _half_axis(distance, solid_angle, refinement)
     half = az * np.sinh(np.linspace(0.0, xi_max, half_cells + 1))
     half[-1] = a
     centers = 0.5 * (half[:-1] + half[1:])
     widths = np.diff(half)
 
-    positions = np.empty((4, half_cells, half_cells, 3))
-    positions[..., 0] = _MIRROR_SIGNS[:, None, None, 0] * centers[:, None]
-    positions[..., 1] = _MIRROR_SIGNS[:, None, None, 1] * centers
-    positions[..., 2] = z
-    areas = np.tile(np.outer(widths, widths).ravel(), 4)
-    return PixelGrid(positions.reshape(-1, 3), areas)
+    cell = np.empty((half_cells, half_cells, 3))
+    cell[..., 0] = centers[:, None]
+    cell[..., 1] = centers
+    cell[..., 2] = float(distance)
+    return MirroredGrid(cell.reshape(-1, 3), np.outer(widths, widths).ravel())
+
+
+def cell_pixels(distance: float, solid_angle: float,
+                refinement: int = 1) -> int:
+    """Pixels in the mirror cell of :func:`planar_grid`, without building it."""
+    return _half_axis(distance, solid_angle, refinement)[3] ** 2
 
 
 def solid_angle_sum(grid: PixelGrid) -> float:
     """Discrete solid angle seen from the origin: sum of z-projected pixel
     areas over distance^2."""
+    grid = grid.plate()
     pos = grid.positions
     r = np.linalg.norm(pos, axis=-1)
     proj = pos[:, 2] / r

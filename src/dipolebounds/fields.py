@@ -32,6 +32,10 @@ __all__ = [
 #: below this many wavelengths from the source the point solution is refused
 _MIN_RHO_WAVELENGTHS = 1e-6
 
+#: z_flux_parts drops the screened terms beyond 2 rho / a0 = _SCREEN_CUTOFF
+_SCREEN_CUTOFF = 80.0
+_SCREEN_MIN_A0 = 1.1e-4
+
 
 @dataclass(frozen=True, eq=False)
 class FieldSet:
@@ -169,9 +173,9 @@ def _flux_profiles(inv: np.ndarray, a0: float, osc: np.ndarray, screen):
     ``E_x`` goes as ``f1 (1 - n_x^2) + f3 (1 - 3 n_x^2)`` and ``B_y`` as
     ``c n_z``.  Each profile is a polynomial in ``q = 1 / rho`` (``inv``)
     times the outgoing wave ``osc``, its phase ``exp(i rho)`` times any
-    common factor, plus, for a source of radius ``a0 > 0``, a polynomial
-    times the screened wave ``screen``, ``exp(-2 rho / a0)`` times the same
-    factor::
+    common factor, plus, when ``screen`` is given (a source of radius
+    ``a0 > 0``), a polynomial times the screened wave ``screen``,
+    ``exp(-2 rho / a0)`` times the same factor::
 
         f1 = osc q             + screen (4 / a0^3 + 1 / a0 - q)
         f3 = osc (i q^2 - q^3) + screen (q^3 + 2 q^2 / a0 + (1/2 + 2 / a0^2) q)
@@ -193,7 +197,7 @@ def _flux_profiles(inv: np.ndarray, a0: float, osc: np.ndarray, screen):
     df1 = osc * _complex(-q2, inv)
     df3 = osc * _complex(3.0 * q2 * q2 - q2, -3.0 * q3)
     dc = osc * _complex(-2.0 * q2, inv - 2.0 * q3)
-    if a0 > 0:
+    if screen is not None:
         decay = 2.0 / a0                  # screen goes as exp(-decay rho)
         g1 = (4.0 / a0**3 + 1.0 / a0) - inv
         g3 = q3 + decay * q2 + (0.5 + 2.0 / a0**2) * inv
@@ -255,6 +259,14 @@ def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
     exponential per pixel for the point dipole, and a second one, the
     screened ``exp(-2 rho / a0 - i (z - z0))``, for a finite source.
 
+    The screened terms are dropped when every point has
+    ``u = 2 rho / a0 > 80`` and ``a0 > 1.1e-4``.  For ``a0 < 1`` their
+    largest coefficient is ``8 / a0^4`` (in ``c``; ``16 / a0^5`` in its
+    rho-derivative) and the oscillating terms are at least ``|osc q|``, so
+    they are below ``8 u exp(-u) / a0^4 = 1.2e-32 / a0^4`` of them at
+    ``u = 80``: under ``2^-53`` for ``a0 > 1.1e-4``, ``6e-30`` for 35 nm at
+    1030 nm (``a0 = 0.21``).
+
     A translated source sees ``rho = r - r0``, so ``d/d r0 = -grad_r``, using
     ``d n_i / d r_j = (delta_ij - n_i n_j) / rho``.  Then
     ``grad_r E_x = rad_ex n + ang_ex e_x`` and
@@ -277,7 +289,10 @@ def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
     dz = rho_vec[..., 2]
     pref = scatterer.chi0 * e_in * regularizer(1.0, a0) / (2.0 * math.pi)
     osc = pref * np.exp(1j * (rho - dz))
-    screen = pref * np.exp(-2.0 / a0 * rho - 1j * dz) if a0 > 0 else None
+    screen = None
+    if a0 > 0 and (rho.min() * 2.0 <= _SCREEN_CUTOFF * a0
+                   or a0 <= _SCREEN_MIN_A0):
+        screen = pref * np.exp(-2.0 / a0 * rho - 1j * dz)
     (f1, f3, c), (df1, df3, dc) = _flux_profiles(inv, a0, osc, screen)
     nx2 = nx * nx
     s1 = 1.0 - nx2

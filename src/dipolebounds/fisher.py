@@ -20,13 +20,14 @@ a point source and two for a finite one.  :func:`mean_counts` sums the flux
 of the full fields, the independent reference that ``validate``
 differentiates.
 
-The x-polarized drive is symmetric under ``x -> -x`` and ``y -> -y`` about a
-source on the z axis: the counts are even there and the x0 and y0 columns
-odd.  :func:`fi_matrix` folds a plate that is a mirror cell followed by its
-images under ``x -> -x``, ``y -> -y`` and both, bit for bit in positions and
-areas (every :func:`~dipolebounds.detector.planar_grid` is), when the source
-is on the z axis: it evaluates the cell and multiplies its information by
-the parity mask.  Any other plate or source goes through every pixel.
+:func:`fi_matrix` sums the :func:`poisson_fi` of at most ``_CHUNK`` pixels
+at a time, so it builds no plate-sized array.  The x-polarized drive is
+symmetric under ``x -> -x`` and ``y -> -y`` about a source on the z axis:
+the counts are even there and the x0 and y0 columns odd.  So for a
+:class:`~dipolebounds.detector.MirroredGrid` (as from
+:func:`~dipolebounds.detector.planar_grid`) and a source on the z axis it
+evaluates the mirror cell alone and multiplies by the parity mask.  A
+source off the axis takes each block of the cell with its sign images.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .detector import _MIRROR_SIGNS, PixelGrid
+from .detector import MirroredGrid, PixelGrid
 from .model import InfoMatrix, PhysicsError, Pulse, Scatterer
 
 __all__ = [
@@ -68,8 +69,10 @@ def _positive(nbar: np.ndarray) -> np.ndarray:
 
 def mean_counts(grid: PixelGrid, scatterer: Scatterer,
                 pulse: Pulse) -> np.ndarray:
-    """Expected photon counts per pixel over the pulse, from the z flux of
-    the full incident and scattered fields (the reference route)."""
+    """Expected photon counts per pixel of the plate over the pulse, from
+    the z flux of the full incident and scattered fields (the reference
+    route)."""
+    grid = grid.plate()
     out = np.empty(grid.size)
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
@@ -86,14 +89,16 @@ def mean_counts(grid: PixelGrid, scatterer: Scatterer,
 def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     """Mean counts and their derivatives along (chi0, x0, y0, z0).
 
-    Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``.  The
-    z flux ``Re(E_x conj(B_y)) / 2`` splits into an incident part
-    ``e_in^2 / 2``, a cross part linear in chi0 and a scattered part
-    quadratic in it, so ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.
+    Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``, over
+    every pixel of the plate.  The z flux ``Re(E_x conj(B_y)) / 2`` splits
+    into an incident part ``e_in^2 / 2``, a cross part linear in chi0 and a
+    scattered part quadratic in it, so
+    ``d nbar / d chi0 = (cross + 2 scattered) / chi0``.
     The cross and scattered parts and the closed-form position gradient of
     the flux come from :func:`~dipolebounds.fields.z_flux_parts`, one block
     of pixels at a time.
     """
+    grid = grid.plate()
     nbar = np.empty(grid.size)
     grad = np.empty((grid.size, 4))
     incident = 0.5 * pulse.e_in**2
@@ -115,27 +120,21 @@ def poisson_fi(nbar: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (grad / nbar[:, None]).T @ grad
 
 
-def _fold(grid: PixelGrid, scatterer: Scatterer) -> tuple:
-    """The pixels to evaluate and the factor that turns their information
-    into the plate's: the mirror cell and the parity mask, or all and 1."""
-    if scatterer.r0[0] == 0.0 and scatterer.r0[1] == 0.0 \
-            and grid.size % 4 == 0:
-        pos = grid.positions.reshape(4, -1, 3)
-        areas = grid.areas.reshape(4, -1)
-        if all(np.array_equal(pos[k], pos[0] * signs)
-               and np.array_equal(areas[k], areas[0])
-               for k, signs in enumerate(_MIRROR_SIGNS[1:], 1)):
-            return PixelGrid(pos[0], areas[0]), _PARITY_MASK
-    return grid, 1.0
-
-
 def fi_matrix(grid: PixelGrid, scatterer: Scatterer,
               pulse: Pulse) -> InfoMatrix:
     """Fisher-information matrix of the pixel counts for (chi0, x0, y0, z0),
-    from one quarter of a mirror-built plate for a source on the z axis."""
-    pixels, mask = _fold(grid, scatterer)
-    m = poisson_fi(*count_gradients(pixels, scatterer, pulse))
-    return InfoMatrix(m * mask)
+    summed block by block; from the mirror cell alone for a mirrored plate
+    and a source on the z axis."""
+    fold = isinstance(grid, MirroredGrid) \
+        and scatterer.r0[0] == 0.0 and scatterer.r0[1] == 0.0
+    block = PixelGrid if fold else type(grid)
+    step = _CHUNK if fold else _CHUNK // grid.images
+    info = np.zeros((4, 4))
+    for lo in range(0, grid.areas.size, step):
+        sl = slice(lo, lo + step)
+        info += poisson_fi(*count_gradients(
+            block(grid.positions[sl], grid.areas[sl]), scatterer, pulse))
+    return InfoMatrix(info * _PARITY_MASK if fold else info)
 
 
 def n_scattered(scatterer: Scatterer, pulse: Pulse) -> float:

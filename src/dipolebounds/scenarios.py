@@ -95,20 +95,17 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
     point = replace(scatterer, a0=0.0)
     finite = replace(scatterer, a0=finite_a0)
 
-    def one(z_rel: float):
-        z = z_rel * _TWO_PI
-        rows = []
-        sizes = []
-        for sgn, scat in ((+1.0, point), (-1.0, point), (+1.0, finite)):
-            grid = detector.planar_grid(sgn * z, solid_angle, refinement)
-            sizes.append(grid.size)
-            info = fisher.fi_matrix(grid, scat, pulse)
-            rows.append(fisher.crb_bounds(info, scat, pulse).normalized)
-        return rows, sizes
+    def one(z: float, scat: Scatterer):
+        # the plate is freed on return, before the next one is built
+        grid = detector.planar_grid(z, solid_angle, refinement)
+        info = fisher.fi_matrix(grid, scat, pulse)
+        return fisher.crb_bounds(info, scat, pulse).normalized, grid.size
 
-    results = [one(z_rel) for z_rel in z_over_lambda]
-    fwd, bwd, fin = (np.array([r[0][k] for r in results]) for k in range(3))
-    sizes = np.array([r[1] for r in results])
+    results = [[one(sgn * z_rel * _TWO_PI, scat)
+                for sgn, scat in ((+1.0, point), (-1.0, point), (+1.0, finite))]
+               for z_rel in z_over_lambda]
+    fwd, bwd, fin = (np.array([r[k][0] for r in results]) for k in range(3))
+    sizes = np.array([[size for _, size in r] for r in results])
     cells = np.sqrt(sizes.max(axis=1))
     qcrb = qfi.farfield_qcrb_constants()
 

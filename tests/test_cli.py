@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dipolebounds
-from dipolebounds import cli, scenarios
+from dipolebounds import cli, detector, scenarios
 from dipolebounds.cli import (
     DEFAULT_CONFIG,
     PRESETS,
@@ -226,6 +226,35 @@ class TestExitCodes:
         rc = main(["qfi-time", "--out", str(tmp_path / "out")])
         assert rc == 4
         assert not (tmp_path / "out" / "data.csv").exists()
+
+    def test_oversized_plate_is_4(self, tmp_path, capsys, monkeypatch):
+        # a plate at 1e6 wavelengths has a mirror cell of ~3e16 pixels: the
+        # scan is refused before any plate is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("plate built")
+
+        monkeypatch.setattr(detector, "planar_grid", refuse)
+        start = time.perf_counter()
+        rc = main(["crb-scan", "--set", "run.z_max_over_lambda=1e6",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert time.perf_counter() - start < 1.0
+        assert "mirror cell of 29708206767833344 pixels" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out" / "data.csv").exists()
+
+    def test_plate_limit_is_physical_memory(self, tmp_path, monkeypatch):
+        # the default scan's 10-wavelength cell needs 95 MB: refused with
+        # 64 MB of RAM; the cell at 2 wavelengths (3.8 MB) runs with 128 MB
+        sizes = {"SC_PHYS_PAGES": 16384, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
+        assert main(["crb-scan", "--out", str(tmp_path / "out")]) == 4
+        assert not (tmp_path / "out" / "data.csv").exists()
+        sizes["SC_PHYS_PAGES"] = 32768
+        assert main(["crb-scan", "--set", "run.z_min_over_lambda=1",
+                     "--set", "run.z_max_over_lambda=2",
+                     "--set", "run.points_per_decade=1",
+                     "--out", str(tmp_path / "small")]) == 0
 
     @pytest.mark.parametrize("where,value", [
         ("run.z_max_over_lambda", "Infinity"),

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipolebounds.detector import (
+    MirroredGrid,
     PixelGrid,
+    cell_pixels,
     half_width_for_solid_angle,
     planar_grid,
     planar_solid_angle,
@@ -47,7 +49,7 @@ class TestSolidAngles:
 
 class TestPlanarGrid:
     def test_tiles_the_plate_exactly(self):
-        g = planar_grid(2.0 * LAM, 1.97 * math.pi)
+        g = planar_grid(2.0 * LAM, 1.97 * math.pi).plate()
         a = half_width_for_solid_angle(1.97 * math.pi, 2.0 * LAM)
         # pixel areas are built from shared edges, so the sum telescopes
         assert g.areas.sum() == pytest.approx((2.0 * a) ** 2, rel=1e-13)
@@ -62,7 +64,7 @@ class TestPlanarGrid:
 
     def test_negative_distance_backward_plate(self):
         g = planar_grid(-0.5 * LAM, math.pi)
-        assert np.all(g.positions[:, 2] == -0.5 * LAM)
+        assert np.all(g.plate().positions[:, 2] == -0.5 * LAM)
         # solid angle seen from the origin is unchanged
         assert solid_angle_sum(g) == pytest.approx(math.pi, rel=5e-3)
 
@@ -82,8 +84,12 @@ class TestPlanarGrid:
         g = planar_grid(z_rel * LAM, 1.97 * math.pi, refinement)
         n = math.isqrt(g.size // 4)
         assert 4 * n * n == g.size
-        pos = g.positions.reshape(4, n * n, 3)
-        areas = g.areas.reshape(4, n * n)
+        plate = g.plate()
+        assert plate.size == g.size
+        pos = plate.positions.reshape(4, n * n, 3)
+        areas = plate.areas.reshape(4, n * n)
+        np.testing.assert_array_equal(pos[0], g.positions)
+        np.testing.assert_array_equal(areas[0], g.areas)
         cell = pos[0].reshape(n, n, 3)
         assert np.all(cell[..., :2] > 0.0)
         assert np.all(np.diff(cell[:, 0, 0]) > 0.0)
@@ -94,9 +100,29 @@ class TestPlanarGrid:
             np.testing.assert_array_equal(pos[block], pos[0] * signs)
             np.testing.assert_array_equal(areas[block], areas[0])
 
+    def test_stores_only_the_mirror_cell(self):
+        # the grid keeps the quarter x > 0, y > 0; size counts the plate
+        g = planar_grid(0.3 * LAM, 1.97 * math.pi)
+        assert isinstance(g, MirroredGrid)
+        assert g.positions.shape == (g.size // 4, 3)
+        assert np.all(g.positions[:, :2] > 0.0)
+        assert type(g.plate()) is PixelGrid
+        grid = PixelGrid(g.positions, g.areas)
+        assert grid.plate() is grid
+        assert grid.size == g.size // 4
+
+    @pytest.mark.parametrize("z_rel,omega,refinement", [
+        (0.02, 1.97, 1), (-0.3, 1.0, 2), (2.0, 0.5, 1), (4.0, 1.97, 1)])
+    def test_cell_pixels_without_building(self, z_rel, omega, refinement):
+        g = planar_grid(z_rel * LAM, omega * math.pi, refinement)
+        assert cell_pixels(z_rel * LAM, omega * math.pi, refinement) \
+            == g.areas.size
+
     def test_rejects_bad_refinement(self):
         with pytest.raises(ValueError):
             planar_grid(LAM, math.pi, refinement=0)
+        with pytest.raises(ValueError):
+            cell_pixels(LAM, math.pi, refinement=1.5)
 
 
 def test_pixelgrid_validates_shapes():

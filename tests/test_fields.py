@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dipolebounds import fields
 from dipolebounds.fields import (
     FieldSet,
     incident_field,
@@ -226,6 +227,50 @@ class TestSourcePositionGradients:
                 fd = (up - dn) / (2.0 * h)
                 scale = np.abs(grad[:, axis]).max()
                 assert np.abs(grad[:, axis] - fd).max() < 1e-6 * scale
+
+    @staticmethod
+    def _spy_screens(monkeypatch):
+        # whether each z_flux_parts call evaluates the screened terms
+        screened = []
+        profiles = fields._flux_profiles
+
+        def spy(inv, a0, osc, screen):
+            screened.append(screen is not None)
+            return profiles(inv, a0, osc, screen)
+
+        monkeypatch.setattr(fields, "_flux_profiles", spy)
+        return screened
+
+    @pytest.mark.parametrize("a0", [LAM / 30.0, 2e-4, 1.6])
+    def test_screened_terms_dropped_beyond_the_cutoff(self, a0, monkeypatch):
+        # points all beyond 2 rho / a0 = 80 skip the screened terms, and the
+        # flux and its gradient agree with the kept terms to rounding; a
+        # block with one point inside keeps them
+        r0 = (0.15, -0.25, 0.6)
+        scat = Scatterer(chi0=0.7, a0=a0, r0=r0)
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(60, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        dist = 41.0 * a0 * rng.uniform(1.0, 3.0, 60)
+        far = np.asarray(r0) + dirs * dist[:, None]
+        near = far.copy()
+        near[7] = np.asarray(r0) + dirs[7] * 30.0 * a0
+        screened = self._spy_screens(monkeypatch)
+        for pts, dropped in ((far, True), (near, False)):
+            got = z_flux_parts(pts, scat, e_in=1.3)
+            with monkeypatch.context() as m:
+                m.setattr(fields, "_SCREEN_CUTOFF", math.inf)
+                kept = z_flux_parts(pts, scat, e_in=1.3)
+            assert screened[-2:] == [not dropped, True]
+            for a, b in zip(got, kept):
+                assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+    def test_screened_terms_kept_for_tiny_sources(self, monkeypatch):
+        # below a0 = 1.1e-4 the bound does not hold at the cutoff
+        scat = Scatterer(chi0=0.7, a0=5e-5)
+        screened = self._spy_screens(monkeypatch)
+        z_flux_parts(np.array([[0.0, 0.0, 1.0]]), scat)
+        assert screened == [True]
 
     def test_refuses_source_points(self, scat_532):
         with pytest.raises(PhysicsError, match="point dipole"):

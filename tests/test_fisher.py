@@ -56,7 +56,7 @@ def test_counts_total_matches_fluence(scat_1030, pulse_1030, small_grid):
     # diffraction residual, not quadrature error; ~1e-7 relative here)
     nbar = mean_counts(small_grid, scat_1030, pulse_1030)
     assert nbar.sum() == pytest.approx(
-        pulse_1030.phi * small_grid.areas.sum(), rel=5e-7)
+        pulse_1030.phi * small_grid.plate().areas.sum(), rel=5e-7)
     assert np.all(nbar > 0)
 
 
@@ -66,11 +66,11 @@ def test_finite_size_scatterer_counted_with_its_own_field(
     # incident plus regularized field, built here without the flux split
     # (the point field would be off by ~1e-8 relative on this plate)
     finite = replace(scat_1030, a0=LAM / 30.0)
-    pos = small_grid.positions
-    inc = incident_field(pos, e_in=pulse_1030.e_in)
-    sc = scattered_regularized(pos, finite, e_in=pulse_1030.e_in)
+    plate = small_grid.plate()
+    inc = incident_field(plate.positions, e_in=pulse_1030.e_in)
+    sc = scattered_regularized(plate.positions, finite, e_in=pulse_1030.e_in)
     total = poynting_avg(FieldSet(inc.e + sc.e, inc.b + sc.b))
-    expect = total[:, 2] * pulse_1030.tau * small_grid.areas
+    expect = total[:, 2] * pulse_1030.tau * plate.areas
     np.testing.assert_allclose(mean_counts(small_grid, finite, pulse_1030),
                                expect, rtol=1e-13)
 
@@ -135,14 +135,14 @@ class TestCountGradients:
         # block, count_gradients runs in several with a ragged last one.
         # The two routes round differently, so they agree to a bound, not
         # bit for bit
-        pos = small_grid.positions
-        inc = incident_field(pos, e_in=pulse_1030.e_in)
+        plate = small_grid.plate()
+        inc = incident_field(plate.positions, e_in=pulse_1030.e_in)
         for scat in (scat_1030, replace(scat_1030, a0=LAM / 30.0)):
             counts = mean_counts(small_grid, scat, pulse_1030)
             parts = intensity_parts(inc, scattered_regularized(
-                pos, scat, e_in=pulse_1030.e_in))
+                plate.positions, scat, e_in=pulse_1030.e_in))
             chi = (parts["cross"] + 2.0 * parts["scattered"]) / scat.chi0 \
-                * (pulse_1030.tau * small_grid.areas)
+                * (pulse_1030.tau * plate.areas)
             with monkeypatch.context() as m:
                 m.setattr(fisher, "_CHUNK", 257)
                 nbar, grad = count_gradients(small_grid, scat, pulse_1030)
@@ -174,8 +174,26 @@ def _unfolded(grid, scat, pulse):
     return 0.5 * (m + m.T)
 
 
+def _spy_blocks(monkeypatch):
+    # the sizes of the grids fi_matrix hands to count_gradients, and of the
+    # counts it hands to poisson_fi
+    seen = {"grids": [], "counts": []}
+
+    def grids(grid, *args):
+        seen["grids"].append(grid.size)
+        return count_gradients(grid, *args)
+
+    def counts(nbar, grad):
+        seen["counts"].append(nbar.size)
+        return poisson_fi(nbar, grad)
+
+    monkeypatch.setattr(fisher, "count_gradients", grids)
+    monkeypatch.setattr(fisher, "poisson_fi", counts)
+    return seen
+
+
 class TestMirroredFiMatrix:
-    """fi_matrix on mirror-built plates: folded for on-axis sources only."""
+    """fi_matrix on mirrored grids: folded for on-axis sources only."""
 
     @pytest.mark.parametrize("a0", [0.0, LAM / 30.0])
     @pytest.mark.parametrize("z_rel", [0.3, -0.3])
@@ -189,17 +207,41 @@ class TestMirroredFiMatrix:
         grid = planar_grid(z_rel * LAM, math.pi)
         scat = replace(scat_1030, r0=r0, a0=a0)
         full = _unfolded(grid, scat, pulse_1030)
-        evaluated = []
-
-        def spy(cell, *args):
-            evaluated.append(cell.size)
-            return count_gradients(cell, *args)
-
-        monkeypatch.setattr(fisher, "count_gradients", spy)
+        seen = _spy_blocks(monkeypatch)
         got = fi_matrix(grid, scat, pulse_1030).matrix
         assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max()
         on_axis = r0[0] == 0.0 and r0[1] == 0.0
-        assert evaluated == [grid.size // 4 if on_axis else grid.size]
+        assert sum(seen["grids"]) == (grid.size // 4 if on_axis else grid.size)
+
+    @pytest.mark.parametrize("a0", [0.0, LAM / 30.0])
+    @pytest.mark.parametrize("r0", [(0.3, -0.2, 0.1), (0.0, 0.0, 0.4)])
+    def test_matches_an_explicit_plate(self, scat_1030, pulse_1030, r0, a0,
+                                       monkeypatch):
+        # a source off the axis and one displaced along z, in blocks with a
+        # ragged last one: the mirrored grid, folded or taken block by block
+        # with its sign images, against the same pixels as a plain grid
+        monkeypatch.setattr(fisher, "_CHUNK", 96)
+        scat = replace(scat_1030, r0=r0, a0=a0)
+        for z_rel in (0.3, -0.3):
+            grid = planar_grid(z_rel * LAM, math.pi)
+            want = fi_matrix(grid.plate(), scat, pulse_1030).matrix
+            got = fi_matrix(grid, scat, pulse_1030).matrix
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("r0", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.1)])
+    def test_no_block_exceeds_the_chunk(self, scat_1030, pulse_1030, r0,
+                                        monkeypatch):
+        # the information adds up block by block: no plate-sized gradient
+        monkeypatch.setattr(fisher, "_CHUNK", 100)
+        scat = replace(scat_1030, r0=r0)
+        grid = planar_grid(0.3 * LAM, math.pi)
+        for g in (grid, grid.plate()):
+            seen = _spy_blocks(monkeypatch)
+            fi_matrix(g, scat, pulse_1030)
+            assert max(seen["grids"]) <= 100
+            assert seen["counts"] == seen["grids"]
+            folded = g is grid and r0[:2] == (0.0, 0.0)
+            assert sum(seen["grids"]) == (g.size // 4 if folded else g.size)
 
     @pytest.mark.parametrize("a0", [0.0, LAM / 30.0])
     @pytest.mark.parametrize("z_rel", [0.3, -0.3])
@@ -223,36 +265,31 @@ class TestMirroredFiMatrix:
 
     @staticmethod
     def _one_area_changed():
-        grid = planar_grid(0.3 * LAM, math.pi)
+        grid = planar_grid(0.3 * LAM, math.pi).plate()
         areas = grid.areas.copy()
         areas[2 * grid.size // 4 + 5] *= 1.5
         return PixelGrid(grid.positions, areas)
 
     @staticmethod
     def _one_position_changed():
-        grid = planar_grid(0.3 * LAM, math.pi)
+        grid = planar_grid(0.3 * LAM, math.pi).plate()
         positions = grid.positions.copy()
         positions[3 * grid.size // 4 + 7, 0] *= 1.01
         return PixelGrid(positions, grid.areas)
 
-    @pytest.mark.parametrize("plate", ["toy3x3", "area", "position"])
+    @pytest.mark.parametrize("plate", ["toy3x3", "area", "position", "whole"])
     def test_other_plates_go_through_every_pixel(self, scat_1030, pulse_1030,
                                                  plate, monkeypatch):
-        # an on-axis source, but a plate that is not a mirror cell and its
-        # three sign images bit for bit
+        # an on-axis source, but a plain PixelGrid: not folded, even when
+        # its pixels are a mirror cell and its sign images bit for bit
         grid = {"toy3x3": self._toy_plate, "area": self._one_area_changed,
-                "position": self._one_position_changed}[plate]()
+                "position": self._one_position_changed,
+                "whole": planar_grid(0.3 * LAM, math.pi).plate}[plate]()
         full = _unfolded(grid, scat_1030, pulse_1030)
-        evaluated = []
-
-        def spy(cell, *args):
-            evaluated.append(cell.size)
-            return count_gradients(cell, *args)
-
-        monkeypatch.setattr(fisher, "count_gradients", spy)
+        seen = _spy_blocks(monkeypatch)
         np.testing.assert_array_equal(
             fi_matrix(grid, scat_1030, pulse_1030).matrix, full)
-        assert evaluated == [grid.size]
+        assert seen["grids"] == [grid.size]
 
 
 def test_information_matrix_block_structure(scat_1030, pulse_1030, small_grid):

@@ -1,11 +1,12 @@
 """Sweep drivers and the built-in validation battery."""
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dipolebounds import fisher
+from dipolebounds import detector, fisher
 from dipolebounds.detector import planar_grid
 from dipolebounds.fisher import count_gradients, crb_bounds, poisson_fi
 from dipolebounds.model import InfoMatrix
@@ -92,6 +93,22 @@ class TestCrbDistanceSweep:
         again = crb_distance_sweep(scat_1030, pulse_1030,
                                    z_over_lambda=[0.4, 0.8])
         np.testing.assert_array_equal(again.table(), sweep.table())
+
+    def test_one_plate_alive_at_a_time(self, scat_1030, pulse_1030,
+                                       monkeypatch):
+        # every plate is freed before the next is built, so the sweep's
+        # working set is the largest plate's mirror cell
+        built = []
+
+        def spy(*args):
+            assert all(ref() is None for ref in built)
+            grid = planar_grid(*args)
+            built.append(weakref.ref(grid))
+            return grid
+
+        monkeypatch.setattr(detector, "planar_grid", spy)
+        crb_distance_sweep(scat_1030, pulse_1030, z_over_lambda=[0.4, 0.8])
+        assert len(built) == 6
 
     @pytest.mark.parametrize("r0", [(0.3, 0.0, 0.1), (0.2, -0.1, 0.05)])
     def test_off_axis_source_matches_the_full_plates(self, scat_1030,
