@@ -8,11 +8,15 @@ light-matter coupling, small corrections from the matter-light covariances).
 All three come from one kernel: f1's kernel is ``chi0 k`` times f3's, with the
 same prefactor and the causal term's sign flipped, and ``f2 = chi0 p f3``,
 so the PV and 1/(k+p) transforms enter only as their sum and difference.
-This module builds those profiles on a stretched momentum grid, assembles the
-time-resolved QFI matrix, and provides independent cross-checks: the mean
-scattered photon number from the scattering amplitude itself, the analytic
-long-time (far-field) limits, and a direct mode-decomposition evaluation of
-the stationary scattered field.
+The pulse amplitude is purely imaginary and vanishes off a band of the
+stretched momentum grid, so a block of T times costs two real products on
+(2, T, m) band stacks, m the band width.  :func:`qfi_matrix` assembles the
+time-resolved QFI matrix from the real and imaginary parts those products
+give and never forms the complex profiles; :meth:`FrequencyIntegrals.eval`
+builds them on request.  The module also provides independent
+cross-checks: the mean scattered photon number from the scattering amplitude
+itself, the analytic long-time (far-field) limits, and a direct
+mode-decomposition evaluation of the stationary scattered field.
 
 Conventions: internal units (``hbar = c = 1``, carrier wavenumber 1, as fixed
 by :class:`~dipolebounds.model.UnitSystem`), pulse spectrum
@@ -32,7 +36,7 @@ import numpy as np
 from .fields import regularizer
 from .model import PhysicsError, Pulse, Scatterer
 from .quadrature import (SinhGrid, _pole_subtraction, pv_integral, pv_matrix,
-                         real_matmul, trapezoid_weights)
+                         trapezoid_weights)
 
 __all__ = [
     "GAUGES",
@@ -69,16 +73,26 @@ def _blocks(count: int, n: int):
 class SpectralPulse:
     """Incident-pulse spectral amplitude sampled on a momentum grid.
 
-    ``alpha`` holds the stationary amplitude ``alpha(k)``; the time-dependent
-    amplitude is ``alpha(k) exp(-i k t)`` (:meth:`values`).  The normalization
-    ties the amplitude to the photon fluence:
-    ``phi = (1/2pi) int |alpha(k)|^2 dk`` holds on the grid by construction.
-    It also holds the grid-only transforms V + P and V - P
+    ``alpha`` holds the stationary amplitude ``alpha(k)``, purely imaginary
+    by construction; the time-dependent amplitude is ``alpha(k) exp(-i k t)``
+    (:meth:`band_values`).  The normalization ties the amplitude to the
+    photon fluence: ``phi = (1/2pi) int |alpha(k)|^2 dk`` holds on the grid
+    by construction.  ``alpha`` vanishes outside its :attr:`band`, the
+    contiguous slice of nodes where the Gaussian envelope has not underflowed;
+    every kernel integrates over the band alone.  The pulse also holds the
+    grid-only transforms V + P and V - P restricted to the band
     (:attr:`transforms`), shared by every :class:`FrequencyIntegrals` on it.
     """
 
     grid: SinhGrid
     alpha: np.ndarray
+
+    def __post_init__(self) -> None:
+        # the real-arithmetic kernels rest on these premises
+        if np.any(self.alpha.real != 0.0):
+            raise ValueError("alpha must be purely imaginary")
+        if not np.any(self.alpha) or not np.all(self.alpha[self.band]):
+            raise ValueError("alpha must be nonzero on one contiguous band")
 
     @classmethod
     def from_pulse(cls, pulse: Pulse, grid: SinhGrid | None = None) -> "SpectralPulse":
@@ -100,33 +114,41 @@ class SpectralPulse:
         alpha = math.sqrt(pulse.phi / norm_sq) * profile
         return cls(grid, alpha)
 
-    @property
-    def support(self) -> np.ndarray:
-        return self.alpha != 0
+    @cached_property
+    def band(self) -> slice:
+        """Nodes where ``alpha`` is nonzero; it is zero on every other node."""
+        nonzero = np.flatnonzero(self.alpha)
+        return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
 
     @cached_property
     def transforms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``((V + P).T, (V - P).T)``, V the PV and P the 1/(k+p) matrix.
+        """Band rows of ``((V + P).T, (V - P).T)``, each ``(m, n)``.
 
-        Built on first use: a pulse used only by :func:`nsc_series` never
-        holds them.
+        V is the PV and P the 1/(k+p) matrix, ``n`` the grid size and ``m``
+        the band width.  Built on first use: a pulse used only by
+        :func:`nsc_series` never holds them.
         """
         k, w = self.grid.nodes, self.grid.weights
-        pv = pv_matrix(k, w)
-        plus = w[None, :] / (k[None, :] + k[:, None])
-        # V - P first, then V + P in place: at most three n x n arrays live
-        diff = (pv - plus).T
-        pv += plus
-        return pv.T, diff
+        band = self.band
+        # pv_matrix's is the one n x n array: the rest is built on the band
+        pv = pv_matrix(k, w)[:, band].T
+        plus = k[band, None] + k
+        np.divide(w[band, None], plus, out=plus)
+        v_sum = pv + plus
+        v_diff = np.subtract(pv, plus, out=plus)
+        return v_sum, v_diff
 
-    def values(self, t) -> np.ndarray:
-        """Time-evolved spectral amplitude ``alpha(k) exp(-i k t)``.
+    def band_values(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of ``alpha(k) exp(-i k t)`` on the band.
 
-        ``t`` is a scalar or an array of times; the result has shape
-        ``t.shape + (n,)`` for a grid of ``n`` nodes.
+        With ``alpha = i a`` they are ``a sin kt`` and ``a cos kt``.  ``t`` is
+        a scalar or an array of times; each part has shape ``t.shape + (m,)``
+        for a band of ``m`` nodes.
         """
-        t = np.asarray(t, dtype=float)
-        return self.alpha * np.exp(-1j * self.grid.nodes * t[..., None])
+        kt = np.multiply.outer(np.asarray(t, dtype=float),
+                               self.grid.nodes[self.band])
+        a = self.alpha.imag[self.band]
+        return a * np.sin(kt), a * np.cos(kt)
 
     def fluence_on_grid(self) -> float:
         """Fluence recovered from the sampled amplitude (normalization check)."""
@@ -153,9 +175,14 @@ class FrequencyIntegrals:
     PV matrix V and the 1/(k+p) matrix P, ``g = a + ib`` gives
     ``g* P + g V = a (V + P) + i b (V - P)`` and ``h = c + id`` gives
     ``h* P - h V = -(c (V - P) + i d (V + P))``, so only ``V + P`` and
-    ``V - P`` are kept (the pulse holds them, built once), and :meth:`eval`
-    costs two real matrix products on ``(2, T, n)`` stacks per block of
-    ``T`` times, whatever ``T`` is.
+    ``V - P`` are kept (the pulse holds them, built once).  ``g`` vanishes
+    off the pulse's band, so only the band rows of either enter, and
+    :meth:`parts` costs two real products on ``(2, T, m)`` band stacks per
+    block of ``T`` times, for a band of ``m`` nodes, whatever ``T`` is.
+
+    :meth:`parts` returns the profiles divided by their prefactors as real
+    and imaginary parts; :func:`qfi_matrix` assembles the QFI from those and
+    never forms the complex profiles, which :meth:`eval` builds on request.
 
     Parameters
     ----------
@@ -182,23 +209,45 @@ class FrequencyIntegrals:
 
         shift = 1.0 if gauge == "coulomb" else 0.0
         sign = -1.0 if gauge == "coulomb" else 1.0
-        self._kern = k ** (0.5 + shift) * xi * scatterer.chi(k) / self._chi0
+        band = spectral.band
+        kb = k[band]
+        # K / 2pi on the band: the transforms then give the k-integrals
+        self._kern = (kb ** (0.5 + shift) * xi[band] * scatterer.chi(kb)
+                      / (2.0 * math.pi * self._chi0))
         self._pref = sign * k ** (0.5 - shift) * xi
 
+    def parts(self, t):
+        """``f3 / pref`` and ``-f1 / (chi0 pref)`` as real arrays.
+
+        Returns ``(u_re, u_im, v_re, v_im)`` with ``u = f3 / pref`` and
+        ``v = -f1 / (chi0 pref)``, each of shape ``t.shape + (n,)``.
+        """
+        sin, cos = self.spectral.band_values(t)
+        band = self.spectral.band
+        kb = self.nodes[band]
+        g_re, g_im = self._kern * sin, self._kern * cos
+        x = np.stack((g_re, kb * g_im)) @ self._sum
+        y = np.stack((g_im, kb * g_re)) @ self._diff
+        u_re, v_im = x
+        u_im, v_re = y
+        # the causal terms -(i/2) g and -(i/2) h, with g and h carrying the
+        # transforms' 1/2pi
+        u_re[..., band] += math.pi * g_im
+        u_im[..., band] -= math.pi * g_re
+        v_re[..., band] += math.pi * kb * g_im
+        v_im[..., band] -= math.pi * kb * g_re
+        return u_re, u_im, v_re, v_im
+
     def eval(self, t) -> dict[str, np.ndarray]:
-        """Profiles at all grid nodes, keyed ``f1, f2, f3``.
+        """Profiles at all grid nodes, keyed ``f1, f2, f3``, from :meth:`parts`.
 
         ``t`` is a scalar or an array of times; each profile has shape
         ``t.shape + (n,)``.  The working arrays grow with ``t.size``, so long
         series are passed in blocks (as :func:`qfi_matrix` does).
         """
-        g = self._kern * self.spectral.values(t)
-        h = self.nodes * g
-        x = np.stack((g.real, h.imag)) @ self._sum
-        y = np.stack((g.imag, h.real)) @ self._diff
-        f3 = self._pref * ((x[0] + 1j * y[0]) / (2.0 * math.pi) - 0.5j * g)
-        f1 = -self._chi0 * self._pref * (
-            (y[1] + 1j * x[1]) / (2.0 * math.pi) - 0.5j * h)
+        u_re, u_im, v_re, v_im = self.parts(t)
+        f3 = self._pref * (u_re + 1j * u_im)
+        f1 = -self._chi0 * self._pref * (v_re + 1j * v_im)
         return {"f1": f1, "f2": self._chi0 * self.nodes * f3, "f3": f3}
 
 
@@ -256,36 +305,45 @@ def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
             "combine corrections=True with gauge='multipolar'")
     integrals = FrequencyIntegrals(spectral, scatterer, gauge)
     grid = spectral.grid
-    w, p = grid.weights, grid.nodes
-    wp2 = w * p**2
+    chi0, p, pref = scatterer.chi0, grid.nodes, integrals._pref
+    wp2 = grid.weights * p**2
+    # |f3|^2 = pref^2 |u|^2, |f2|^2 = chi0^2 p^2 |f3|^2,
+    # |f1|^2 = chi0^2 pref^2 |v|^2 and Im(f1 f3*) = -chi0 pref^2 Im(v u*)
+    wpp = wp2 * pref**2
+    weights = np.stack((wpp, chi0**2 * wpp * p**2), axis=-1)
 
     if corrections:
         delta_xi, upsilon = covariance_kernels(grid, scatterer)
+        # each correction reads the kernels only as upsilon -+ delta_xi
+        minus = upsilon - delta_xi
+        plus = np.add(upsilon, delta_xi, out=upsilon)
+        del delta_xi
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.zeros((times.size, 4, 4))
     for blk in _blocks(times.size, grid.size):
-        f = integrals.eval(times[blk])
-        f1, f2, f3 = f["f1"], f["f2"], f["f3"]
-        i1 = np.square(np.abs(f1)) @ wp2
-        i2 = np.square(np.abs(f2)) @ wp2
-        i3 = np.square(np.abs(f3)) @ wp2
+        u_re, u_im, v_re, v_im = integrals.parts(times[blk])
+        i3, i2 = ((np.square(u_re) + np.square(u_im)) @ weights).T
+        i1 = chi0**2 * ((np.square(v_re) + np.square(v_im)) @ wpp)
+        cross = (v_im * u_re - v_re * u_im) @ wpp
         j11 = 4.0 / (15.0 * math.pi**2) * i2
         j33 = 2.0 * j11 + 4.0 / (3.0 * math.pi**2) * i1
         j00 = 4.0 / (3.0 * math.pi**2) * i3
-        j03 = -4.0 / (3.0 * math.pi**2) * (np.imag(f1 * np.conj(f3)) @ wp2)
+        j03 = 4.0 / (3.0 * math.pi**2) * chi0 * cross
         if corrections:
-            a1, a3 = wp2 * f1, wp2 * f3
-            c1, c3 = np.conj(a1), np.conj(a3)
-            up1, dx1 = real_matmul(c1, upsilon), real_matmul(c1, delta_xi)
-            up3, dx3 = real_matmul(c3, upsilon), real_matmul(c3, delta_xi)
-            x = np.sum(up1 * c1 - dx1 * a1, axis=-1)
-            y = np.sum(up3 * c3 + dx3 * a3, axis=-1)
-            z = np.sum(up1 * c3 + dx1 * a3, axis=-1)
+            # a = w p^2 f3 and b = -w p^2 f1 / chi0, split into real parts;
+            # the kernels are real and symmetric
+            a_re, a_im, b_re, b_im = wp2 * pref * np.stack(
+                (u_re, u_im, v_re, v_im))
+            ma_im, mb_re = np.stack((a_im, b_re)) @ minus
+            pa_re, pb_im = np.stack((a_re, b_im)) @ plus
+            x = np.sum(b_re * mb_re - b_im * pb_im, axis=-1)
+            y = np.sum(a_re * pa_re - a_im * ma_im, axis=-1)
+            z = np.sum(a_im * mb_re + a_re * pb_im, axis=-1)
             c = 4.0 / (9.0 * math.pi**4)
-            j33 += c * x.real
-            j00 -= c * y.real
-            j03 -= c * z.imag
+            j33 += c * chi0**2 * x
+            j00 -= c * y
+            j03 -= c * chi0 * z
         j = out[blk]
         j[:, 0, 0], j[:, 1, 1], j[:, 2, 2], j[:, 3, 3] = j00, j11, 2.0 * j11, j33
         j[:, 0, 3] = j[:, 3, 0] = j03
@@ -331,38 +389,46 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     :attr:`SpectralPulse.transforms` or
     :func:`~dipolebounds.quadrature.pv_matrix`, so it can serve as an
     independent consistency check of the QFI pipeline
-    (J_00 = 4 N_sc / chi0^2 at all times).  Poles inside the spectral support
+    (J_00 = 4 N_sc / chi0^2 at all times).  Poles inside the pulse's band
     get :func:`~dipolebounds.quadrature.pv_integral`'s pole subtraction; the
     remaining poles get plain excision.  Both are built once per call, as one
     real operator V, and combined with the 1/(k+p) operator P: for the real
-    kernel, ``f = a + ib`` gives ``f V + f* P = a (V + P) + i b (V - P)``,
-    two real matrix products per block of times.
+    kernel, ``f = a + ib`` gives ``f V + f* P = a (V + P) + i b (V - P)``.
+    ``f`` vanishes off the band, so only the band rows of V +- P are kept,
+    and a block of ``T`` times costs two real products on ``(T, m)`` band
+    arrays; ``|s|^2`` is summed from the real and imaginary parts.
     """
     grid = spectral.grid
-    k = grid.nodes
-    w = grid.weights
-    n = k.size
+    k, w, n = grid.nodes, grid.weights, grid.size
+    band = spectral.band
+    kb = k[band]
     xi = regularizer(k, scatterer.a0)
-    kern = np.sqrt(k) * xi * scatterer.chi(k)
-    idx = np.nonzero(spectral.support)[0]
-    # a pole outside the spectral support or at a grid boundary gets plain
-    # excision, with negligible weight downstream
-    inside = np.arange(max(idx[0], 1), min(idx[-1], n - 2) + 1)
-    v_plus = _pv_operator(k, w, inside)
-    plus = np.add.outer(k, k)
-    np.divide(w[:, None], plus, out=plus)
-    # V - P first, then V + P in place: at most three n x n arrays live
-    v_minus = v_plus - plus
-    v_plus += plus
-    del plus
+    # the kernel carries the 1/2pi of the k-integral
+    kern = np.sqrt(kb) * xi[band] * scatterer.chi(kb) / (2.0 * math.pi)
+    # a pole outside the band or at a grid boundary gets plain excision, with
+    # negligible weight downstream
+    inside = np.arange(max(band.start, 1), min(band.stop - 1, n - 2) + 1)
+    # the operator is the one n x n array: the rest is built on the band
+    v = _pv_operator(k, w, inside)[band]
+    # P's band rows first, then V - P, then V + P in place
+    v_plus = kb[:, None] + k
+    np.divide(w[band, None], v_plus, out=v_plus)
+    v_minus = v - v_plus
+    v_plus += v
+    del v
+    # |s|^2 p^2 with the emitted mode's factor sqrt(p) xi_p squared in
+    weights = w * k**3 * np.square(xi) / (3.0 * math.pi**2)
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty(times.size)
     for blk in _blocks(times.size, n):
-        fk = kern * spectral.values(times[blk])
-        amp = fk.real @ v_plus + 1j * (fk.imag @ v_minus)
-        s = (amp / (2.0 * math.pi) - 0.5j * fk) * (np.sqrt(k) * xi)
-        out[blk] = np.square(np.abs(s)) @ (w * k**2) / (3.0 * math.pi**2)
+        sin, cos = spectral.band_values(times[blk])
+        f_re, f_im = kern * sin, kern * cos
+        s_re, s_im = f_re @ v_plus, f_im @ v_minus
+        # the causal term -(i/2) f, with f carrying the 1/2pi
+        s_re[:, band] += math.pi * f_im
+        s_im[:, band] -= math.pi * f_re
+        out[blk] = (np.square(s_re) + np.square(s_im)) @ weights
     return out
 
 

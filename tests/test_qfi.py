@@ -19,10 +19,16 @@ from dipolebounds.qfi import (
     regularizer,
 )
 from dipolebounds.quadrature import (SinhGrid, pv_integral, pv_matrix,
-                                     trapezoid_weights)
+                                     real_matmul, trapezoid_weights)
 from dipolebounds.scenarios import fit_power_law, size_scaling_sweep
 
 LAM = 2.0 * math.pi
+
+
+@pytest.fixture(scope="module")
+def spectral_10():
+    # a ten-cycle pulse: its band starts at the first grid node
+    return SpectralPulse.from_pulse(Pulse(phi=1.0, tau=10.0))
 
 
 class TestSpectralPulse:
@@ -38,26 +44,53 @@ class TestSpectralPulse:
             SpectralPulse.from_pulse(short)
 
     def test_support_brackets_the_carrier(self, spectral_200):
-        grid = spectral_200.grid
-        assert spectral_200.support[grid.carrier_index]
-        assert not spectral_200.support[0]
-        assert not spectral_200.support[-1]
+        # the band is alpha's support: nodes 29-321 of 537 for tau = 200
+        grid, band = spectral_200.grid, spectral_200.band
+        assert (band.start, band.stop, grid.size) == (29, 322, 537)
+        assert band.start < grid.carrier_index < band.stop
+
+    @pytest.mark.parametrize("spectrum,start,width", [
+        ("spectral_200", 29, 293), ("spectral_10", 0, 401)])
+    def test_band_premises(self, spectrum, start, width, request):
+        # the real-arithmetic kernels rest on these: alpha is purely
+        # imaginary, and zero exactly off one contiguous band of nodes
+        sp = request.getfixturevalue(spectrum)
+        band, alpha = sp.band, sp.alpha
+        assert (band.start, band.stop - band.start) == (start, width)
+        assert np.all(alpha.real == 0.0)
+        assert np.all(alpha[band] != 0.0)
+        assert not np.any(alpha[:band.start]) and not np.any(alpha[band.stop:])
+
+    def test_rejects_a_broken_premise(self, spectral_200):
+        grid, alpha = spectral_200.grid, spectral_200.alpha
+        with pytest.raises(ValueError, match="imaginary"):
+            SpectralPulse(grid, alpha + 1e-300)
+        split = alpha.copy()
+        split[grid.carrier_index] = 0.0
+        with pytest.raises(ValueError, match="contiguous"):
+            SpectralPulse(grid, split)
 
     def test_time_evolution_is_a_pure_phase(self, spectral_200):
-        v = spectral_200.values(17.3)
-        np.testing.assert_allclose(np.abs(v), np.abs(spectral_200.alpha),
+        band = spectral_200.band
+        re, im = spectral_200.band_values(17.3)
+        np.testing.assert_allclose(np.hypot(re, im),
+                                   np.abs(spectral_200.alpha[band]),
                                    rtol=1e-14)
-        i = spectral_200.grid.carrier_index
-        k = spectral_200.grid.nodes[i]
-        assert v[i] == pytest.approx(
-            spectral_200.alpha[i] * np.exp(-1j * k * 17.3), rel=1e-12)
+        k = spectral_200.grid.nodes[band]
+        np.testing.assert_allclose(
+            re + 1j * im, spectral_200.alpha[band] * np.exp(-1j * k * 17.3),
+            rtol=1e-12)
 
     def test_array_of_times_stacks_single_times(self, spectral_200):
         times = np.array([[-50.0, 0.0], [17.3, 400.0]])
-        v = spectral_200.values(times)
-        assert v.shape == times.shape + (spectral_200.grid.size,)
-        for t, row in zip(times.ravel(), v.reshape(-1, v.shape[-1])):
-            np.testing.assert_array_equal(row, spectral_200.values(t))
+        width = spectral_200.band.stop - spectral_200.band.start
+        re, im = spectral_200.band_values(times)
+        assert re.shape == im.shape == times.shape + (width,)
+        for t, row_re, row_im in zip(times.ravel(), re.reshape(-1, width),
+                                     im.reshape(-1, width)):
+            one_re, one_im = spectral_200.band_values(t)
+            np.testing.assert_array_equal(row_re, one_re)
+            np.testing.assert_array_equal(row_im, one_im)
 
     def test_custom_grid(self, pulse_200):
         grid = SinhGrid(k_max=500.0)
@@ -141,8 +174,8 @@ class TestFrequencyIntegrals:
 
     def test_a_block_costs_two_products(self, spectral_200, scat_532,
                                         monkeypatch):
-        # V + P and V - P each act once on a (2, T, n) stack: f1 and f3
-        # share them, and f2 is formed from f3
+        # V + P and V - P each act once on a (2, T, m) stack of the m band
+        # nodes: f1 and f3 share them, and f2 is formed from f3
         calls = []
 
         class Spy(np.ndarray):
@@ -156,7 +189,8 @@ class TestFrequencyIntegrals:
         monkeypatch.setattr(integ, "_sum", integ._sum.view(Spy))
         monkeypatch.setattr(integ, "_diff", integ._diff.view(Spy))
         spied = integ.eval(times)
-        assert calls == [(2, 7, spectral_200.grid.size)] * 2
+        band = spectral_200.band
+        assert calls == [(2, 7, band.stop - band.start)] * 2
         for name in ("f1", "f2", "f3"):
             np.testing.assert_array_equal(spied[name], plain[name])
 
@@ -387,6 +421,92 @@ class TestScatteredPhotons:
             sp = SpectralPulse.from_pulse(Pulse(phi=1.0, tau=tau))
             levels.append(nsc_series(scat_532, sp, [5.0 * tau])[0])
         assert max(levels) / min(levels) < 1.05
+
+
+def dense_reference_qfi(scat, spectral, times, gauge, corrections):
+    """The QFI as assembled before the band kernel: complex
+    ``alpha exp(-ikt)`` on all n nodes, the full n x n V +- P and
+    ``|f|^2 @ w p^2`` from the complex profiles."""
+    k, w = spectral.grid.nodes, spectral.grid.weights
+    pv = pv_matrix(k, w)
+    plus = w[None, :] / (k[None, :] + k[:, None])
+    v_sum, v_diff = (pv + plus).T, (pv - plus).T
+    shift, sign = (1.0, -1.0) if gauge == "coulomb" else (0.0, 1.0)
+    xi, chi0 = regularizer(k, scat.a0), scat.chi0
+    kern = k ** (0.5 + shift) * xi * scat.chi(k) / chi0
+    pref = sign * k ** (0.5 - shift) * xi
+    g = kern * spectral.alpha * np.exp(-1j * k * np.asarray(times)[:, None])
+    h = k * g
+    x = np.stack((g.real, h.imag)) @ v_sum
+    y = np.stack((g.imag, h.real)) @ v_diff
+    f3 = pref * ((x[0] + 1j * y[0]) / (2.0 * math.pi) - 0.5j * g)
+    f1 = -chi0 * pref * ((y[1] + 1j * x[1]) / (2.0 * math.pi) - 0.5j * h)
+    f2 = chi0 * k * f3
+    wp2 = w * k**2
+    i1, i2, i3 = (np.square(np.abs(f)) @ wp2 for f in (f1, f2, f3))
+    j11 = 4.0 / (15.0 * math.pi**2) * i2
+    j33 = 2.0 * j11 + 4.0 / (3.0 * math.pi**2) * i1
+    j00 = 4.0 / (3.0 * math.pi**2) * i3
+    j03 = -4.0 / (3.0 * math.pi**2) * (np.imag(f1 * np.conj(f3)) @ wp2)
+    if corrections:
+        delta_xi, upsilon = covariance_kernels(spectral.grid, scat)
+        a1, a3 = wp2 * f1, wp2 * f3
+        c1, c3 = np.conj(a1), np.conj(a3)
+        up1, dx1 = real_matmul(c1, upsilon), real_matmul(c1, delta_xi)
+        up3, dx3 = real_matmul(c3, upsilon), real_matmul(c3, delta_xi)
+        c = 4.0 / (9.0 * math.pi**4)
+        j33 += c * np.sum(up1 * c1 - dx1 * a1, axis=-1).real
+        j00 -= c * np.sum(up3 * c3 + dx3 * a3, axis=-1).real
+        j03 -= c * np.sum(up1 * c3 + dx1 * a3, axis=-1).imag
+    return np.stack((j00, j11, 2.0 * j11, j33, j03), axis=-1)
+
+
+def dense_reference_nsc(scat, spectral, times):
+    """The photon number as summed before the band kernel, on all n nodes."""
+    k, w, n = spectral.grid.nodes, spectral.grid.weights, spectral.grid.size
+    idx = np.flatnonzero(spectral.alpha)
+    inside = np.arange(max(idx[0], 1), min(idx[-1], n - 2) + 1)
+    v = qfi._pv_operator(k, w, inside)
+    plus = w[:, None] / np.add.outer(k, k)
+    xi = regularizer(k, scat.a0)
+    fk = (np.sqrt(k) * xi * scat.chi(k) * spectral.alpha
+          * np.exp(-1j * k * np.asarray(times)[:, None]))
+    amp = fk.real @ (v + plus) + 1j * (fk.imag @ (v - plus))
+    s = (amp / (2.0 * math.pi) - 0.5j * fk) * (np.sqrt(k) * xi)
+    return np.square(np.abs(s)) @ (w * k**2) / (3.0 * math.pi**2)
+
+
+@pytest.mark.parametrize("spectrum,tau", [("spectral_200", 200.0),
+                                          ("spectral_10", 10.0)])
+class TestBandKernelAgainstDenseReference:
+    """The band kernels drop the zero-amplitude rows and form no complex
+    profile; against the dense complex route each output column agrees to
+    1e-13 of its peak, across a block boundary."""
+
+    @staticmethod
+    def times(spectral, tau):
+        return np.linspace(-3.0 * tau, 5.0 * tau, qfi._BLOCK_ELEMENTS
+                           // spectral.grid.size + 9)
+
+    @pytest.mark.parametrize("gauge,corrections", [
+        ("multipolar", False), ("coulomb", False), ("multipolar", True)])
+    def test_qfi_matrix(self, spectrum, tau, gauge, corrections, scat_532,
+                        request):
+        sp = request.getfixturevalue(spectrum)
+        times = self.times(sp, tau)
+        j = qfi_matrix(scat_532, sp, times, gauge, corrections).j
+        got = np.stack((j[:, 0, 0], j[:, 1, 1], j[:, 2, 2], j[:, 3, 3],
+                        j[:, 0, 3]), axis=-1)
+        want = dense_reference_qfi(scat_532, sp, times, gauge, corrections)
+        dev = np.abs(got - want).max(axis=0)
+        assert np.all(dev <= 1e-13 * np.abs(want).max(axis=0)), dev
+
+    def test_nsc_series(self, spectrum, tau, scat_532, request):
+        sp = request.getfixturevalue(spectrum)
+        times = self.times(sp, tau)
+        want = dense_reference_nsc(scat_532, sp, times)
+        got = nsc_series(scat_532, sp, times)
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
 
 
 class TestFarfieldLimits:
