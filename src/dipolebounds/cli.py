@@ -352,18 +352,11 @@ def write_csv(path: Path, names: list, table: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
+def _numpy_to_json(obj):
+    """``json.dumps`` hook: numpy arrays and scalars as lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_resolved_config(out_dir: Path, cfg: dict, subcommand: str,
@@ -375,8 +368,9 @@ def write_resolved_config(out_dir: Path, cfg: dict, subcommand: str,
         "subcommand": subcommand,
     }
     if extra_meta:
-        doc["_meta"].update(_jsonable(extra_meta))
-    out = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        doc["_meta"].update(extra_meta)
+    out = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                     default=_numpy_to_json) + "\n"
     (out_dir / "config.resolved.json").write_text(out, encoding="utf-8",
                                                   newline="\n")
 
@@ -473,45 +467,38 @@ def _qfi_physical_columns(sweep: scenarios.SweepResult, units: UnitSystem,
 
 def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
     run = cfg["run"]
-    lam1 = cfg["pulse"]["lambda_nm"]
-    units1 = build_units(cfg, lam1)
-    scat1 = build_scatterer(cfg, units1)
-    pulse1 = build_pulse(cfg, units1, scat1)
-    grid = build_grid(cfg)
-    gauges = tuple(run["gauges"])
     normalize = run["normalize"]
-
-    span = (run["t_min_over_tau"], run["t_max_over_tau"])
-    t1 = scenarios.default_time_axis(pulse1, run["samples_per_period"], span)
-    t_fs = units1.time_from_internal(t1) * 1e15
-
-    sweep1 = scenarios.qfi_time_sweep(scat1, pulse1, times=t1, gauges=gauges,
-                                      corrections=run["corrections"],
-                                      normalize=normalize, grid=grid)
-    tag1 = f"{lam1:g}nm"
-    columns = _qfi_physical_columns(sweep1, units1, normalize, tag1)
-    meta = {"wavelength_1_nm": lam1, "sweep_1": sweep1.meta}
-
-    lam2 = run["second_lambda_nm"]
-    if lam2 is not None:
-        units2 = build_units(cfg, lam2)
-        scat2 = build_scatterer(cfg, units2)
-        ratio = run["fluence_ratio"]
-        if ratio is None:
-            ratio = lam2 / lam1
-        phi1_si = units1.fluence_from_internal(pulse1.phi)
-        phi2 = units2.fluence_to_internal(ratio * phi1_si)
-        pulse2 = build_pulse(cfg, units2, scat2, phi_internal=phi2)
-        t2 = units2.time_to_internal(t_fs * 1e-15)
-        sweep2 = scenarios.qfi_time_sweep(scat2, pulse2, times=t2,
-                                          gauges=gauges,
-                                          corrections=run["corrections"],
-                                          normalize=normalize, grid=grid)
-        tag2 = f"{lam2:g}nm"
-        columns.update(_qfi_physical_columns(sweep2, units2, normalize, tag2))
-        meta["wavelength_2_nm"] = lam2
-        meta["fluence_ratio"] = ratio
-        meta["sweep_2"] = sweep2.meta
+    lam1, lam2 = cfg["pulse"]["lambda_nm"], run["second_lambda_nm"]
+    columns, meta = {}, {}
+    # the first pulse fixes the fluence in SI and the femtosecond time axis,
+    # which a second wavelength shares
+    for i, lam in enumerate((lam1,) if lam2 is None else (lam1, lam2), 1):
+        units = build_units(cfg, lam)
+        scat = build_scatterer(cfg, units)
+        if i == 1:
+            pulse = build_pulse(cfg, units, scat)
+            grid = build_grid(cfg)
+            phi1_si = units.fluence_from_internal(pulse.phi)
+            times = scenarios.default_time_axis(
+                pulse, run["samples_per_period"],
+                (run["t_min_over_tau"], run["t_max_over_tau"]))
+            t_fs = units.time_from_internal(times) * 1e15
+        else:
+            ratio = run["fluence_ratio"]
+            if ratio is None:
+                ratio = lam2 / lam1
+            meta["fluence_ratio"] = ratio
+            phi = units.fluence_to_internal(ratio * phi1_si)
+            pulse = build_pulse(cfg, units, scat, phi_internal=phi)
+            times = units.time_to_internal(t_fs * 1e-15)
+        sweep = scenarios.qfi_time_sweep(scat, pulse, times=times,
+                                         gauges=tuple(run["gauges"]),
+                                         corrections=run["corrections"],
+                                         normalize=normalize, grid=grid)
+        columns.update(_qfi_physical_columns(sweep, units, normalize,
+                                             f"{lam:g}nm"))
+        meta[f"wavelength_{i}_nm"] = lam
+        meta[f"sweep_{i}"] = sweep.meta
 
     result = scenarios.SweepResult("t_fs", t_fs, columns, meta)
     ycols = [c for c in columns if c.startswith("j11")]

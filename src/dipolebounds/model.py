@@ -9,7 +9,7 @@ i.e. lengths are measured in units of the reduced drive wavelength
 energy is 1.  :class:`UnitSystem` is the only place where that unit is
 fixed, so no function downstream takes a wavenumber or wavelength argument.
 It is also the single place where SI values enter or leave; the rest of the
-library never sees metres or joules.  The SI constants are CODATA 2022.
+library never sees metres or joules.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 C_SI = 299792458.0                   # speed of light, m/s (exact)
-EPS0_SI = 8.8541878188e-12           # vacuum permittivity, F/m
-HBAR_SI = 1.0545718176461565e-34     # h / 2 pi with h exact, J s
 
 #: Canonical parameter ordering used by every 4x4 information matrix.
 PARAM_NAMES = ("chi0", "x0", "y0", "z0")
@@ -68,10 +66,7 @@ class UnitSystem:
     # -- lengths / times -----------------------------------------------------
 
     def length_to_internal(self, metres):
-        return np.asarray(metres) * self.k_si if np.ndim(metres) else metres * self.k_si
-
-    def length_from_internal(self, x):
-        return x / self.k_si
+        return metres * self.k_si
 
     def time_to_internal(self, seconds):
         return seconds * C_SI * self.k_si
@@ -91,34 +86,12 @@ class UnitSystem:
         """Polarizability volume (m^3) to internal units."""
         return m3 * self.k_si**3
 
-    def polarizability_from_internal(self, chi):
-        return chi / self.k_si**3
-
     def fluence_to_internal(self, per_m2):
         """Photon fluence (photons / m^2) to internal units."""
         return per_m2 / self.k_si**2
 
     def fluence_from_internal(self, phi):
         return phi * self.k_si**2
-
-    def field_to_internal(self, v_per_m):
-        """Electric field amplitude (V/m) to internal units.
-
-        Internal fields are scaled so the free-field energy density is
-        ``|E|^2 / 2`` with photon energies ``omega = k``; the SI amplitude
-        maps as ``E * sqrt(eps0 / (hbar c^3)) / k^2``.
-        """
-        return v_per_m * math.sqrt(EPS0_SI / (HBAR_SI * C_SI**3)) / self.k_si**2
-
-    def field_from_internal(self, e):
-        return e * self.k_si**2 / math.sqrt(EPS0_SI / (HBAR_SI * C_SI**3))
-
-    def area_from_internal(self, a):
-        """Internal area (e.g. a cross section) to m^2."""
-        return a / self.k_si**2
-
-    def area_to_internal(self, m2):
-        return m2 * self.k_si**2
 
 
 # ---------------------------------------------------------------------------

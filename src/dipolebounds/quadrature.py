@@ -21,7 +21,6 @@ __all__ = [
     "trapezoid_weights",
     "pv_integral",
     "pv_matrix",
-    "real_matmul",
 ]
 
 
@@ -61,7 +60,6 @@ class SinhGrid:
     k_max: float = 1.1e3
     nodes: np.ndarray = field(init=False, repr=False, default=None)
     weights: np.ndarray = field(init=False, repr=False, default=None)
-    carrier_index: int = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if not (self.d > 0 and self.delta > 0):
@@ -83,22 +81,18 @@ class SinhGrid:
         w[-1] *= 0.5
         object.__setattr__(self, "nodes", p)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "carrier_index", int(np.argmin(np.abs(p - 1.0))))
 
     @property
     def size(self) -> int:
         return self.nodes.size
-
-    def integrate(self, values: np.ndarray) -> complex | float:
-        """Plain trapezoid integral of samples on the grid (last axis)."""
-        return np.asarray(values) @ self.weights
 
 
 # ---------------------------------------------------------------------------
 # principal-value integration
 # ---------------------------------------------------------------------------
 
-def pv_integral(f, nodes: np.ndarray, pole, weights: np.ndarray | None = None):
+def pv_integral(f, nodes: np.ndarray, pole: float,
+                weights: np.ndarray | None = None):
     """Principal value of ``int f(k) / (k - pole) dk`` over the node range.
 
     Uses pole subtraction:
@@ -108,24 +102,21 @@ def pv_integral(f, nodes: np.ndarray, pole, weights: np.ndarray | None = None):
     where the first integrand is smooth and handled by the trapezoid rule.
     ``f`` may be a callable (evaluated at the nodes and the pole) or an array
     of samples, in which case ``f(pole)`` is obtained by local quadratic
-    interpolation.  ``pole`` may be a scalar or an array of poles; each pole
-    gets the same subtraction rule.  Every pole must lie strictly inside
+    interpolation.  The scalar ``pole`` must lie strictly inside
     ``(nodes[0], nodes[-1])``.
 
-    The rule is linear in the samples.  With the real ``(P, n)`` matrix
-    ``c = w / (k - p)`` for the ``P`` poles, whose on-pole entries are
-    replaced by a central-difference stencil for the removable ratio
-    ``f'(p)``, and ``s`` the row sums of ``c`` without that stencil,
+    The rule is linear in the samples.  With the real row ``c = w / (k - p)``,
+    whose on-pole entry is replaced by a central-difference stencil for the
+    removable ratio ``f'(p)``, and ``s`` the sum of ``c`` without that
+    stencil,
 
-        PV = F @ c.T - f(p) s + f(p) ln((b-p)/(p-a)).
+        PV = F @ c - f(p) s + f(p) ln((b-p)/(p-a)).
 
     So samples may carry leading axes: ``(T, n)`` samples (``T`` functions
-    on the same nodes, such as one per time) give a result of shape
-    ``(T,) + pole.shape``, from one matrix product.  An array of ``P`` poles
-    builds ``(P, nodes.size)`` intermediates, so callers with many poles
-    pass them in blocks.  ``c`` and ``ln((b-p)/(p-a)) - s`` come from
+    on the same nodes, such as one per time) give ``T`` principal values
+    from one product.  ``c`` and ``ln((b-p)/(p-a)) - s`` come from
     :func:`_pole_subtraction`, which callers that apply the rule to many
-    sample sets at fixed poles can build once.
+    sample sets at many fixed poles can build once.
 
     Returns the principal value only; the causal prescription's delta-function
     part, ``-i pi f(pole)``, is the caller's to add.
@@ -133,23 +124,19 @@ def pv_integral(f, nodes: np.ndarray, pole, weights: np.ndarray | None = None):
     nodes = np.asarray(nodes, dtype=float)
     if weights is None:
         weights = trapezoid_weights(nodes)
+    pole = float(pole)
     a, b = nodes[0], nodes[-1]
-    poles = np.asarray(pole, dtype=float)
-    if not np.all((a < poles) & (poles < b)):
+    if not a < pole < b:
         raise ValueError(f"pole {pole} must lie inside ({a}, {b})")
 
     if callable(f):
         fk = np.asarray(f(nodes))
-        fp = np.asarray(f(poles))
+        fp = f(pole)
     else:
         fk = np.asarray(f)
-        fp = _interp_quadratic(nodes, fk, poles)
-    lead = fk.shape[:-1]
-    p = poles.reshape(-1)
-    c, coef = _pole_subtraction(nodes, weights, p)
-    fp = fp.reshape(lead + p.shape)
-    pv = real_matmul(fk, c.T) + fp * coef
-    return pv.reshape(lead + poles.shape)
+        fp = _interp_quadratic(nodes, fk, pole)
+    c, coef = _pole_subtraction(nodes, weights, np.array([pole]))
+    return (fk @ c.T)[..., 0] + fp * coef[0]
 
 
 def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray):
@@ -176,19 +163,6 @@ def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray):
     c[row, hi] += stencil
     c[row, lo] -= stencil
     return c, coef
-
-
-def real_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``x @ m`` for a real ``m``, with a complex ``x`` split into its parts.
-
-    numpy runs a complex-by-real ``@`` as an unaccelerated loop (or up-casts
-    ``m``); stacking the real and imaginary parts of ``x`` into one
-    contiguous real array keeps the product in BLAS.
-    """
-    if not np.iscomplexobj(x):
-        return x @ m
-    parts = np.stack((x.real, x.imag)) @ m
-    return parts[0] + 1j * parts[1]
 
 
 def _interp_quadratic(x: np.ndarray, y: np.ndarray, x0):

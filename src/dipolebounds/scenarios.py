@@ -107,17 +107,13 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
     fwd, bwd, fin = (np.array([r[k][0] for r in results]) for k in range(3))
     sizes = np.array([[size for _, size in r] for r in results])
     cells = np.sqrt(sizes.max(axis=1))
-    qcrb = qfi.farfield_qcrb_constants()
+    qcrb = np.tile(qfi.farfield_qcrb_constants(), (z_over_lambda.size, 1))
 
     columns = {}
-    for j, name in enumerate(("chi", "x", "y", "z")):
-        columns[f"crb_{name}_norm_fwd"] = fwd[:, j]
-    for j, name in enumerate(("chi", "x", "y", "z")):
-        columns[f"crb_{name}_norm_bwd"] = bwd[:, j]
-    for j, name in enumerate(("chi", "x", "y", "z")):
-        columns[f"crb_{name}_norm_finite"] = fin[:, j]
-    for j, name in enumerate(("chi", "x", "y", "z")):
-        columns[f"qcrb_{name}_norm"] = np.full(z_over_lambda.size, qcrb[j])
+    for label, table in (("crb_{}_norm_fwd", fwd), ("crb_{}_norm_bwd", bwd),
+                         ("crb_{}_norm_finite", fin), ("qcrb_{}_norm", qcrb)):
+        for j, name in enumerate(("chi", "x", "y", "z")):
+            columns[label.format(name)] = table[:, j]
     columns["cells_per_axis"] = cells
 
     meta = {

@@ -23,6 +23,7 @@ from dipolebounds.cli import (
     main,
     resolve_config,
 )
+from dipolebounds.model import UnitSystem
 
 
 class TestResolveConfig:
@@ -442,6 +443,36 @@ def test_qfi_time_two_color_columns(tmp_path, capsys):
         assert f"j03_per_nm3um_multipolar_{tag}" in names
         assert f"nsc_{tag}" in names
     assert len(names) == 1 + 2 * 6
+
+
+@pytest.mark.parametrize("second,ratio", [
+    (None, None), (4500.0, None), (4500.0, 0.5)])
+def test_qfi_time_meta(tmp_path, capsys, second, ratio):
+    # the first pulse fixes the SI fluence; a second wavelength carries
+    # fluence_ratio (default lambda2 / lambda1) times it
+    out = tmp_path / "qt"
+    rc = main(["qfi-time", "--preset", "fig3", "--out", str(out),
+               "--set", f"run.second_lambda_nm={json.dumps(second)}",
+               "--set", f"run.fluence_ratio={json.dumps(ratio)}",
+               "--set", "run.t_min_over_tau=-0.2",
+               "--set", "run.t_max_over_tau=0.2",
+               "--set", "run.samples_per_period=2"])
+    assert rc == 0
+    capsys.readouterr()
+    meta = json.loads((out / "config.resolved.json").read_text())["_meta"]
+    assert meta["wavelength_1_nm"] == 1030.0
+    assert meta["sweep_1"]["scenario"] == "qfi_time_sweep"
+    if second is None:
+        assert not [key for key in meta if "_2" in key or "ratio" in key]
+        return
+    expect = 4500.0 / 1030.0 if ratio is None else ratio
+    assert meta["fluence_ratio"] == pytest.approx(expect, rel=1e-15)
+    assert meta["wavelength_2_nm"] == 4500.0
+    phi1_si = UnitSystem.from_wavelength_nm(1030.0).fluence_from_internal(
+        meta["sweep_1"]["phi_internal"])
+    phi2 = UnitSystem.from_wavelength_nm(4500.0).fluence_to_internal(
+        expect * phi1_si)
+    assert meta["sweep_2"]["phi_internal"] == pytest.approx(phi2, rel=1e-12)
 
 
 def _leaf_paths(node: dict, prefix: str = "") -> set:

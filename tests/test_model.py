@@ -10,8 +10,6 @@ from scipy.integrate import quad
 
 from dipolebounds.model import (
     C_SI,
-    EPS0_SI,
-    HBAR_SI,
     PARAM_NAMES,
     InfoMatrix,
     PhysicsError,
@@ -28,13 +26,9 @@ class TestConstants:
     def test_codata_2022_literals(self):
         # pinned, so results do not depend on the CODATA edition of scipy
         assert C_SI == 299792458.0
-        assert EPS0_SI == 8.8541878188e-12
-        assert HBAR_SI == 1.0545718176461565e-34
 
     def test_agree_with_scipy(self):
         assert C_SI == pytest.approx(constants.c, rel=1e-9)
-        assert EPS0_SI == pytest.approx(constants.epsilon_0, rel=1e-9)
-        assert HBAR_SI == pytest.approx(constants.hbar, rel=1e-9)
 
 
 class TestUnitSystem:
@@ -49,35 +43,14 @@ class TestUnitSystem:
             UnitSystem(-1e-6)
 
     @given(wavelengths, magnitudes)
-    def test_length_round_trip(self, wl, x):
-        u = UnitSystem(wl)
-        assert u.length_from_internal(u.length_to_internal(x)) == pytest.approx(x, rel=1e-12)
-
-    @given(wavelengths, magnitudes)
     def test_time_round_trip(self, wl, t):
         u = UnitSystem(wl)
         assert u.time_from_internal(u.time_to_internal(t)) == pytest.approx(t, rel=1e-12)
 
     @given(wavelengths, magnitudes)
-    def test_polarizability_round_trip(self, wl, v):
-        u = UnitSystem(wl)
-        assert u.polarizability_from_internal(
-            u.polarizability_to_internal(v)) == pytest.approx(v, rel=1e-12)
-
-    @given(wavelengths, magnitudes)
     def test_fluence_round_trip(self, wl, phi):
         u = UnitSystem(wl)
         assert u.fluence_from_internal(u.fluence_to_internal(phi)) == pytest.approx(phi, rel=1e-12)
-
-    @given(wavelengths, magnitudes)
-    def test_field_round_trip(self, wl, e):
-        u = UnitSystem(wl)
-        assert u.field_from_internal(u.field_to_internal(e)) == pytest.approx(e, rel=1e-12)
-
-    @given(wavelengths, magnitudes)
-    def test_area_round_trip(self, wl, a):
-        u = UnitSystem(wl)
-        assert u.area_from_internal(u.area_to_internal(a)) == pytest.approx(a, rel=1e-12)
 
     def test_frequency_matches_wavenumber(self):
         # omega = c k in SI maps to omega = k internally
@@ -142,7 +115,7 @@ class TestScatterer:
         for nm in (1030.0, 515.0):
             u = UnitSystem.from_wavelength_nm(nm)
             chi0 = u.polarizability_to_internal(13e-27)
-            si.append(u.area_from_internal(Scatterer(chi0=chi0).cross_section()))
+            si.append(Scatterer(chi0=chi0).cross_section() / u.k_si**2)
         assert si[1] == pytest.approx(16.0 * si[0], rel=1e-12)
 
     def test_off_resonance_guard(self):

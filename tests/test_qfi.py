@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dipolebounds import qfi
+from dipolebounds.fisher import n_scattered
 from dipolebounds.model import PhysicsError, Pulse, Scatterer
 from dipolebounds.qfi import (
     FrequencyIntegrals,
@@ -19,10 +20,20 @@ from dipolebounds.qfi import (
     regularizer,
 )
 from dipolebounds.quadrature import (SinhGrid, pv_integral, pv_matrix,
-                                     real_matmul, trapezoid_weights)
+                                     trapezoid_weights)
 from dipolebounds.scenarios import fit_power_law, size_scaling_sweep
 
 LAM = 2.0 * math.pi
+
+
+def fluence_on_grid(spectral):
+    """Fluence recovered from the sampled amplitude."""
+    return (np.abs(spectral.alpha) ** 2) @ spectral.grid.weights / (2.0 * math.pi)
+
+
+def carrier_index(grid):
+    """The node at the carrier wavenumber 1."""
+    return int(np.flatnonzero(grid.nodes == 1.0)[0])
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +45,7 @@ def spectral_10():
 class TestSpectralPulse:
     def test_normalization_reproduces_fluence(self, spectral_200, pulse_200):
         # alpha is scaled on the grid, so this must hold to rounding
-        assert spectral_200.fluence_on_grid() == pytest.approx(
+        assert fluence_on_grid(spectral_200) == pytest.approx(
             pulse_200.phi, rel=1e-13)
 
     def test_rejects_broadband_pulse(self):
@@ -47,7 +58,7 @@ class TestSpectralPulse:
         # the band is alpha's support: nodes 29-321 of 537 for tau = 200
         grid, band = spectral_200.grid, spectral_200.band
         assert (band.start, band.stop, grid.size) == (29, 322, 537)
-        assert band.start < grid.carrier_index < band.stop
+        assert band.start < carrier_index(grid) < band.stop
 
     @pytest.mark.parametrize("spectrum,start,width", [
         ("spectral_200", 29, 293), ("spectral_10", 0, 401)])
@@ -66,7 +77,7 @@ class TestSpectralPulse:
         with pytest.raises(ValueError, match="imaginary"):
             SpectralPulse(grid, alpha + 1e-300)
         split = alpha.copy()
-        split[grid.carrier_index] = 0.0
+        split[carrier_index(grid)] = 0.0
         with pytest.raises(ValueError, match="contiguous"):
             SpectralPulse(grid, split)
 
@@ -96,7 +107,7 @@ class TestSpectralPulse:
         grid = SinhGrid(k_max=500.0)
         sp = SpectralPulse.from_pulse(pulse_200, grid)
         assert sp.grid is grid
-        assert sp.fluence_on_grid() == pytest.approx(1.0, rel=1e-13)
+        assert fluence_on_grid(sp) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_regularizer_values():
@@ -415,6 +426,19 @@ class TestScatteredPhotons:
                    * (scat_532.chi(1.0) / scat_532.chi0) ** 2)
         assert late == pytest.approx(predict, rel=2e-2)
 
+    @pytest.mark.parametrize("a0", [0.0, LAM / 120.0, LAM / 30.0],
+                             ids=["point", "lambda/120", "lambda/30"])
+    def test_late_time_level_on_a_fine_grid(self, a0, scat_532, pulse_200):
+        # the photon number the quantum route reaches, over the static point
+        # value sigma phi that pulse.nsc_target fixes.  The default grid is
+        # 1.25e-3 off at 5 tau; with delta / 4 it is within 7.8e-5
+        scat = replace(scat_532, a0=a0)
+        spectral = SpectralPulse.from_pulse(pulse_200, SinhGrid(delta=3.8e-2 / 4))
+        (late,) = nsc_series(scat, spectral, [5.0 * pulse_200.tau])
+        factor = (scat.chi(1.0) / scat.chi0) ** 2 * regularizer(1.0, a0) ** 4
+        assert late / n_scattered(scat, pulse_200) == pytest.approx(
+            factor, rel=2e-4)
+
     def test_level_is_duration_free(self, scat_532):
         levels = []
         for tau in (44.0, 88.0, 176.0):
@@ -452,8 +476,8 @@ def dense_reference_qfi(scat, spectral, times, gauge, corrections):
         delta_xi, upsilon = covariance_kernels(spectral.grid, scat)
         a1, a3 = wp2 * f1, wp2 * f3
         c1, c3 = np.conj(a1), np.conj(a3)
-        up1, dx1 = real_matmul(c1, upsilon), real_matmul(c1, delta_xi)
-        up3, dx3 = real_matmul(c3, upsilon), real_matmul(c3, delta_xi)
+        up1, dx1 = c1 @ upsilon, c1 @ delta_xi
+        up3, dx3 = c3 @ upsilon, c3 @ delta_xi
         c = 4.0 / (9.0 * math.pi**4)
         j33 += c * np.sum(up1 * c1 - dx1 * a1, axis=-1).real
         j00 -= c * np.sum(up3 * c3 + dx3 * a3, axis=-1).real
