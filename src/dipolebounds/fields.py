@@ -13,7 +13,8 @@ finite radius ``a0`` that smoothly reduces to the point form as ``a0 -> 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,9 @@ __all__ = [
     "incident_field",
     "scattered_point",
     "scattered_regularized",
+    "FluxFrame",
+    "source_frame",
+    "placement_flux",
     "z_flux_parts",
     "poynting_avg",
     "intensity_parts",
@@ -238,6 +242,134 @@ def scattered_regularized(points: np.ndarray, scatterer: Scatterer,
     return FieldSet(e, b)
 
 
+class _FluxTerms(NamedTuple):
+    """``E_x`` and ``B_y`` of one source on a frame and the parts of their
+    gradients, at unit prefactor and phase, and the products of the z flux
+    that no phase reaches."""
+
+    ex: np.ndarray
+    by: np.ndarray
+    ang_ex: np.ndarray
+    rad_ex: np.ndarray
+    ang_by: np.ndarray
+    rad_by: np.ndarray
+    scattered: np.ndarray       # Re(ex conj(by))
+    radial: np.ndarray          # Re(rad_ex conj(by) + ex conj(rad_by))
+    ang_x: np.ndarray           # Re(ang_ex conj(by))
+    ang_z: np.ndarray           # Re(ex conj(ang_by))
+
+
+@dataclass(frozen=True, eq=False)
+class FluxFrame:
+    """Points seen from a source: the first stage of :func:`z_flux_parts`.
+
+    ``rho`` and ``inv = 1 / rho`` are the distances from the source, ``n``
+    the unit vectors ``(n_x, n_y, n_z)``, ``wave`` the outgoing wave
+    ``exp(i rho)`` and ``phase`` the reference ``exp(-i (z - z0))`` of the
+    incident wave, one number for points in one plane ``z = const``.
+    Mirrored through ``z = 0`` about a source at ``z0 = 0`` the points keep
+    ``rho``, ``n_x``, ``n_y`` and ``wave``, ``n_z`` changes sign and
+    ``phase`` is conjugated, so one frame serves both plates.
+    """
+
+    rho: np.ndarray
+    inv: np.ndarray
+    n: tuple
+    wave: np.ndarray
+    phase: complex | np.ndarray
+    _terms: dict = field(default_factory=dict, init=False, repr=False)
+
+    def terms(self, a0: float) -> _FluxTerms:
+        """The flux terms of a source of radius ``a0``, built on first use:
+        once for every source whose screened terms are dropped here (the
+        point dipole's, scaled by ``xi`` later), once per radius that keeps
+        them."""
+        if not (a0 > 0 and (self.rho.min() * 2.0 <= _SCREEN_CUTOFF * a0
+                            or a0 <= _SCREEN_MIN_A0)):
+            a0 = 0.0
+        if a0 not in self._terms:
+            self._terms[a0] = _flux_terms(self, a0)
+        return self._terms[a0]
+
+
+def _flux_terms(frame: FluxFrame, a0: float) -> _FluxTerms:
+    """:class:`_FluxTerms` on ``frame``, with the screened terms of a source
+    of radius ``a0 > 0`` (none for ``a0 = 0``).
+
+    ``grad_r E_x = rad_ex n + ang_ex e_x`` and
+    ``grad_r B_y = rad_by n + ang_by e_z``, using
+    ``d n_i / d r_j = (delta_ij - n_i n_j) / rho``.
+    """
+    inv = frame.inv
+    nx, _, nz = frame.n
+    screen = np.exp(-2.0 / a0 * frame.rho) if a0 > 0 else None
+    (f1, f3, c), (df1, df3, dc) = _flux_profiles(inv, a0, frame.wave, screen)
+    nx2 = nx * nx
+    s1 = 1.0 - nx2
+    s3 = 1.0 - 3.0 * nx2
+    ex = f1 * s1 + f3 * s3
+    by = c * nz
+    ang_ex = (f1 + 3.0 * f3) * (-2.0 * inv * nx)
+    rad_ex = df1 * s1 + df3 * s3 - ang_ex * nx
+    ang_by = c * inv
+    rad_by = (dc - ang_by) * nz
+    b_sc = np.conj(by)
+    return _FluxTerms(ex, by, ang_ex, rad_ex, ang_by, rad_by,
+                      np.real(ex * b_sc),
+                      np.real(rad_ex * b_sc + ex * np.conj(rad_by)),
+                      np.real(ang_ex * b_sc), np.real(ex * np.conj(ang_by)))
+
+
+def source_frame(points: np.ndarray, r0, a0: float = 0.0) -> FluxFrame:
+    """The :class:`FluxFrame` of ``points`` about a source at ``r0``.
+
+    Refuses the points a source of radius ``a0`` cannot take: a point
+    dipole refuses every point a finite source refuses, so a frame built
+    for the smallest radius it serves refuses for all of its sources.
+    """
+    rho_vec, rho = _geometry(points, r0)
+    _refuse_source_points(rho, a0)
+    inv = 1.0 / rho
+    # z - z0 is the phase of the incident wave relative to the source
+    dz = rho_vec[..., 2]
+    flat = dz.ravel()
+    if flat.size and np.all(flat == flat[0]):
+        dz = flat[0]
+    return FluxFrame(rho, inv, tuple(rho_vec[..., i] * inv for i in range(3)),
+                     np.exp(1j * rho), np.exp(-1j * dz))
+
+
+def placement_flux(frame: FluxFrame, scatterer: Scatterer,
+                   e_in: float = 1.0, sign: float = 1.0):
+    """The second stage of :func:`z_flux_parts`: its ``(cross, scattered,
+    grad)`` for a source ``scatterer`` at the frame's ``r0``, on the frame's
+    points (``sign = 1``) or on their mirror images through ``z = 0``
+    (``sign = -1``, for a source at ``z0 = 0`` only).
+
+    The terms are scaled by ``pref = chi0 e_in xi / 2 pi`` and, where they
+    are linear in the fields, turned by the placement's phase; the products
+    of two scattered fields see ``pref^2`` and the sign of ``n_z`` alone.
+    """
+    t = frame.terms(scatterer.a0)
+    pref = scatterer.chi0 * e_in * regularizer(1.0, scatterer.a0) / (2.0 * math.pi)
+    # the scattered fields' factor relative to the incident wave, and that
+    # of the quadratic products with the gradient's -1/2 folded in
+    amp = pref * (frame.phase if sign > 0 else np.conj(frame.phase))
+    half = (0.5 * e_in) * amp
+    quad = -0.5 * pref * pref
+    nx, ny, nz = frame.n
+    both = half * (t.ex + sign * t.by)          # e_in (E_x + B_y) / 2
+    r = (sign * quad) * t.radial - np.real(half * (t.rad_ex + sign * t.rad_by))
+    grad = np.empty((3,) + frame.rho.shape)
+    grad[0] = nx * r + (sign * quad) * t.ang_x - np.real(half * t.ang_ex)
+    grad[1] = ny * r
+    grad[2] = (sign * nz) * r - both.imag + quad * t.ang_z \
+        - np.real(half * t.ang_by)
+    # grad as (..., 3), a view of the component-major array
+    return both.real, (-sign * quad) * t.scattered, \
+        grad.transpose((*range(1, grad.ndim), 0))
+
+
 def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
                  e_in: float = 1.0):
     """Cross and scattered parts of the z flux ``Re(E x B*)_z / 2`` and the
@@ -249,15 +381,27 @@ def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
     is along ``e_rho x ex = (0, n_z, -n_y)``.  The scattered field is that
     of :func:`scattered_regularized` (the point dipole for ``a0 = 0``), so
     ``E_x = f1 (1 - n_x^2) + f3 (1 - 3 n_x^2)`` and ``B_y = c n_z`` up to
-    ``chi0 e_in xi exp(i z0) / 2 pi``, with the profiles of
-    :func:`_flux_profiles`.
+    ``pref exp(i z0)``, ``pref = chi0 e_in xi / 2 pi``, with the profiles
+    of :func:`_flux_profiles`.
+
+    It runs in two stages.  :func:`source_frame` takes the geometry about
+    the source and the outgoing wave ``exp(i rho)``, and its
+    :meth:`FluxFrame.terms` the profiles, ``E_x``, ``B_y`` and their
+    gradient terms at unit prefactor and phase, with the products of the
+    flux that are quadratic in them.  :func:`placement_flux` then applies
+    one source's prefactor and phase.  Sources at one distance share the
+    first stage: a point and a finite source on one plate (the finite
+    source differs only by ``xi`` where its screened terms are dropped),
+    and a plate and its mirror image through ``z = 0`` about a source at
+    ``z0 = 0`` (``n_z`` and the phase change sign).  The screened terms of
+    a finite source are added per source, where its cutoff needs them.
 
     Products ``Re(E conj(B))`` do not change under a common phase, so every
     field is formed relative to the incident wave ``e_in exp(i z)``: the
     incident field is the real ``e_in``, and the outgoing wave and the
-    screened terms carry ``exp(-i (z - z0))``.  That is one complex
-    exponential per pixel for the point dipole, and a second one, the
-    screened ``exp(-2 rho / a0 - i (z - z0))``, for a finite source.
+    screened terms carry ``exp(-i (z - z0))``, one number for points in one
+    plane.  That is one complex exponential per point for the point dipole,
+    and the real screened ``exp(-2 rho / a0)`` besides for a finite source.
 
     The screened terms are dropped when every point has
     ``u = 2 rho / a0 > 80`` and ``a0 > 1.1e-4``.  For ``a0 < 1`` their
@@ -267,10 +411,9 @@ def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
     ``u = 80``: under ``2^-53`` for ``a0 > 1.1e-4``, ``6e-30`` for 35 nm at
     1030 nm (``a0 = 0.21``).
 
-    A translated source sees ``rho = r - r0``, so ``d/d r0 = -grad_r``, using
-    ``d n_i / d r_j = (delta_ij - n_i n_j) / rho``.  Then
-    ``grad_r E_x = rad_ex n + ang_ex e_x`` and
-    ``grad_r B_y = rad_by n + ang_by e_z``, and the drive phase ``exp(i z0)``
+    A translated source sees ``rho = r - r0``, so ``d/d r0 = -grad_r``.
+    With ``grad_r E_x = rad_ex n + ang_ex e_x`` and
+    ``grad_r B_y = rad_by n + ang_by e_z``, the drive phase ``exp(i z0)``
     adds ``i E_x`` and ``i B_y`` to the z0 derivatives.  With
     ``E = e_in + E_x`` and ``B = e_in + conj(B_y)`` the gradient is
     ``-n R / 2`` with ``R = Re(rad_ex B + E conj(rad_by))``, plus
@@ -280,44 +423,8 @@ def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
     Returns ``(cross, scattered, grad)``, ``grad`` of shape ``(npoints, 3)``
     ordered (x0, y0, z0).
     """
-    rho_vec, rho = _geometry(points, scatterer.r0)
-    a0 = scatterer.a0
-    _refuse_source_points(rho, a0)
-    inv = 1.0 / rho
-    nx, ny, nz = (rho_vec[..., i] * inv for i in range(3))
-    # z - z0 is the phase of the incident wave relative to the source
-    dz = rho_vec[..., 2]
-    pref = scatterer.chi0 * e_in * regularizer(1.0, a0) / (2.0 * math.pi)
-    osc = pref * np.exp(1j * (rho - dz))
-    screen = None
-    if a0 > 0 and (rho.min() * 2.0 <= _SCREEN_CUTOFF * a0
-                   or a0 <= _SCREEN_MIN_A0):
-        screen = pref * np.exp(-2.0 / a0 * rho - 1j * dz)
-    (f1, f3, c), (df1, df3, dc) = _flux_profiles(inv, a0, osc, screen)
-    nx2 = nx * nx
-    s1 = 1.0 - nx2
-    s3 = 1.0 - 3.0 * nx2
-    ex = f1 * s1 + f3 * s3
-    by = c * nz
-    # grad_r E_x = rad_ex n + ang_ex e_x and grad_r B_y = rad_by n + ang_by e_z
-    ang_ex = (f1 + 3.0 * f3) * (-2.0 * inv * nx)
-    rad_ex = df1 * s1 + df3 * s3 - ang_ex * nx
-    ang_by = c * inv
-    rad_by = (dc - ang_by) * nz
-    # total fields relative to the incident wave, whose field is e_in
-    b_sc = np.conj(by)
-    e_tot = ex + e_in
-    b_tot = b_sc + e_in
-    both = ex + by
-    cross = (0.5 * e_in) * both.real
-    scattered = 0.5 * np.real(ex * b_sc)
-    r = np.real(rad_ex * b_tot + e_tot * np.conj(rad_by))
-    grad = np.empty(rho.shape + (3,))
-    grad[..., 0] = nx * r + np.real(ang_ex * b_tot)
-    grad[..., 1] = ny * r
-    grad[..., 2] = nz * r + e_in * both.imag + np.real(e_tot * np.conj(ang_by))
-    grad *= -0.5
-    return cross, scattered, grad
+    frame = source_frame(points, scatterer.r0, scatterer.a0)
+    return placement_flux(frame, scatterer, e_in)
 
 
 # ---------------------------------------------------------------------------

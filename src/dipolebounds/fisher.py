@@ -15,17 +15,26 @@ scattered field is that of a source of radius ``a0``, the point dipole when
 The z flux reads only ``E_x`` and ``B_y``.  :func:`count_gradients` takes the
 counts and all four derivative columns from one
 :func:`~dipolebounds.fields.z_flux_parts` pass per pixel, which forms the
-fields relative to the incident wave: one complex exponential per pixel for
-a point source and two for a finite one.  :func:`mean_counts` sums the flux
+fields relative to the incident wave.  :func:`mean_counts` sums the flux
 of the full fields, the independent reference that ``validate``
 differentiates.
 
-:func:`fi_matrix` sums the :func:`poisson_fi` of at most ``_CHUNK`` pixels
-at a time, so it builds no plate-sized array.  The x-polarized drive is
-symmetric under ``x -> -x`` and ``y -> -y`` about a source on the z axis:
-the counts are even there and the x0 and y0 columns odd.  So for a
+:func:`fi_matrices` gives the information of several placements of a
+source on one plate: a point or a finite source, on the plate or on its
+mirror image through ``z = 0``.  It sums the :func:`poisson_fi` of at most
+``_CHUNK`` pixels at a time, so it builds no plate-sized array, and
+:func:`fi_matrix` is its one-placement case.  Each block builds one source
+frame (:func:`~dipolebounds.fields.source_frame`: the geometry, the
+outgoing wave and the flux terms) per source position and side of the
+plate, one for both sides when the source sits in ``z = 0``.  Each
+placement then applies its own prefactor, phase and
+``n_z`` sign (:func:`~dipolebounds.fields.placement_flux`), with its
+screened terms where its cutoff needs them, and its counts are checked and
+its information summed before the next placement's.  The x-polarized drive
+is symmetric under ``x -> -x`` and ``y -> -y`` about a source on the z
+axis: the counts are even there and the x0 and y0 columns odd.  So for a
 :class:`~dipolebounds.detector.MirroredGrid` (as from
-:func:`~dipolebounds.detector.planar_grid`) and a source on the z axis it
+:func:`~dipolebounds.detector.planar_grid`) and sources on the z axis it
 evaluates the mirror cell alone and multiplies by the parity mask.  A
 source off the axis takes each block of the cell with its sign images.
 """
@@ -46,6 +55,7 @@ __all__ = [
     "count_gradients",
     "poisson_fi",
     "fi_matrix",
+    "fi_matrices",
     "n_scattered",
     "CrbResult",
     "crb_bounds",
@@ -57,6 +67,8 @@ _CHUNK = 1 << 12          # pixels per evaluation block
 # with S = diag(1, s_x, s_y, 1): the x0 and y0 columns are odd
 _PARITY_MASK = 4.0 * np.array([[1, 0, 0, 1], [0, 1, 0, 0],
                                [0, 0, 1, 0], [1, 0, 0, 1]])
+
+_Z_MIRROR = np.array([1.0, 1.0, -1.0])     # a plate's image through z = 0
 
 
 def _positive(nbar: np.ndarray) -> np.ndarray:
@@ -86,6 +98,17 @@ def mean_counts(grid: PixelGrid, scatterer: Scatterer,
     return out
 
 
+def _counts(parts, chi0: float, pulse: Pulse, factor: np.ndarray):
+    """Counts and their (chi0, x0, y0, z0) gradient from the flux parts of
+    one source, ``factor`` being ``tau`` times the pixel areas."""
+    cross, scattered, d_r0 = parts
+    nbar = _positive((0.5 * pulse.e_in**2 + cross + scattered) * factor)
+    grad = np.empty((nbar.size, 4))
+    grad[:, 0] = (cross + 2.0 * scattered) / chi0 * factor
+    grad[:, 1:] = d_r0 * factor[:, None]
+    return nbar, grad
+
+
 def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     """Mean counts and their derivatives along (chi0, x0, y0, z0).
 
@@ -101,15 +124,12 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     grid = grid.plate()
     nbar = np.empty(grid.size)
     grad = np.empty((grid.size, 4))
-    incident = 0.5 * pulse.e_in**2
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
-        cross, scattered, d_r0 = fields.z_flux_parts(
-            grid.positions[sl], scatterer, e_in=pulse.e_in)
-        factor = pulse.tau * grid.areas[sl]
-        nbar[sl] = _positive((incident + cross + scattered) * factor)
-        grad[sl, 0] = (cross + 2.0 * scattered) / scatterer.chi0 * factor
-        grad[sl, 1:] = d_r0 * factor[:, None]
+        nbar[sl], grad[sl] = _counts(
+            fields.z_flux_parts(grid.positions[sl], scatterer,
+                                e_in=pulse.e_in),
+            scatterer.chi0, pulse, pulse.tau * grid.areas[sl])
     return nbar, grad
 
 
@@ -120,21 +140,55 @@ def poisson_fi(nbar: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (grad / nbar[:, None]).T @ grad
 
 
-def fi_matrix(grid: PixelGrid, scatterer: Scatterer,
-              pulse: Pulse) -> InfoMatrix:
-    """Fisher-information matrix of the pixel counts for (chi0, x0, y0, z0),
-    summed block by block; from the mirror cell alone for a mirrored plate
-    and a source on the z axis."""
-    fold = isinstance(grid, MirroredGrid) \
-        and scatterer.r0[0] == 0.0 and scatterer.r0[1] == 0.0
+def fi_matrices(grid: PixelGrid, placements, pulse: Pulse) -> list:
+    """Fisher-information matrices of several sources on one plate, for
+    (chi0, x0, y0, z0), summed block by block.
+
+    ``placements`` holds ``(scatterer, side)`` pairs: ``side = 1`` counts on
+    the grid as it is, ``side = -1`` on its mirror image through ``z = 0``.
+    Each block of pixels builds one
+    :class:`~dipolebounds.fields.FluxFrame` per source position and side,
+    one for both sides when the source sits in ``z = 0``.  Each placement
+    applies its own prefactor, phase and side to it, with its screened
+    terms where its cutoff needs them; its counts are checked and its
+    information summed before the next placement's.  A mirrored grid is
+    folded to its mirror cell when every source is on the z axis.
+    """
+    fold = isinstance(grid, MirroredGrid) and all(
+        scat.r0[0] == 0.0 and scat.r0[1] == 0.0 for scat, _ in placements)
     block = PixelGrid if fold else type(grid)
     step = _CHUNK if fold else _CHUNK // grid.images
-    info = np.zeros((4, 4))
+    frames = {}
+    for k, (scat, side) in enumerate(placements):
+        if side not in (1.0, -1.0):
+            raise ValueError(f"a placement's side is 1 or -1, got {side!r}")
+        # a source in z = 0 sees the plate and its mirror image alike
+        frames.setdefault((scat.r0, side if scat.r0[2] else 0.0), []).append(k)
+    info = np.zeros((len(placements), 4, 4))
     for lo in range(0, grid.areas.size, step):
         sl = slice(lo, lo + step)
-        info += poisson_fi(*count_gradients(
-            block(grid.positions[sl], grid.areas[sl]), scatterer, pulse))
-    return InfoMatrix(info * _PARITY_MASK if fold else info)
+        plate = block(grid.positions[sl], grid.areas[sl]).plate()
+        factor = pulse.tau * plate.areas
+        for members in frames.values():
+            scat, side = placements[members[0]]
+            pos = plate.positions if side > 0 else plate.positions * _Z_MIRROR
+            # the smallest radius refuses the points for every source
+            frame = fields.source_frame(
+                pos, scat.r0, min(placements[k][0].a0 for k in members))
+            for k in members:
+                src, src_side = placements[k]
+                info[k] += poisson_fi(*_counts(
+                    fields.placement_flux(frame, src, pulse.e_in,
+                                          src_side * side),
+                    src.chi0, pulse, factor))
+    return [InfoMatrix(m * _PARITY_MASK if fold else m) for m in info]
+
+
+def fi_matrix(grid: PixelGrid, scatterer: Scatterer,
+              pulse: Pulse) -> InfoMatrix:
+    """Fisher-information matrix of the pixel counts for (chi0, x0, y0, z0):
+    the one-source case of :func:`fi_matrices`."""
+    return fi_matrices(grid, [(scatterer, 1.0)], pulse)[0]
 
 
 def n_scattered(scatterer: Scatterer, pulse: Pulse) -> float:

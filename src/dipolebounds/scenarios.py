@@ -82,7 +82,10 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
 
     Three detector placements are evaluated at every distance: forward
     point-dipole, backward point-dipole, and forward with a finite-size
-    source of radius ``finite_a0`` (regularized field).  Columns carry the
+    source of radius ``finite_a0`` (regularized field).  Each distance
+    builds one plate, whose mirror image through ``z = 0`` is the backward
+    one, and :func:`~dipolebounds.fisher.fi_matrices` evaluates the three
+    placements on it in one pass.  Columns carry the
     dimensionless bounds ``sqrt(N_sc) sigma_chi / chi0`` and
     ``sqrt(N_sc) sigma_r / lambda``; the far-field quantum bounds are
     appended as constant reference columns.
@@ -94,19 +97,19 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
         finite_a0 = 35e-9 / 1.03e-6 * _TWO_PI   # 35 nm at the 1.03 um drive
     point = replace(scatterer, a0=0.0)
     finite = replace(scatterer, a0=finite_a0)
+    placements = ((point, 1.0), (point, -1.0), (finite, 1.0))
 
-    def one(z: float, scat: Scatterer):
-        # the plate is freed on return, before the next one is built
-        grid = detector.planar_grid(z, solid_angle, refinement)
-        info = fisher.fi_matrix(grid, scat, pulse)
-        return fisher.crb_bounds(info, scat, pulse).normalized, grid.size
-
-    results = [[one(sgn * z_rel * _TWO_PI, scat)
-                for sgn, scat in ((+1.0, point), (-1.0, point), (+1.0, finite))]
-               for z_rel in z_over_lambda]
-    fwd, bwd, fin = (np.array([r[k][0] for r in results]) for k in range(3))
-    sizes = np.array([[size for _, size in r] for r in results])
-    cells = np.sqrt(sizes.max(axis=1))
+    bounds, sizes = [], []
+    for z_rel in z_over_lambda:
+        # one plate per distance; the backward placement is its mirror image
+        grid = detector.planar_grid(z_rel * _TWO_PI, solid_angle, refinement)
+        infos = fisher.fi_matrices(grid, placements, pulse)
+        bounds.append([fisher.crb_bounds(info, scat, pulse).normalized
+                       for info, (scat, _) in zip(infos, placements)])
+        sizes.append(grid.size)
+        del grid        # freed before the next plate is built
+    fwd, bwd, fin = np.moveaxis(np.array(bounds), 1, 0)
+    cells = np.sqrt(np.array(sizes, dtype=float))
     qcrb = np.tile(qfi.farfield_qcrb_constants(), (z_over_lambda.size, 1))
 
     columns = {}
@@ -126,7 +129,7 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
         "phi_internal": pulse.phi,
         "tau_internal": pulse.tau,
         "n_sc": fisher.n_scattered(point, pulse),
-        "pixels": int(sizes.sum()),
+        "pixels": len(placements) * sum(sizes),
     }
     return SweepResult("z_over_lambda", z_over_lambda, columns, meta)
 

@@ -18,6 +18,7 @@ from dipolebounds.fields import (
 from dipolebounds.fisher import (
     count_gradients,
     crb_bounds,
+    fi_matrices,
     fi_matrix,
     mean_counts,
     n_scattered,
@@ -175,19 +176,20 @@ def _unfolded(grid, scat, pulse):
 
 
 def _spy_blocks(monkeypatch):
-    # the sizes of the grids fi_matrix hands to count_gradients, and of the
-    # counts it hands to poisson_fi
+    # the pixels of each block fi_matrix evaluates its source on, and the
+    # sizes of the counts it hands to poisson_fi
     seen = {"grids": [], "counts": []}
+    flux = fields.placement_flux
 
-    def grids(grid, *args):
-        seen["grids"].append(grid.size)
-        return count_gradients(grid, *args)
+    def grids(frame, *args):
+        seen["grids"].append(frame.rho.size)
+        return flux(frame, *args)
 
     def counts(nbar, grad):
         seen["counts"].append(nbar.size)
         return poisson_fi(nbar, grad)
 
-    monkeypatch.setattr(fisher, "count_gradients", grids)
+    monkeypatch.setattr(fields, "placement_flux", grids)
     monkeypatch.setattr(fisher, "poisson_fi", counts)
     return seen
 
@@ -290,6 +292,28 @@ class TestMirroredFiMatrix:
         np.testing.assert_array_equal(
             fi_matrix(grid, scat_1030, pulse_1030).matrix, full)
         assert seen["grids"] == [grid.size]
+
+
+def test_placements_match_their_own_plates(scat_1030, pulse_1030,
+                                           monkeypatch):
+    # sources at two positions, point and finite, on a plate and its mirror
+    # image: one source off the axis unfolds the plate for all of them, and
+    # each matches fi_matrix on a plate of its own, across blocks with a
+    # ragged last one
+    monkeypatch.setattr(fisher, "_CHUNK", 96)
+    finite = replace(scat_1030, a0=LAM / 30.0)
+    off = replace(scat_1030, r0=(0.3, -0.2, 0.4))
+    placements = [(scat_1030, 1.0), (finite, -1.0), (off, -1.0),
+                  (replace(finite, r0=off.r0), 1.0), (scat_1030, -1.0)]
+    infos = fi_matrices(planar_grid(0.3 * LAM, math.pi), placements,
+                        pulse_1030)
+    for info, (scat, side) in zip(infos, placements):
+        want = fi_matrix(planar_grid(side * 0.3 * LAM, math.pi), scat,
+                         pulse_1030).matrix
+        assert np.abs(info.matrix - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError, match="side"):
+        fi_matrices(planar_grid(0.3 * LAM, math.pi), [(scat_1030, 0.0)],
+                    pulse_1030)
 
 
 def test_information_matrix_block_structure(scat_1030, pulse_1030, small_grid):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dipolebounds import qfi
+from dipolebounds.fields import poynting_avg, scattered_regularized
 from dipolebounds.fisher import n_scattered
 from dipolebounds.model import PhysicsError, Pulse, Scatterer
 from dipolebounds.qfi import (
@@ -438,6 +439,36 @@ class TestScatteredPhotons:
         factor = (scat.chi(1.0) / scat.chi0) ** 2 * regularizer(1.0, a0) ** 4
         assert late / n_scattered(scat, pulse_200) == pytest.approx(
             factor, rel=2e-4)
+
+    @pytest.mark.parametrize("a0", [LAM / 120.0, LAM / 30.0],
+                             ids=["lambda/120", "lambda/30"])
+    def test_quantum_to_classical_ratio(self, a0, scat_532, pulse_200):
+        # the two routes model a finite source differently: the classical
+        # field carries xi(1) once and the static chi0, the quantum
+        # amplitude xi on drive and emission and chi(k).  Their photon
+        # numbers differ by (chi(1) / chi0)^2 xi(1)^2.  The classical number
+        # is the far-sphere Poynting sum of scattered_regularized (it equals
+        # xi(1)^2 sigma phi to 1e-15); the quantum one is nsc_series at
+        # 5 tau on a delta / 4 grid.  Measured 5.4e-5 (lambda/30) and 7.7e-5
+        # (lambda/120) off, the quantum grid's error; tolerance 2e-4
+        scat = replace(scat_532, a0=a0)
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        phi = np.linspace(0.0, 2.0 * math.pi, 129)[:-1]
+        cth, ph = np.meshgrid(nodes, phi, indexing="ij")
+        sth = np.sqrt(1.0 - cth**2)
+        e_r = np.column_stack([(sth * np.cos(ph)).ravel(),
+                               (sth * np.sin(ph)).ravel(), cth.ravel()])
+        r = 100.0 * LAM
+        s_r = np.sum(poynting_avg(scattered_regularized(r * e_r, scat))
+                     * e_r, axis=-1)
+        power = s_r @ np.outer(weights, np.full(phi.size, phi[1])).ravel() \
+            * r**2
+        classical = power / 0.5 * pulse_200.phi    # sigma phi, e_in = 1
+        spectral = SpectralPulse.from_pulse(pulse_200,
+                                            SinhGrid(delta=3.8e-2 / 4))
+        (quantum,) = nsc_series(scat, spectral, [5.0 * pulse_200.tau])
+        ratio = (scat.chi(1.0) / scat.chi0) ** 2 * regularizer(1.0, a0) ** 2
+        assert quantum / classical == pytest.approx(ratio, rel=2e-4)
 
     def test_level_is_duration_free(self, scat_532):
         levels = []

@@ -6,10 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dipolebounds import detector, fisher
+from dipolebounds import detector, fields
 from dipolebounds.detector import planar_grid
-from dipolebounds.fisher import count_gradients, crb_bounds, poisson_fi
-from dipolebounds.model import InfoMatrix
+from dipolebounds.fisher import crb_bounds, fi_matrix
 from dipolebounds.qfi import farfield_qcrb_constants
 from dipolebounds.scenarios import (
     SweepResult,
@@ -96,8 +95,9 @@ class TestCrbDistanceSweep:
 
     def test_one_plate_alive_at_a_time(self, scat_1030, pulse_1030,
                                        monkeypatch):
-        # every plate is freed before the next is built, so the sweep's
-        # working set is the largest plate's mirror cell
+        # one plate per distance, mirrored for the backward placement, and
+        # freed before the next is built, so the sweep's working set is the
+        # largest plate's mirror cell
         built = []
 
         def spy(*args):
@@ -108,36 +108,44 @@ class TestCrbDistanceSweep:
 
         monkeypatch.setattr(detector, "planar_grid", spy)
         crb_distance_sweep(scat_1030, pulse_1030, z_over_lambda=[0.4, 0.8])
-        assert len(built) == 6
+        assert len(built) == 2
 
-    @pytest.mark.parametrize("r0", [(0.3, 0.0, 0.1), (0.2, -0.1, 0.05)])
+    @pytest.mark.parametrize("r0", [(0.3, 0.0, 0.1), (0.2, -0.1, 0.05),
+                                    (0.0, 0.0, 0.0), (0.0, 0.0, 0.1)])
     def test_off_axis_source_matches_the_full_plates(self, scat_1030,
                                                      pulse_1030, r0,
                                                      monkeypatch):
-        # a source off the z axis cannot be folded: the sweep goes through
-        # every pixel of every plate and gives the full-plate bounds
+        # the three placements of a distance share one plate, and one source
+        # frame where the source sits in z = 0; each matches fi_matrix on a
+        # plate of its own.  At 0.05 wavelengths the finite source keeps its
+        # screened terms, at 2 it drops them.  A source on the z axis folds
+        # the plate to its mirror cell; one off the axis goes through every
+        # pixel of the plate, for every placement
         scat = replace(scat_1030, r0=r0)
+        z_rel = [0.05, 2.0]
         evaluated = []
+        flux = fields.placement_flux
 
-        def spy(grid, *args):
-            evaluated.append(grid.size)
-            return count_gradients(grid, *args)
+        def spy(frame, *args):
+            evaluated.append(frame.rho.size)
+            return flux(frame, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(fisher, "count_gradients", spy)
-            sweep = crb_distance_sweep(scat, pulse_1030, z_over_lambda=[0.4],
+            m.setattr(fields, "placement_flux", spy)
+            sweep = crb_distance_sweep(scat, pulse_1030, z_over_lambda=z_rel,
                                        finite_a0=LAM / 30.0)
-        assert sweep.meta["pixels"] == sum(evaluated)
-        for group, sgn, a0 in (("fwd", 1.0, 0.0), ("bwd", -1.0, 0.0),
-                               ("finite", 1.0, LAM / 30.0)):
-            src = replace(scat, a0=a0)
-            grid = planar_grid(sgn * 0.4 * LAM, 1.97 * math.pi)
-            info = InfoMatrix(poisson_fi(*count_gradients(grid, src,
-                                                          pulse_1030)))
-            want = crb_bounds(info, src, pulse_1030).normalized
-            got = [sweep.columns[f"crb_{p}_norm_{group}"][0]
-                   for p in ("chi", "x", "y", "z")]
-            np.testing.assert_allclose(got, want, rtol=1e-10)
+        on_axis = r0[:2] == (0.0, 0.0)
+        assert sum(evaluated) == sweep.meta["pixels"] // (4 if on_axis else 1)
+        for row, z in enumerate(z_rel):
+            for group, sgn, a0 in (("fwd", 1.0, 0.0), ("bwd", -1.0, 0.0),
+                                   ("finite", 1.0, LAM / 30.0)):
+                src = replace(scat, a0=a0)
+                grid = planar_grid(sgn * z * LAM, 1.97 * math.pi)
+                want = crb_bounds(fi_matrix(grid, src, pulse_1030), src,
+                                  pulse_1030).normalized
+                got = [sweep.columns[f"crb_{p}_norm_{group}"][row]
+                       for p in ("chi", "x", "y", "z")]
+                np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_qfi_time_sweep_normalized_plateaus(scat_532, pulse_200):
