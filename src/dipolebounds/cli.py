@@ -341,13 +341,15 @@ def _within_memory(need: int, what: str, held: str, remedy: str) -> None:
 # output emission
 # ---------------------------------------------------------------------------
 
-def _format_value(v: float) -> str:
-    return format(float(v), ".17g")
+def _format_value(v) -> str:
+    return v if isinstance(v, str) else format(float(v), ".17g")
 
 
-def write_csv(path: Path, names: list, table: np.ndarray) -> None:
+def write_csv(path: Path, names: list, rows) -> None:
+    """A header of ``names`` and one line per row: numbers to 17 significant
+    digits, strings as they are."""
     lines = [",".join(names)]
-    for row in np.atleast_2d(table):
+    for row in rows:
         lines.append(",".join(_format_value(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -392,17 +394,15 @@ def _plot_lines(y_columns: list, x_column: str) -> str:
     return "plot \\\n    " + ", \\\n    ".join(parts) + "\n"
 
 
-def write_plot_script(out_dir: Path, body: str) -> None:
-    (out_dir / "plot.script").write_text(_PLOT_HEADER + body, encoding="utf-8",
-                                         newline="\n")
-
-
-def emit_outputs(result: scenarios.SweepResult, out_dir: Path, cfg: dict,
-                 subcommand: str, plot_body: str) -> None:
+def emit_outputs(out_dir: Path, cfg: dict, subcommand: str, names: list,
+                 rows, plot_body: str, meta: dict | None = None) -> None:
+    """Write ``data.csv`` (``names`` and ``rows``), ``config.resolved.json``
+    (``meta`` joins its ``_meta``) and ``plot.script`` to ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "data.csv", result.column_names, result.table())
-    write_resolved_config(out_dir, cfg, subcommand, extra_meta=result.meta)
-    write_plot_script(out_dir, plot_body)
+    write_csv(out_dir / "data.csv", names, rows)
+    write_resolved_config(out_dir, cfg, subcommand, extra_meta=meta)
+    (out_dir / "plot.script").write_text(_PLOT_HEADER + plot_body,
+                                         encoding="utf-8", newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +440,8 @@ def cmd_crb_scan(cfg: dict, out_dir: Path) -> int:
         "set ylabel 'normalized bound sqrt(N_sc) sigma'\n"
         + _plot_lines(ycols, "z_over_lambda")
     )
-    emit_outputs(result, out_dir, cfg, "crb-scan", body)
+    emit_outputs(out_dir, cfg, "crb-scan", result.column_names, result.table(),
+                 body, result.meta)
     return EXIT_OK
 
 
@@ -507,7 +508,8 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
         "set ylabel 'position information J_11'\n"
         + _plot_lines(ycols, "t_fs")
     )
-    emit_outputs(result, out_dir, cfg, "qfi-time", body)
+    emit_outputs(out_dir, cfg, "qfi-time", result.column_names, result.table(),
+                 body, result.meta)
     return EXIT_OK
 
 
@@ -531,7 +533,8 @@ def cmd_size_scan(cfg: dict, out_dir: Path) -> int:
         "set ylabel 'peak transient information (internal units)'\n"
         + _plot_lines(list(result.columns), "a0_over_lambda")
     )
-    emit_outputs(result, out_dir, cfg, "size-scan", body)
+    emit_outputs(out_dir, cfg, "size-scan", result.column_names, result.table(),
+                 body, result.meta)
     for key, fit in result.meta["fits"].items():
         print(f"{key}: exponent {fit['exponent']:+.3f} "
               f"(rms residual {fit['residual']:.3e}"
@@ -560,11 +563,9 @@ def cmd_farfield(cfg: dict, out_dir: Path | None) -> int:
         names = ["qcrb_chi_norm", "qcrb_x_norm", "qcrb_y_norm", "qcrb_z_norm",
                  "j00_internal", "j11_internal", "j22_internal", "j33_internal",
                  "n_sc"]
-        row = np.concatenate([consts, diag, [nsc]])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_csv(out_dir / "data.csv", names, row[None, :])
-        write_resolved_config(out_dir, cfg, "farfield")
-        write_plot_script(out_dir, "# single-row summary; nothing to plot\n")
+        emit_outputs(out_dir, cfg, "farfield", names,
+                     [np.concatenate([consts, diag, [nsc]])],
+                     "# single-row summary; nothing to plot\n")
     return EXIT_OK
 
 
@@ -575,15 +576,11 @@ def cmd_validate(cfg: dict, out_dir: Path | None) -> int:
     n_fail = sum(not c.passed for c in checks)
     print(f"{len(checks) - n_fail}/{len(checks)} checks passed")
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lines = ["name,error,tolerance,passed"]
-        for c in checks:
-            lines.append(f"{c.name},{_format_value(c.error)},"
-                         f"{_format_value(c.tolerance)},{int(c.passed)}")
-        (out_dir / "data.csv").write_text("\n".join(lines) + "\n",
-                                          encoding="utf-8", newline="\n")
-        write_resolved_config(out_dir, cfg, "validate")
-        write_plot_script(out_dir, "# validation table; nothing to plot\n")
+        emit_outputs(out_dir, cfg, "validate",
+                     ["name", "error", "tolerance", "passed"],
+                     [(c.name, c.error, c.tolerance, int(c.passed))
+                      for c in checks],
+                     "# validation table; nothing to plot\n")
     return EXIT_OK if n_fail == 0 else EXIT_VALIDATION
 
 

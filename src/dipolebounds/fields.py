@@ -8,12 +8,17 @@ the functions here return the ``t = 0`` phasors, since the global phase
 and is polarized along ``x``.  Scattered fields come in two flavours: the
 ideal point-dipole solution, and a regularized solution for a source of
 finite radius ``a0`` that smoothly reduces to the point form as ``a0 -> 0``.
+
+:func:`z_flux_parts` is the per-pixel kernel of the classical information:
+the z flux and its gradient along the source position for several
+placements of a source at once.  It owns the rule for what the placements
+share: its callers pass only the points, the placements and ``e_in``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,9 +30,6 @@ __all__ = [
     "incident_field",
     "scattered_point",
     "scattered_regularized",
-    "FluxFrame",
-    "source_frame",
-    "placement_flux",
     "z_flux_parts",
     "poynting_avg",
     "intensity_parts",
@@ -39,6 +41,8 @@ _MIN_RHO_WAVELENGTHS = 1e-6
 #: z_flux_parts drops the screened terms beyond 2 rho / a0 = _SCREEN_CUTOFF
 _SCREEN_CUTOFF = 80.0
 _SCREEN_MIN_A0 = 1.1e-4
+
+_Z_MIRROR = np.array([1.0, 1.0, -1.0])     # a point's image through z = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,40 +263,35 @@ class _FluxTerms(NamedTuple):
     ang_z: np.ndarray           # Re(ex conj(ang_by))
 
 
-@dataclass(frozen=True, eq=False)
-class FluxFrame:
-    """Points seen from a source: the first stage of :func:`z_flux_parts`.
-
-    ``rho`` and ``inv = 1 / rho`` are the distances from the source, ``n``
-    the unit vectors ``(n_x, n_y, n_z)``, ``wave`` the outgoing wave
-    ``exp(i rho)`` and ``phase`` the reference ``exp(-i (z - z0))`` of the
-    incident wave, one number for points in one plane ``z = const``.
-    Mirrored through ``z = 0`` about a source at ``z0 = 0`` the points keep
-    ``rho``, ``n_x``, ``n_y`` and ``wave``, ``n_z`` changes sign and
-    ``phase`` is conjugated, so one frame serves both plates.
-    """
+class _Frame(NamedTuple):
+    """Points seen from a source: the distances ``rho`` and ``inv = 1 / rho``,
+    the unit vectors ``n = (n_x, n_y, n_z)``, the outgoing wave
+    ``exp(i rho)`` and the reference ``exp(-i (z - z0))`` of the incident
+    wave, one number for points in one plane ``z = const``."""
 
     rho: np.ndarray
     inv: np.ndarray
     n: tuple
     wave: np.ndarray
     phase: complex | np.ndarray
-    _terms: dict = field(default_factory=dict, init=False, repr=False)
-
-    def terms(self, a0: float) -> _FluxTerms:
-        """The flux terms of a source of radius ``a0``, built on first use:
-        once for every source whose screened terms are dropped here (the
-        point dipole's, scaled by ``xi`` later), once per radius that keeps
-        them."""
-        if not (a0 > 0 and (self.rho.min() * 2.0 <= _SCREEN_CUTOFF * a0
-                            or a0 <= _SCREEN_MIN_A0)):
-            a0 = 0.0
-        if a0 not in self._terms:
-            self._terms[a0] = _flux_terms(self, a0)
-        return self._terms[a0]
 
 
-def _flux_terms(frame: FluxFrame, a0: float) -> _FluxTerms:
+def _frame(points: np.ndarray, r0) -> _Frame:
+    rho_vec, rho = _geometry(points, r0)
+    # a point at the source is refused by each placement before its flux is
+    # formed, so the infinite 1 / rho there reaches no result
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / rho
+        n = tuple(rho_vec[..., i] * inv for i in range(3))
+    # z - z0 is the phase of the incident wave relative to the source
+    dz = rho_vec[..., 2]
+    flat = dz.ravel()
+    if flat.size and np.all(flat == flat[0]):
+        dz = flat[0]
+    return _Frame(rho, inv, n, np.exp(1j * rho), np.exp(-1j * dz))
+
+
+def _flux_terms(frame: _Frame, a0: float) -> _FluxTerms:
     """:class:`_FluxTerms` on ``frame``, with the screened terms of a source
     of radius ``a0 > 0`` (none for ``a0 = 0``).
 
@@ -320,37 +319,16 @@ def _flux_terms(frame: FluxFrame, a0: float) -> _FluxTerms:
                       np.real(ang_ex * b_sc), np.real(ex * np.conj(ang_by)))
 
 
-def source_frame(points: np.ndarray, r0, a0: float = 0.0) -> FluxFrame:
-    """The :class:`FluxFrame` of ``points`` about a source at ``r0``.
-
-    Refuses the points a source of radius ``a0`` cannot take: a point
-    dipole refuses every point a finite source refuses, so a frame built
-    for the smallest radius it serves refuses for all of its sources.
-    """
-    rho_vec, rho = _geometry(points, r0)
-    _refuse_source_points(rho, a0)
-    inv = 1.0 / rho
-    # z - z0 is the phase of the incident wave relative to the source
-    dz = rho_vec[..., 2]
-    flat = dz.ravel()
-    if flat.size and np.all(flat == flat[0]):
-        dz = flat[0]
-    return FluxFrame(rho, inv, tuple(rho_vec[..., i] * inv for i in range(3)),
-                     np.exp(1j * rho), np.exp(-1j * dz))
-
-
-def placement_flux(frame: FluxFrame, scatterer: Scatterer,
-                   e_in: float = 1.0, sign: float = 1.0):
-    """The second stage of :func:`z_flux_parts`: its ``(cross, scattered,
-    grad)`` for a source ``scatterer`` at the frame's ``r0``, on the frame's
-    points (``sign = 1``) or on their mirror images through ``z = 0``
-    (``sign = -1``, for a source at ``z0 = 0`` only).
+def _placement_flux(frame: _Frame, t: _FluxTerms, scatterer: Scatterer,
+                    e_in: float, sign: float):
+    """``(cross, scattered, grad)`` of ``scatterer`` from the terms ``t`` on
+    ``frame``, for the frame's points (``sign = 1``) or their mirror images
+    through ``z = 0`` (``sign = -1``, a source at ``z0 = 0`` only).
 
     The terms are scaled by ``pref = chi0 e_in xi / 2 pi`` and, where they
     are linear in the fields, turned by the placement's phase; the products
     of two scattered fields see ``pref^2`` and the sign of ``n_z`` alone.
     """
-    t = frame.terms(scatterer.a0)
     pref = scatterer.chi0 * e_in * regularizer(1.0, scatterer.a0) / (2.0 * math.pi)
     # the scattered fields' factor relative to the incident wave, and that
     # of the quadratic products with the gradient's -1/2 folded in
@@ -370,10 +348,18 @@ def placement_flux(frame: FluxFrame, scatterer: Scatterer,
         grad.transpose((*range(1, grad.ndim), 0))
 
 
-def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
-                 e_in: float = 1.0):
+def z_flux_parts(points: np.ndarray, placements, e_in: float = 1.0) -> list:
     """Cross and scattered parts of the z flux ``Re(E x B*)_z / 2`` and the
-    gradient of their sum along the source position ``r0 = (x0, y0, z0)``.
+    gradient of their sum along the source position ``r0 = (x0, y0, z0)``,
+    for each of several placements of a source.
+
+    ``placements`` holds ``(scatterer, side)`` pairs: ``side = 1`` takes the
+    points as given, ``side = -1`` their mirror images through ``z = 0``.
+    Returns one ``(cross, scattered, grad)`` per placement, in order,
+    ``grad`` of shape ``(npoints, 3)`` ordered (x0, y0, z0).  Each placement
+    refuses the points its own source cannot take: those closer than
+    ``1e-6`` wavelengths to a point dipole, or at the center of a finite
+    source.
 
     This is the per-pixel kernel of the classical information; the incident
     part is ``e_in^2 / 2`` everywhere.  The z flux reads only ``E_x`` and
@@ -384,17 +370,17 @@ def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
     ``pref exp(i z0)``, ``pref = chi0 e_in xi / 2 pi``, with the profiles
     of :func:`_flux_profiles`.
 
-    It runs in two stages.  :func:`source_frame` takes the geometry about
-    the source and the outgoing wave ``exp(i rho)``, and its
-    :meth:`FluxFrame.terms` the profiles, ``E_x``, ``B_y`` and their
-    gradient terms at unit prefactor and phase, with the products of the
-    flux that are quadratic in them.  :func:`placement_flux` then applies
-    one source's prefactor and phase.  Sources at one distance share the
-    first stage: a point and a finite source on one plate (the finite
-    source differs only by ``xi`` where its screened terms are dropped),
-    and a plate and its mirror image through ``z = 0`` about a source at
-    ``z0 = 0`` (``n_z`` and the phase change sign).  The screened terms of
-    a finite source are added per source, where its cutoff needs them.
+    Placements share what they can.  A source frame (the geometry about
+    the source and the outgoing wave ``exp(i rho)``) is built once per
+    source position and side, and once for both sides of a source at
+    ``z0 = 0``: mirrored through ``z = 0`` about it the points keep
+    ``rho``, ``n_x``, ``n_y`` and ``exp(i rho)``, ``n_z`` changes sign and
+    the phase is conjugated.  On each frame the profiles, ``E_x``, ``B_y``,
+    their gradient terms and the flux products quadratic in them are built
+    at unit prefactor and phase once for every source whose screened terms
+    are dropped (a finite source then differs from the point dipole only by
+    ``xi``), and once per radius that keeps them.  Each placement then
+    applies its own prefactor, phase and sign of ``n_z``.
 
     Products ``Re(E conj(B))`` do not change under a common phase, so every
     field is formed relative to the incident wave ``e_in exp(i z)``: the
@@ -419,12 +405,30 @@ def z_flux_parts(points: np.ndarray, scatterer: Scatterer,
     ``-n R / 2`` with ``R = Re(rad_ex B + E conj(rad_by))``, plus
     ``-Re(ang_ex B) / 2`` on x0 and ``-(e_in Im(E_x + B_y) +
     Re(E conj(ang_by))) / 2`` on z0.
-
-    Returns ``(cross, scattered, grad)``, ``grad`` of shape ``(npoints, 3)``
-    ordered (x0, y0, z0).
     """
-    frame = source_frame(points, scatterer.r0, scatterer.a0)
-    return placement_flux(frame, scatterer, e_in)
+    pts = np.asarray(points, dtype=float)
+    frames, terms, out = {}, {}, []
+    for scatterer, side in placements:
+        if side not in (1.0, -1.0):
+            raise ValueError(f"a placement's side is 1 or -1, got {side!r}")
+        # a source in z = 0 sees the points and their images alike: one
+        # frame on the points as given serves both sides
+        mirror = side if scatterer.r0[2] else 1.0
+        key = (scatterer.r0, mirror)
+        if key not in frames:
+            frames[key] = _frame(pts if mirror > 0 else pts * _Z_MIRROR,
+                                 scatterer.r0)
+        frame = frames[key]
+        a0 = scatterer.a0
+        _refuse_source_points(frame.rho, a0)
+        if not (a0 > 0 and (frame.rho.min() * 2.0 <= _SCREEN_CUTOFF * a0
+                            or a0 <= _SCREEN_MIN_A0)):
+            a0 = 0.0                    # the point dipole's terms, times xi
+        if (key, a0) not in terms:
+            terms[key, a0] = _flux_terms(frame, a0)
+        out.append(_placement_flux(frame, terms[key, a0], scatterer, e_in,
+                                   side * mirror))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,14 @@ differentiates.
 
 :func:`fi_matrices` gives the information of several placements of a
 source on one plate: a point or a finite source, on the plate or on its
-mirror image through ``z = 0``.  It sums the :func:`poisson_fi` of at most
-``_CHUNK`` pixels at a time, so it builds no plate-sized array, and
-:func:`fi_matrix` is its one-placement case.  Each block builds one source
-frame (:func:`~dipolebounds.fields.source_frame`: the geometry, the
-outgoing wave and the flux terms) per source position and side of the
-plate, one for both sides when the source sits in ``z = 0``.  Each
-placement then applies its own prefactor, phase and
-``n_z`` sign (:func:`~dipolebounds.fields.placement_flux`), with its
-screened terms where its cutoff needs them, and its counts are checked and
-its information summed before the next placement's.  The x-polarized drive
-is symmetric under ``x -> -x`` and ``y -> -y`` about a source on the z
-axis: the counts are even there and the x0 and y0 columns odd.  So for a
+mirror image through ``z = 0``.  It hands each block of at most ``_CHUNK``
+pixels with all the placements to
+:func:`~dipolebounds.fields.z_flux_parts`, which decides what the
+placements share, and sums the :func:`poisson_fi` of each placement's
+counts, so it builds no plate-sized array; :func:`fi_matrix` is its
+one-placement case.  The x-polarized drive is symmetric under
+``x -> -x`` and ``y -> -y`` about a source on the z axis: the counts are
+even there and the x0 and y0 columns odd.  So for a
 :class:`~dipolebounds.detector.MirroredGrid` (as from
 :func:`~dipolebounds.detector.planar_grid`) and sources on the z axis it
 evaluates the mirror cell alone and multiplies by the parity mask.  A
@@ -67,8 +63,6 @@ _CHUNK = 1 << 12          # pixels per evaluation block
 # with S = diag(1, s_x, s_y, 1): the x0 and y0 columns are odd
 _PARITY_MASK = 4.0 * np.array([[1, 0, 0, 1], [0, 1, 0, 0],
                                [0, 0, 1, 0], [1, 0, 0, 1]])
-
-_Z_MIRROR = np.array([1.0, 1.0, -1.0])     # a plate's image through z = 0
 
 
 def _positive(nbar: np.ndarray) -> np.ndarray:
@@ -127,8 +121,8 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         nbar[sl], grad[sl] = _counts(
-            fields.z_flux_parts(grid.positions[sl], scatterer,
-                                e_in=pulse.e_in),
+            fields.z_flux_parts(grid.positions[sl], [(scatterer, 1.0)],
+                                pulse.e_in)[0],
             scatterer.chi0, pulse, pulse.tau * grid.areas[sl])
     return nbar, grad
 
@@ -144,43 +138,25 @@ def fi_matrices(grid: PixelGrid, placements, pulse: Pulse) -> list:
     """Fisher-information matrices of several sources on one plate, for
     (chi0, x0, y0, z0), summed block by block.
 
-    ``placements`` holds ``(scatterer, side)`` pairs: ``side = 1`` counts on
-    the grid as it is, ``side = -1`` on its mirror image through ``z = 0``.
-    Each block of pixels builds one
-    :class:`~dipolebounds.fields.FluxFrame` per source position and side,
-    one for both sides when the source sits in ``z = 0``.  Each placement
-    applies its own prefactor, phase and side to it, with its screened
-    terms where its cutoff needs them; its counts are checked and its
-    information summed before the next placement's.  A mirrored grid is
-    folded to its mirror cell when every source is on the z axis.
+    ``placements`` holds the ``(scatterer, side)`` pairs of
+    :func:`~dipolebounds.fields.z_flux_parts`: ``side = 1`` counts on the
+    grid as it is, ``side = -1`` on its mirror image through ``z = 0``.
+    A mirrored grid is folded to its mirror cell when every source is on
+    the z axis.
     """
     fold = isinstance(grid, MirroredGrid) and all(
         scat.r0[0] == 0.0 and scat.r0[1] == 0.0 for scat, _ in placements)
     block = PixelGrid if fold else type(grid)
     step = _CHUNK if fold else _CHUNK // grid.images
-    frames = {}
-    for k, (scat, side) in enumerate(placements):
-        if side not in (1.0, -1.0):
-            raise ValueError(f"a placement's side is 1 or -1, got {side!r}")
-        # a source in z = 0 sees the plate and its mirror image alike
-        frames.setdefault((scat.r0, side if scat.r0[2] else 0.0), []).append(k)
     info = np.zeros((len(placements), 4, 4))
     for lo in range(0, grid.areas.size, step):
         sl = slice(lo, lo + step)
         plate = block(grid.positions[sl], grid.areas[sl]).plate()
         factor = pulse.tau * plate.areas
-        for members in frames.values():
-            scat, side = placements[members[0]]
-            pos = plate.positions if side > 0 else plate.positions * _Z_MIRROR
-            # the smallest radius refuses the points for every source
-            frame = fields.source_frame(
-                pos, scat.r0, min(placements[k][0].a0 for k in members))
-            for k in members:
-                src, src_side = placements[k]
-                info[k] += poisson_fi(*_counts(
-                    fields.placement_flux(frame, src, pulse.e_in,
-                                          src_side * side),
-                    src.chi0, pulse, factor))
+        parts = fields.z_flux_parts(plate.positions, placements, pulse.e_in)
+        for k, (scat, _) in enumerate(placements):
+            info[k] += poisson_fi(*_counts(parts[k], scat.chi0, pulse, factor))
+        del parts       # freed before the next block's are built
     return [InfoMatrix(m * _PARITY_MASK if fold else m) for m in info]
 
 

@@ -501,15 +501,6 @@ def validate_suite(level: str = "quick") -> list:
     checks.append(_check("sokhotski_plemelj_limit", _sokhotski_plemelj_error(),
                          1e-4, "eta->0 brute force vs PV - i pi delta"))
 
-    g = SinhGrid()
-    ga = np.exp(-np.square(g.nodes - 1.0) * 50.0)
-    hb = 1.0 / (1.0 + g.nodes)
-    prod = (ga @ g.weights) * (hb @ g.weights)
-    tensor = (g.weights * ga) @ np.outer(np.ones(g.size), hb) @ g.weights
-    checks.append(_check("double_integral_separable",
-                         (tensor - prod) / prod, 1e-10,
-                         "tensor-product quadrature factorizes"))
-
     # --- quantum-model oracles -------------------------------------------
     us_chi = 13.0e-27 * (2.0 * math.pi / 532e-9) ** 3
     scat_532 = Scatterer(chi0=us_chi, a0=_TWO_PI / 30.0, omega0=5.32)

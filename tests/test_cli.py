@@ -333,8 +333,29 @@ class TestFarfield:
 def test_validate_quick_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert "12/12 checks passed" in out
-    assert out.count("PASS") == 12
+    assert "11/11 checks passed" in out
+    assert out.count("PASS") == 11
+
+
+def test_validate_writes_one_row_per_check(tmp_path, capsys, monkeypatch,
+                                           quick_checks):
+    # the quick battery's results, written as `validate --out` writes them
+    monkeypatch.setattr(scenarios, "validate_suite",
+                        lambda level: quick_checks)
+    out = tmp_path / "val"
+    assert main(["validate", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()[:-1]
+    header, *rows = (out / "data.csv").read_text().splitlines()
+    assert header == "name,error,tolerance,passed"
+    assert len(rows) == len(printed) == len(quick_checks)
+    for row, check in zip(rows, quick_checks):
+        name, error, tolerance, passed = row.split(",")
+        assert (name, float(error), float(tolerance), passed) == \
+            (check.name, check.error, check.tolerance, "1")
+    resolved = json.loads((out / "config.resolved.json").read_text())
+    assert resolved["_meta"]["subcommand"] == "validate"
+    assert (out / "plot.script").read_text().endswith(
+        "# validation table; nothing to plot\n")
 
 
 @pytest.mark.slow

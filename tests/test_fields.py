@@ -210,7 +210,8 @@ class TestSourcePositionGradients:
 
     def test_values_are_the_flux_parts(self):
         for scat, pts in self._cases():
-            cross, scattered, _ = z_flux_parts(pts, scat, e_in=1.3)
+            [(cross, scattered, _)] = z_flux_parts(pts, [(scat, 1.0)],
+                                                     e_in=1.3)
             want_cross, want_scattered = self._parts(pts, scat)
             np.testing.assert_allclose(cross, want_cross, rtol=1e-12)
             np.testing.assert_allclose(scattered, want_scattered, rtol=1e-12)
@@ -218,7 +219,7 @@ class TestSourcePositionGradients:
     def test_match_central_differences(self):
         h = 1e-6
         for scat, pts in self._cases():
-            _, _, grad = z_flux_parts(pts, scat, e_in=1.3)
+            [(_, _, grad)] = z_flux_parts(pts, [(scat, 1.0)], e_in=1.3)
             for axis in range(3):
                 shift = np.zeros(3)
                 shift[axis] = h
@@ -257,10 +258,10 @@ class TestSourcePositionGradients:
         near[7] = np.asarray(r0) + dirs[7] * 30.0 * a0
         screened = self._spy_screens(monkeypatch)
         for pts, dropped in ((far, True), (near, False)):
-            got = z_flux_parts(pts, scat, e_in=1.3)
+            [got] = z_flux_parts(pts, [(scat, 1.0)], e_in=1.3)
             with monkeypatch.context() as m:
                 m.setattr(fields, "_SCREEN_CUTOFF", math.inf)
-                kept = z_flux_parts(pts, scat, e_in=1.3)
+                [kept] = z_flux_parts(pts, [(scat, 1.0)], e_in=1.3)
             assert screened[-2:] == [not dropped, True]
             for a, b in zip(got, kept):
                 assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
@@ -269,14 +270,27 @@ class TestSourcePositionGradients:
         # below a0 = 1.1e-4 the bound does not hold at the cutoff
         scat = Scatterer(chi0=0.7, a0=5e-5)
         screened = self._spy_screens(monkeypatch)
-        z_flux_parts(np.array([[0.0, 0.0, 1.0]]), scat)
+        z_flux_parts(np.array([[0.0, 0.0, 1.0]]), [(scat, 1.0)])
         assert screened == [True]
 
     def test_refuses_source_points(self, scat_532):
         with pytest.raises(PhysicsError, match="point dipole"):
-            z_flux_parts(np.zeros((1, 3)), Scatterer(chi0=1.0))
+            z_flux_parts(np.zeros((1, 3)), [(Scatterer(chi0=1.0), 1.0)])
         with pytest.raises(PhysicsError, match="center"):
-            z_flux_parts(np.zeros((1, 3)), scat_532)
+            z_flux_parts(np.zeros((1, 3)), [(scat_532, 1.0)])
+
+    def test_each_placement_refuses_its_own_points(self):
+        # a point 1e-7 wavelengths from the source: a finite source takes
+        # it, and a point dipole refuses it, before or after the finite
+        # source on their shared frame
+        pts = np.array([[0.0, 0.0, 1e-7 * LAM], [0.3, 0.0, LAM]])
+        finite, point = Scatterer(chi0=1.0, a0=LAM / 30.0), Scatterer(chi0=1.0)
+        for parts in z_flux_parts(pts, [(finite, 1.0), (finite, -1.0)]):
+            assert all(np.isfinite(part).all() for part in parts)
+        for placements in ([(finite, 1.0), (point, -1.0)],
+                           [(point, 1.0), (finite, 1.0)]):
+            with pytest.raises(PhysicsError, match="point dipole"):
+                z_flux_parts(pts, placements)
 
 
 def test_intensity_parts_reconstruct_total_flux(scat_532):

@@ -179,17 +179,17 @@ def _spy_blocks(monkeypatch):
     # the pixels of each block fi_matrix evaluates its source on, and the
     # sizes of the counts it hands to poisson_fi
     seen = {"grids": [], "counts": []}
-    flux = fields.placement_flux
+    flux = fields.z_flux_parts
 
-    def grids(frame, *args):
-        seen["grids"].append(frame.rho.size)
-        return flux(frame, *args)
+    def grids(points, placements, *args):
+        seen["grids"].append(len(points) * len(placements))
+        return flux(points, placements, *args)
 
     def counts(nbar, grad):
         seen["counts"].append(nbar.size)
         return poisson_fi(nbar, grad)
 
-    monkeypatch.setattr(fields, "placement_flux", grids)
+    monkeypatch.setattr(fields, "z_flux_parts", grids)
     monkeypatch.setattr(fisher, "poisson_fi", counts)
     return seen
 

@@ -124,14 +124,14 @@ class TestCrbDistanceSweep:
         scat = replace(scat_1030, r0=r0)
         z_rel = [0.05, 2.0]
         evaluated = []
-        flux = fields.placement_flux
+        flux = fields.z_flux_parts
 
-        def spy(frame, *args):
-            evaluated.append(frame.rho.size)
-            return flux(frame, *args)
+        def spy(points, placements, *args):
+            evaluated.append(len(points) * len(placements))
+            return flux(points, placements, *args)
 
         with monkeypatch.context() as m:
-            m.setattr(fields, "placement_flux", spy)
+            m.setattr(fields, "z_flux_parts", spy)
             sweep = crb_distance_sweep(scat, pulse_1030, z_over_lambda=z_rel,
                                        finite_a0=LAM / 30.0)
         on_axis = r0[:2] == (0.0, 0.0)
@@ -187,7 +187,7 @@ def test_size_scaling_sweep_structure(scat_532, pulse_200):
 
 class TestValidateSuite:
     def test_quick_battery_passes(self, quick_checks):
-        assert len(quick_checks) == 12
+        assert len(quick_checks) == 11
         failures = [c for c in quick_checks if not c.passed]
         assert not failures, "\n".join(c.line() for c in failures)
 
@@ -203,6 +203,6 @@ class TestValidateSuite:
     @pytest.mark.slow
     def test_full_battery_passes(self):
         checks = validate_suite("full")
-        assert len(checks) == 16
+        assert len(checks) == 15
         failures = [c for c in checks if not c.passed]
         assert not failures, "\n".join(c.line() for c in failures)
