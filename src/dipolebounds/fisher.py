@@ -94,13 +94,15 @@ def mean_counts(grid: PixelGrid, scatterer: Scatterer,
 
 def _counts(parts, chi0: float, pulse: Pulse, factor: np.ndarray):
     """Counts and their (chi0, x0, y0, z0) gradient from the flux parts of
-    one source, ``factor`` being ``tau`` times the pixel areas."""
+    one source, ``factor`` being ``tau`` times the pixel areas.  The
+    gradient is built component-major, ``(4, npixels)``, and returned as
+    its ``(npixels, 4)`` transpose, which :func:`poisson_fi` undoes."""
     cross, scattered, d_r0 = parts
     nbar = _positive((0.5 * pulse.e_in**2 + cross + scattered) * factor)
-    grad = np.empty((nbar.size, 4))
-    grad[:, 0] = (cross + 2.0 * scattered) / chi0 * factor
-    grad[:, 1:] = d_r0 * factor[:, None]
-    return nbar, grad
+    grad = np.empty((4, nbar.size))
+    grad[0] = (cross + 2.0 * scattered) / chi0 * factor
+    np.multiply(d_r0.T, factor, out=grad[1:])
+    return nbar, grad.T
 
 
 def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
@@ -117,7 +119,7 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
     """
     grid = grid.plate()
     nbar = np.empty(grid.size)
-    grad = np.empty((grid.size, 4))
+    grad = np.empty((4, grid.size)).T     # component-major, as _counts
     for lo in range(0, grid.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         nbar[sl], grad[sl] = _counts(
@@ -128,10 +130,11 @@ def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
 
 
 def poisson_fi(nbar: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Fisher information of independent Poisson counts with means ``nbar``."""
-    nbar = np.asarray(nbar, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    return (grad / nbar[:, None]).T @ grad
+    """Fisher information of independent Poisson counts with means ``nbar``
+    and gradient ``grad``, one row per count, summed as
+    ``(g / nbar) @ g.T`` over the component-major ``g = grad.T``."""
+    g = np.asarray(grad, dtype=float).T
+    return (g / np.asarray(nbar, dtype=float)) @ g.T
 
 
 def fi_matrices(grid: PixelGrid, placements, pulse: Pulse) -> list:

@@ -10,13 +10,17 @@ same prefactor and the causal term's sign flipped, and ``f2 = chi0 p f3``,
 so the PV and 1/(k+p) transforms enter only as their sum and difference.
 The pulse amplitude is purely imaginary and vanishes off a band of the
 stretched momentum grid, so a block of T times costs two real products on
-(2, T, m) band stacks, m the band width.  :func:`qfi_matrix` assembles the
-time-resolved QFI matrix from the real and imaginary parts those products
-give and never forms the complex profiles; :meth:`FrequencyIntegrals.eval`
-builds them on request.  The module also provides independent
-cross-checks: the mean scattered photon number from the scattering amplitude
-itself, the analytic long-time (far-field) limits, and a direct
-mode-decomposition evaluation of the stationary scattered field.
+(2, T, m) band stacks, m the band width.  A purely imaginary amplitude is
+a transform-limited pulse: the amplitude at -t mirrors the one at t, so
+half of each product is odd in t and half even, and :func:`qfi_matrix`
+makes the products once per distinct ``|t|``, taking both ``+-t`` from
+one row.  It assembles the time-resolved QFI matrix from the real and
+imaginary parts those products give and never forms the complex profiles;
+:meth:`FrequencyIntegrals.eval` builds them on request.  The module also
+provides independent cross-checks: the mean scattered photon number from
+the scattering amplitude itself, the analytic long-time (far-field) limits,
+and a direct mode-decomposition evaluation of the stationary scattered
+field.
 
 Conventions: internal units (``hbar = c = 1``, carrier wavenumber 1, as fixed
 by :class:`~dipolebounds.model.UnitSystem`), pulse spectrum
@@ -65,6 +69,47 @@ def _blocks(count: int, n: int):
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
+def _mirror_blocks(times: np.ndarray, n: int) -> list:
+    """Blocks of a series whose times share one band product per ``|t|``.
+
+    Returns ``(rows, mags, src)`` per block: the rows of ``times`` in the
+    block, in order, the distinct ``|t|`` they take and, for each row, the
+    position of its ``|t|`` in ``mags``.  ``mags`` and ``src`` are None for
+    a block without a ``+-t`` pair or a repeated time, whose rows are
+    evaluated as they are.  A block holds at most ``_BLOCK_ELEMENTS // n``
+    distinct ``|t|`` and twice as many rows, and the rows of one ``|t|``
+    share a block.  The distinct ``|t|`` are taken in order of first
+    appearance, so an unpaired series keeps the blocks of :func:`_blocks`.
+    """
+    step = max(1, _BLOCK_ELEMENTS // n)
+    mag = np.abs(times)
+    groups = {}
+    for row, value in enumerate(mag.tolist()):
+        groups.setdefault(value, []).append(row)
+    blocks, size = [], 2 * step
+    for group in groups.values():
+        # a time repeated more often than a block holds is split
+        for lo in range(0, len(group), step):
+            chunk = group[lo:lo + step]
+            if size + len(chunk) > 2 * step or len(blocks[-1]) == step:
+                blocks.append([])
+                size = 0
+            blocks[-1].append(chunk)
+            size += len(chunk)
+
+    out = []
+    for block in blocks:
+        pairs = sorted((row, i) for i, chunk in enumerate(block)
+                       for row in chunk)
+        rows = np.array([row for row, _ in pairs])
+        if len(pairs) == len(block):
+            out.append((rows, None, None))
+        else:
+            out.append((rows, mag[[chunk[0] for chunk in block]],
+                        np.array([i for _, i in pairs])))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # pulse spectrum on the momentum grid
 # ---------------------------------------------------------------------------
@@ -88,7 +133,10 @@ class SpectralPulse:
     alpha: np.ndarray
 
     def __post_init__(self) -> None:
-        # the real-arithmetic kernels rest on these premises
+        # the real-arithmetic kernels rest on these premises; a purely
+        # imaginary alpha also makes the pulse transform-limited, so that
+        # band_values(-t) is (-a sin kt, a cos kt) bit for bit, which
+        # qfi_matrix's time-reversal pairing rests on
         if np.any(self.alpha.real != 0.0):
             raise ValueError("alpha must be purely imaginary")
         if not np.any(self.alpha) or not np.all(self.alpha[self.band]):
@@ -212,27 +260,52 @@ class FrequencyIntegrals:
                       / (2.0 * math.pi * self._chi0))
         self._pref = sign * k ** (0.5 - shift) * xi
 
+    def _pulse(self, t):
+        """The band kernel times the pulse, ``(g_re, g_im)``."""
+        sin, cos = self.spectral.band_values(t)
+        return self._kern * sin, self._kern * cos
+
+    def _causal(self, g_re, g_im, u_re, u_im, v_re, v_im):
+        """Add the causal terms -(i/2) g and -(i/2) h in place, with g and
+        h carrying the transforms' 1/2pi."""
+        band = self.spectral.band
+        kb = self.nodes[band]
+        u_re[..., band] += math.pi * g_im
+        u_im[..., band] -= math.pi * g_re
+        v_re[..., band] += math.pi * kb * g_im
+        v_im[..., band] -= math.pi * kb * g_re
+        return u_re, u_im, v_re, v_im
+
     def parts(self, t):
         """``f3 / pref`` and ``-f1 / (chi0 pref)`` as real arrays.
 
         Returns ``(u_re, u_im, v_re, v_im)`` with ``u = f3 / pref`` and
         ``v = -f1 / (chi0 pref)``, each of shape ``t.shape + (n,)``.
         """
-        sin, cos = self.spectral.band_values(t)
-        band = self.spectral.band
-        kb = self.nodes[band]
-        g_re, g_im = self._kern * sin, self._kern * cos
-        x = np.stack((g_re, kb * g_im)) @ self._sum
-        y = np.stack((g_im, kb * g_re)) @ self._diff
-        u_re, v_im = x
-        u_im, v_re = y
-        # the causal terms -(i/2) g and -(i/2) h, with g and h carrying the
-        # transforms' 1/2pi
-        u_re[..., band] += math.pi * g_im
-        u_im[..., band] -= math.pi * g_re
-        v_re[..., band] += math.pi * kb * g_im
-        v_im[..., band] -= math.pi * kb * g_re
-        return u_re, u_im, v_re, v_im
+        g_re, g_im = self._pulse(t)
+        kb = self.nodes[self.spectral.band]
+        u_re, v_im = np.stack((g_re, kb * g_im)) @ self._sum
+        u_im, v_re = np.stack((g_im, kb * g_re)) @ self._diff
+        return self._causal(g_re, g_im, u_re, u_im, v_re, v_im)
+
+    def _mirrored_parts(self, mags, src, sign):
+        """:meth:`parts` at the times ``sign * mags[src]``, from one band
+        product per distinct ``|t|`` in ``mags``.
+
+        ``band_values(-t)`` is ``(-a sin kt, a cos kt)`` bit for bit, so
+        ``g_re`` and its products (``u_re``, ``v_re``) are odd in t, and
+        ``g_im`` and its products (``u_im``, ``v_im``) even: each time
+        takes the products of its ``|t|``, the odd ones with its sign.
+        """
+        g_re, g_im = self._pulse(mags)
+        kb = self.nodes[self.spectral.band]
+        x = (np.stack((g_re, kb * g_im)) @ self._sum)[:, src]
+        y = (np.stack((g_im, kb * g_re)) @ self._diff)[:, src]
+        s = sign[:, None]
+        x[0] *= s
+        y[1] *= s
+        (u_re, v_im), (u_im, v_re) = x, y
+        return self._causal(g_re[src] * s, g_im[src], u_re, u_im, v_re, v_im)
 
     def eval(self, t) -> dict[str, np.ndarray]:
         """Profiles at all grid nodes, keyed ``f1, f2, f3``, from :meth:`parts`.
@@ -294,11 +367,25 @@ def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
     The diagonal blocks use the radial profiles only; with
     ``corrections=True`` (multipolar coupling only) the residual
     matter-light covariance terms are added to the chi0/z0 block.
+
+    The band products run once per distinct ``|t|``: the pulse is
+    transform-limited, so of the parts at -t, ``u_re`` and ``v_re`` are
+    those at t with the sign of their product flipped and ``u_im`` and
+    ``v_im`` equal them, before the causal terms, which each time adds
+    with its own sign.  A series with ``+-t`` pairs or repeated times thus
+    costs one product row per distinct ``|t|`` (a mirrored window of
+    ``2N + 1`` times ``N + 1`` rows); a block without a pair or repeat
+    goes through :meth:`FrequencyIntegrals.parts` as it is.  A block holds
+    at most ``_BLOCK_ELEMENTS // n`` distinct ``|t|``, so an unpaired
+    series keeps its blocks and working memory.
     """
     if corrections and gauge != "multipolar":
         raise ValueError(
             "covariance corrections are derived for the multipolar coupling; "
             "combine corrections=True with gauge='multipolar'")
+    # laid out before the working arrays exist, which keeps the heap small
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    blocks = _mirror_blocks(times, spectral.grid.size)
     integrals = FrequencyIntegrals(spectral, scatterer, gauge)
     grid = spectral.grid
     chi0, p, pref = scatterer.chi0, grid.nodes, integrals._pref
@@ -315,13 +402,24 @@ def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
         plus = np.add(upsilon, delta_xi, out=upsilon)
         del delta_xi
 
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.zeros((times.size, 4, 4))
-    for blk in _blocks(times.size, grid.size):
-        u_re, u_im, v_re, v_im = integrals.parts(times[blk])
-        i3, i2 = ((np.square(u_re) + np.square(u_im)) @ weights).T
-        i1 = chi0**2 * ((np.square(v_re) + np.square(v_im)) @ wpp)
-        cross = (v_im * u_re - v_re * u_im) @ wpp
+    for rows, mags, src in blocks:
+        if mags is None:
+            u_re, u_im, v_re, v_im = integrals.parts(times[rows])
+        else:
+            u_re, u_im, v_re, v_im = integrals._mirrored_parts(
+                mags, src, np.where(times[rows] < 0.0, -1.0, 1.0))
+        # one temporary per sum, the second term added in place
+        sq = np.square(u_re)
+        sq += np.square(u_im)
+        i3, i2 = (sq @ weights).T
+        sq = np.square(v_re, out=sq)
+        sq += np.square(v_im)
+        i1 = chi0**2 * (sq @ wpp)
+        sq = np.multiply(v_im, u_re, out=sq)
+        sq -= v_re * u_im
+        cross = sq @ wpp
+        del sq
         j11 = 4.0 / (15.0 * math.pi**2) * i2
         j33 = 2.0 * j11 + 4.0 / (3.0 * math.pi**2) * i1
         j00 = 4.0 / (3.0 * math.pi**2) * i3
@@ -340,9 +438,9 @@ def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
             j33 += c * chi0**2 * x
             j00 -= c * y
             j03 -= c * chi0 * z
-        j = out[blk]
-        j[:, 0, 0], j[:, 1, 1], j[:, 2, 2], j[:, 3, 3] = j00, j11, 2.0 * j11, j33
-        j[:, 0, 3] = j[:, 3, 0] = j03
+        out[rows, 0, 0], out[rows, 3, 3], out[rows, 0, 3] = j00, j33, j03
+        out[rows, 1, 1], out[rows, 2, 2] = j11, 2.0 * j11
+        out[rows, 3, 0] = j03
     return QfiSeries(times, out)
 
 
@@ -385,7 +483,11 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     :attr:`SpectralPulse.transforms` or
     :func:`~dipolebounds.quadrature.pv_matrix`, so it can serve as an
     independent consistency check of the QFI pipeline
-    (J_00 = 4 N_sc / chi0^2 at all times).  Poles inside the pulse's band
+    (J_00 = 4 N_sc / chi0^2 at all times).  For the same reason it does
+    not pair ``+-t`` as :func:`qfi_matrix` does: every time gets its own
+    product row, so a fault in that pairing shows in the photon identity
+    (``tests/test_qfi.py`` holds it to 1e-12 on a series where the negative
+    times pair).  Poles inside the pulse's band
     get :func:`~dipolebounds.quadrature.pv_integral`'s pole subtraction; the
     remaining poles get plain excision.  Both are built once per call, as one
     real operator V, and combined with the 1/(k+p) operator P: for the real

@@ -224,22 +224,31 @@ def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
     For each radius the QFI entries are sampled over a window of one
     half-period around the pulse peak (the transient beats at twice the
     carrier, so the window is guaranteed to contain a crest) and the largest
-    magnitude is recorded (``peak_*`` columns).  Because at the envelope
-    center only half the pulse has scattered, the on-shell pedestal under the
-    peak equals half the late-time value; subtracting it isolates the
-    transient enhancement, whose size scaling is the quantity with a clean
-    power law (``transient_*`` columns).  Exponents of ``(lambda / a0)`` are
-    fitted per column and per coupling; saturating entries are statements
-    about the peak itself, so both fits are reported.  Following the validity
-    analysis, the two largest radii are dropped from a fit when that halves
-    its residual (recorded in the metadata).
+    magnitude is recorded (``peak_*`` columns).  The window is built from
+    its upper half, ``np.linspace``'s samples at and above the centre,
+    and their exact negatives, so every ``-t`` pairs with a ``+t`` and
+    :func:`~dipolebounds.qfi.qfi_matrix` makes one band product per pair
+    (the samples differ from the full ``np.linspace`` by at most 2.2e-16).
+    Because at the envelope center only half the pulse has scattered, the
+    on-shell pedestal under the peak equals half the late-time value;
+    subtracting it isolates the transient enhancement, whose size scaling
+    is the quantity with a clean power law (``transient_*`` columns).
+    Exponents of ``(lambda / a0)`` are fitted per column and per coupling;
+    saturating entries are statements about the peak itself, so both fits
+    are reported.  Following the validity analysis, the two largest radii
+    are dropped from a fit when that halves its residual (recorded in the
+    metadata).
     """
     if a0_over_lambda is None:
         a0_over_lambda = np.geomspace(1.0 / 120.0, 1.0 / 20.0, 8)
     a0_over_lambda = np.asarray(a0_over_lambda, dtype=float)
-    # the peak window (one half-period), then the late time for the pedestal
-    times = np.append(np.linspace(-0.5 * math.pi, 0.5 * math.pi, peak_samples),
-                      5.0 * pulse.tau)
+    # the peak window (one half-period), mirrored from its upper half so
+    # that every -t is the exact negative of a +t; then the late time for
+    # the pedestal
+    upper = np.linspace(-0.5 * math.pi, 0.5 * math.pi,
+                        peak_samples)[peak_samples // 2:]
+    times = np.concatenate((-upper[::-1][:peak_samples // 2], upper,
+                            [5.0 * pulse.tau]))
     spectral = qfi.SpectralPulse.from_pulse(pulse, grid)
 
     entries = ("j00", "j11", "j33", "j03")

@@ -337,6 +337,103 @@ class TestQfiMatrix:
                                        atol=1e-13 * np.abs(one).max())
 
 
+def mirrored_window(half):
+    """``-half`` and ``half`` as one window, each -t the exact negative of
+    a +t; a 0 in ``half`` appears once."""
+    return np.concatenate((-half[::-1][half[::-1] != 0.0], half))
+
+
+class _ProductSpy(np.ndarray):
+    """V +- P that record the stack each band product acts on."""
+
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        assert ufunc is np.matmul
+        self.calls.append(inputs[0].shape)
+        inputs = [x.view(np.ndarray) if isinstance(x, _ProductSpy) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.fixture
+def product_rows(spectral_200, monkeypatch):
+    """Rows of the band products qfi_matrix makes on ``spectral_200``,
+    summed over blocks, per product."""
+    calls = []
+    monkeypatch.setattr(_ProductSpy, "calls", calls)
+    monkeypatch.setitem(spectral_200.__dict__, "transforms", tuple(
+        m.view(_ProductSpy) for m in spectral_200.transforms))
+
+    def rows():
+        # the two products of a block act on stacks of equal shape
+        assert calls[::2] == calls[1::2]
+        assert all(shape[0] == 2 for shape in calls)
+        total = sum(shape[1] for shape in calls[::2])
+        calls.clear()
+        return total
+    return rows
+
+
+class TestTimeReversalPairing:
+    """A pulse with purely imaginary alpha is transform-limited:
+    band_values(-t) mirrors band_values(t) bit for bit, so qfi_matrix makes
+    one band product per distinct |t| and derives the other sign."""
+
+    @staticmethod
+    def mixed_series(n):
+        # a mirrored window with t = 0, two unpaired negative times and a
+        # repeated time, shuffled: _BLOCK_ELEMENTS // n + 9 distinct |t|
+        half = np.linspace(0.0, 300.0, qfi._BLOCK_ELEMENTS // n + 7)
+        window = mirrored_window(half)
+        times = np.concatenate((window, [-137.3, -451.9, window[5]]))
+        return np.random.default_rng(7).permutation(times)
+
+    @pytest.mark.parametrize("gauge,corrections", [
+        ("multipolar", False), ("coulomb", False), ("multipolar", True)])
+    def test_paired_series_matches_single_times(self, scat_532, spectral_200,
+                                                gauge, corrections):
+        n = spectral_200.grid.size
+        times = self.mixed_series(n)
+        assert np.unique(np.abs(times)).size == qfi._BLOCK_ELEMENTS // n + 9
+        series = qfi_matrix(scat_532, spectral_200, times, gauge,
+                            corrections).j
+        single = np.stack([qfi_matrix(scat_532, spectral_200, [t], gauge,
+                                      corrections).j[0] for t in times])
+        dev = np.abs(series - single).max(axis=0)
+        assert np.all(dev <= 1e-13 * np.abs(single).max(axis=0)), dev
+
+    def test_a_mirrored_window_costs_one_row_per_distinct_time(
+            self, scat_532, spectral_200, product_rows):
+        # N + 1 = _BLOCK_ELEMENTS // n + 9 rows, over more than one block
+        big = qfi._BLOCK_ELEMENTS // spectral_200.grid.size + 8
+        window = mirrored_window(np.linspace(0.0, 300.0, big + 1))
+        assert window.size == 2 * big + 1
+        qfi_matrix(scat_532, spectral_200, window)
+        assert product_rows() == big + 1
+        # an even window, with no t = 0, pairs every time
+        qfi_matrix(scat_532, spectral_200, window[window != 0.0])
+        assert product_rows() == big
+
+    def test_an_unpaired_axis_costs_all_its_rows(self, scat_532, spectral_200,
+                                                  product_rows):
+        times = np.linspace(-300.0, 600.0, 149) + 0.1234
+        assert np.unique(np.abs(times)).size == times.size
+        qfi_matrix(scat_532, spectral_200, times)
+        assert product_rows() == times.size
+
+    @pytest.mark.parametrize("samples,rows", [(65, 33), (6, 3)])
+    def test_size_scan_window_is_mirrored(self, scat_532, pulse_200,
+                                          spectral_200, product_rows,
+                                          samples, rows, monkeypatch):
+        # the peak window's rows pair, and the late time adds one row
+        monkeypatch.setattr(qfi.SpectralPulse, "from_pulse",
+                            lambda *args: spectral_200)
+        size_scaling_sweep(scat_532, pulse_200, [1 / 60],
+                           gauges=("multipolar",), peak_samples=samples)
+        assert product_rows() == rows + 1
+
+
 class TestScatteredPhotons:
     def test_matches_qfi_identity(self, scat_532, spectral_200):
         # two independent pipelines: J00 = 4 N_sc / chi0^2 at any time
@@ -345,6 +442,17 @@ class TestScatteredPhotons:
         j00 = qfi_matrix(scat_532, spectral_200, times).j[:, 0, 0]
         np.testing.assert_allclose(4.0 * nsc / scat_532.chi0 ** 2, j00,
                                    rtol=1e-10)
+
+    def test_matches_the_paired_qfi(self, scat_532, spectral_200, pulse_200):
+        # the oracle is unpaired: a fault in qfi_matrix's time-reversal
+        # pairing cannot hide under validate's 1e-2 photon-identity gate
+        times = np.linspace(-3.0, 5.0, 33) * pulse_200.tau
+        negative = times[times < 0]
+        assert negative.size == 12 and np.all(np.isin(-negative, times))
+        nsc = nsc_series(scat_532, spectral_200, times)
+        j00 = qfi_matrix(scat_532, spectral_200, times).j[:, 0, 0]
+        dev = np.abs(j00 * scat_532.chi0 ** 2 / 4.0 - nsc)
+        assert dev.max() <= 1e-12 * nsc.max()
 
     def test_series_longer_than_a_block_matches_single_times(
             self, scat_532, spectral_200):
