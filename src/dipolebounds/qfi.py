@@ -6,16 +6,18 @@ Gaussian, so the quantum Fisher information (QFI) for the parameters
 amplitude-derivative profiles ``f1, f2, f3`` (and, in the multipolar
 light-matter coupling, small corrections from the matter-light covariances).
 All three come from one kernel: f1's kernel is ``chi0 k`` times f3's, with the
-same prefactor and the causal term's sign flipped, and ``f2 = chi0 p f3``,
-so the PV and 1/(k+p) transforms enter only as their sum and difference.
-The pulse amplitude is purely imaginary and vanishes off a band of the
-stretched momentum grid, so a block of T times costs two real products on
-(2, T, m) band stacks, m the band width.  A purely imaginary amplitude is
-a transform-limited pulse: the amplitude at -t mirrors the one at t, so
-half of each product is odd in t and half even, and :func:`qfi_matrix`
-makes the products once per distinct ``|t|``, taking both ``+-t`` from
-one row.  It assembles the time-resolved QFI matrix from the real and
-imaginary parts those products give and never forms the complex profiles;
+same prefactor and the causal term's sign flipped, and ``f2 = chi0 p f3``.
+The factor ``k`` moves through the PV and 1/(k+p) transforms exactly, up to
+a tridiagonal remainder of the grid's own stencil
+(:func:`~dipolebounds.quadrature.pv_k_stencil`), so f1 follows from f3's
+two products.  The pulse amplitude is purely imaginary and vanishes off a
+band of the stretched momentum grid, so a block of T times costs one real
+product per transform, each on a (T, m) band array, m the band width.  A
+purely imaginary amplitude is a transform-limited pulse: the amplitude at
+-t mirrors the one at t, so one product is odd in t and the other even,
+and :func:`qfi_matrices` makes them once per distinct ``|t|`` for all its
+sources at once, assembling every entry at ``+-|t|`` as an even sum plus
+or minus an odd one.  It never forms the complex profiles;
 :meth:`FrequencyIntegrals.eval` builds them on request.  The module also
 provides independent cross-checks: the mean scattered photon number from
 the scattering amplitude itself, the analytic long-time (far-field) limits,
@@ -39,14 +41,15 @@ import numpy as np
 
 from .fields import regularizer
 from .model import PhysicsError, Pulse, Scatterer
-from .quadrature import (SinhGrid, _pole_subtraction, pv_integral, pv_matrix,
-                         trapezoid_weights)
+from .quadrature import (SinhGrid, _pole_subtraction, pv_integral,
+                         pv_k_stencil, pv_matrix, trapezoid_weights)
 
 __all__ = [
     "GAUGES",
     "SpectralPulse",
     "FrequencyIntegrals",
     "QfiSeries",
+    "qfi_matrices",
     "qfi_matrix",
     "nsc_series",
     "farfield_qfi",
@@ -67,47 +70,6 @@ def _blocks(count: int, n: int):
     """Slices covering ``range(count)`` in blocks of rows of length ``n``."""
     step = max(1, _BLOCK_ELEMENTS // n)
     return [slice(i, i + step) for i in range(0, count, step)]
-
-
-def _mirror_blocks(times: np.ndarray, n: int) -> list:
-    """Blocks of a series whose times share one band product per ``|t|``.
-
-    Returns ``(rows, mags, src)`` per block: the rows of ``times`` in the
-    block, in order, the distinct ``|t|`` they take and, for each row, the
-    position of its ``|t|`` in ``mags``.  ``mags`` and ``src`` are None for
-    a block without a ``+-t`` pair or a repeated time, whose rows are
-    evaluated as they are.  A block holds at most ``_BLOCK_ELEMENTS // n``
-    distinct ``|t|`` and twice as many rows, and the rows of one ``|t|``
-    share a block.  The distinct ``|t|`` are taken in order of first
-    appearance, so an unpaired series keeps the blocks of :func:`_blocks`.
-    """
-    step = max(1, _BLOCK_ELEMENTS // n)
-    mag = np.abs(times)
-    groups = {}
-    for row, value in enumerate(mag.tolist()):
-        groups.setdefault(value, []).append(row)
-    blocks, size = [], 2 * step
-    for group in groups.values():
-        # a time repeated more often than a block holds is split
-        for lo in range(0, len(group), step):
-            chunk = group[lo:lo + step]
-            if size + len(chunk) > 2 * step or len(blocks[-1]) == step:
-                blocks.append([])
-                size = 0
-            blocks[-1].append(chunk)
-            size += len(chunk)
-
-    out = []
-    for block in blocks:
-        pairs = sorted((row, i) for i, chunk in enumerate(block)
-                       for row in chunk)
-        rows = np.array([row for row, _ in pairs])
-        if len(pairs) == len(block):
-            out.append((rows, None, None))
-        else:
-            out.append((rows, mag[[chunk[0] for chunk in block]],
-                        np.array([i for _, i in pairs])))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +98,7 @@ class SpectralPulse:
         # the real-arithmetic kernels rest on these premises; a purely
         # imaginary alpha also makes the pulse transform-limited, so that
         # band_values(-t) is (-a sin kt, a cos kt) bit for bit, which
-        # qfi_matrix's time-reversal pairing rests on
+        # qfi_matrices' time-reversal pairing rests on
         if np.any(self.alpha.real != 0.0):
             raise ValueError("alpha must be purely imaginary")
         if not np.any(self.alpha) or not np.all(self.alpha[self.band]):
@@ -186,6 +148,16 @@ class SpectralPulse:
         v_diff = np.subtract(pv, plus, out=plus)
         return v_sum, v_diff
 
+    @cached_property
+    def _k_stencil(self) -> tuple[slice, np.ndarray]:
+        """The band's nodes and their two neighbours, and
+        :func:`~dipolebounds.quadrature.pv_k_stencil`'s ``(3, r)`` rows on
+        them."""
+        band, n = self.band, self.grid.size
+        rows = slice(max(band.start - 1, 0), min(band.stop + 1, n))
+        return rows, np.stack(pv_k_stencil(self.grid.nodes,
+                                           self.grid.weights))[:, rows]
+
     def band_values(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Real and imaginary parts of ``alpha(k) exp(-i k t)`` on the band.
 
@@ -198,6 +170,28 @@ class SpectralPulse:
         a = self.alpha.imag[self.band]
         return a * np.sin(kt), a * np.cos(kt)
 
+    def _products(self, g_re, g_im) -> tuple[np.ndarray, np.ndarray]:
+        """``(g_re @ (V + P), g_im @ (V - P))`` for band samples of any
+        leading shape: one product per transform, on all rows at once."""
+        v_sum, v_diff = self.transforms
+        lead, m = np.shape(g_re)[:-1], v_sum.shape[0]
+        x = np.reshape(g_re, (-1, m)) @ v_sum
+        y = np.reshape(g_im, (-1, m)) @ v_diff
+        return x.reshape(lead + (-1,)), y.reshape(lead + (-1,))
+
+    def _k_remainder(self, g) -> tuple[slice, np.ndarray]:
+        """``C g`` of :func:`~dipolebounds.quadrature.pv_k_stencil` for band
+        samples ``g`` (zero off the band), as ``(rows, values)``: ``C g``
+        vanishes off the band's nodes and their two neighbours, ``rows``."""
+        rows, (below, on, above) = self._k_stencil
+        band = self.band
+        pad = np.zeros(np.shape(g)[:-1] + (rows.stop - rows.start,))
+        pad[..., band.start - rows.start:band.stop - rows.start] = g
+        out = on * pad
+        out[..., 1:] += below[1:] * pad[..., :-1]
+        out[..., :-1] += above[:-1] * pad[..., 1:]
+        return rows, out
+
 
 # ---------------------------------------------------------------------------
 # the three derivative profiles
@@ -209,24 +203,32 @@ class FrequencyIntegrals:
     With ``g(k, t) = K(k) alpha(k, t)``, kernel
     ``K(k) = k^(1/2+s) xi_k chi(k) / chi0`` and prefactor
     ``pref(p) = sign p^(1/2-s) xi_p`` (``s = 0, sign = 1`` multipolar;
-    ``s = 1, sign = -1`` Coulomb), ``h = k g`` and ``I = int dk/2pi``,
+    ``s = 1, sign = -1`` Coulomb) and ``I = int dk/2pi``,
 
         f3 = pref [ I g*/(k + p) + PV I g/(k - p) - (i/2) g(p) ]
-        f1 = chi0 pref [ I h*/(k + p) - PV I h/(k - p) + (i/2) h(p) ]
+        f1 = chi0 pref [ I k g*/(k + p) - PV I k g/(k - p) + (i/2) p g(p) ]
 
     and ``f2 = chi0 p f3``: the x0 and chi0 derivatives of one scattered
     amplitude bring out the emitted momentum p and divide by chi0.  For the
     PV matrix V and the 1/(k+p) matrix P, ``g = a + ib`` gives
-    ``g* P + g V = a (V + P) + i b (V - P)`` and ``h = c + id`` gives
-    ``h* P - h V = -(c (V - P) + i d (V + P))``, so only ``V + P`` and
-    ``V - P`` are kept (the pulse holds them, built once).  ``g`` vanishes
-    off the pulse's band, so only the band rows of either enter, and
-    :meth:`parts` costs two real products on ``(2, T, m)`` band stacks per
-    block of ``T`` times, for a band of ``m`` nodes, whatever ``T`` is.
+    ``g* P + g V = a (V + P) + i b (V - P)``: only ``V + P`` and ``V - P``
+    are kept (the pulse holds them, built once).  ``g`` vanishes off the
+    pulse's band, so only their band rows enter, and f3 costs one real
+    product per transform on ``(T, m)`` band arrays per block of ``T``
+    times, for a band of ``m`` nodes.
 
-    :meth:`parts` returns the profiles divided by their prefactors as real
-    and imaginary parts; :func:`qfi_matrix` assembles the QFI from those and
-    never forms the complex profiles, which :meth:`eval` builds on request.
+    f1 costs no product of its own.  With ``u = f3 / pref`` and
+    ``v = -f1 / (chi0 pref)``, ``k / (k - p) = 1 + p / (k - p)`` and
+    ``k / (k + p) = 1 - p / (k + p)`` give, on the grid exactly
+    (:func:`~dipolebounds.quadrature.pv_k_stencil`),
+
+        Re v = p Re u + C a / 2pi,    Im v = p Im u + 2 I b + C b / 2pi,
+
+    where ``C`` is the tridiagonal remainder of the PV matrix's on-pole
+    stencil; the causal terms follow the same rule, with ``k = p`` on the
+    pole.  :func:`qfi_matrices` assembles the QFI from the real products
+    and never forms the complex profiles, which :meth:`eval` builds on
+    request.
 
     Parameters
     ----------
@@ -249,7 +251,6 @@ class FrequencyIntegrals:
         self._chi0 = scatterer.chi0
         self.nodes = k = spectral.grid.nodes
         xi = regularizer(k, scatterer.a0)
-        self._sum, self._diff = spectral.transforms
 
         shift = 1.0 if gauge == "coulomb" else 0.0
         sign = -1.0 if gauge == "coulomb" else 1.0
@@ -265,59 +266,29 @@ class FrequencyIntegrals:
         sin, cos = self.spectral.band_values(t)
         return self._kern * sin, self._kern * cos
 
-    def _causal(self, g_re, g_im, u_re, u_im, v_re, v_im):
-        """Add the causal terms -(i/2) g and -(i/2) h in place, with g and
-        h carrying the transforms' 1/2pi."""
-        band = self.spectral.band
-        kb = self.nodes[band]
-        u_re[..., band] += math.pi * g_im
-        u_im[..., band] -= math.pi * g_re
-        v_re[..., band] += math.pi * kb * g_im
-        v_im[..., band] -= math.pi * kb * g_re
-        return u_re, u_im, v_re, v_im
-
-    def parts(self, t):
-        """``f3 / pref`` and ``-f1 / (chi0 pref)`` as real arrays.
-
-        Returns ``(u_re, u_im, v_re, v_im)`` with ``u = f3 / pref`` and
-        ``v = -f1 / (chi0 pref)``, each of shape ``t.shape + (n,)``.
-        """
-        g_re, g_im = self._pulse(t)
-        kb = self.nodes[self.spectral.band]
-        u_re, v_im = np.stack((g_re, kb * g_im)) @ self._sum
-        u_im, v_re = np.stack((g_im, kb * g_re)) @ self._diff
-        return self._causal(g_re, g_im, u_re, u_im, v_re, v_im)
-
-    def _mirrored_parts(self, mags, src, sign):
-        """:meth:`parts` at the times ``sign * mags[src]``, from one band
-        product per distinct ``|t|`` in ``mags``.
-
-        ``band_values(-t)`` is ``(-a sin kt, a cos kt)`` bit for bit, so
-        ``g_re`` and its products (``u_re``, ``v_re``) are odd in t, and
-        ``g_im`` and its products (``u_im``, ``v_im``) even: each time
-        takes the products of its ``|t|``, the odd ones with its sign.
-        """
-        g_re, g_im = self._pulse(mags)
-        kb = self.nodes[self.spectral.band]
-        x = (np.stack((g_re, kb * g_im)) @ self._sum)[:, src]
-        y = (np.stack((g_im, kb * g_re)) @ self._diff)[:, src]
-        s = sign[:, None]
-        x[0] *= s
-        y[1] *= s
-        (u_re, v_im), (u_im, v_re) = x, y
-        return self._causal(g_re[src] * s, g_im[src], u_re, u_im, v_re, v_im)
-
     def eval(self, t) -> dict[str, np.ndarray]:
-        """Profiles at all grid nodes, keyed ``f1, f2, f3``, from :meth:`parts`.
+        """Profiles at all grid nodes, keyed ``f1, f2, f3``.
 
         ``t`` is a scalar or an array of times; each profile has shape
         ``t.shape + (n,)``.  The working arrays grow with ``t.size``, so long
-        series are passed in blocks (as :func:`qfi_matrix` does).
+        series are passed in blocks (as :func:`qfi_matrices` does).
         """
-        u_re, u_im, v_re, v_im = self.parts(t)
+        spectral, p = self.spectral, self.nodes
+        band = spectral.band
+        g_re, g_im = self._pulse(t)
+        u_re, u_im = spectral._products(g_re, g_im)
+        # the causal term -(i/2) g, with g carrying the transforms' 1/2pi
+        u_re[..., band] += math.pi * g_im
+        u_im[..., band] -= math.pi * g_re
+        v_re, v_im = p * u_re, p * u_im
+        v_im += 2.0 * np.asarray(g_im @ spectral.grid.weights[band])[..., None]
+        rows, c = spectral._k_remainder(g_re)
+        v_re[..., rows] += c
+        rows, c = spectral._k_remainder(g_im)
+        v_im[..., rows] += c
         f3 = self._pref * (u_re + 1j * u_im)
         f1 = -self._chi0 * self._pref * (v_re + 1j * v_im)
-        return {"f1": f1, "f2": self._chi0 * self.nodes * f3, "f3": f3}
+        return {"f1": f1, "f2": self._chi0 * p * f3, "f3": f3}
 
 
 # ---------------------------------------------------------------------------
@@ -360,88 +331,208 @@ class QfiSeries:
         return np.einsum("tii->ti", self.j)
 
 
-def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
-               gauge: str = "multipolar", corrections: bool = False) -> QfiSeries:
-    """QFI matrix of the scattered state at each requested time.
+def _even_odd(f, kh):
+    """``sum f kh`` over the last axis at ``+-|t|``, stacked as
+    ``(even, odd)``, for ``f = f[0] +- f[1]`` and ``kh = kh[0] +- kh[1]``."""
+    return np.stack((np.einsum("p...n,p...n->...", f, kh),
+                     np.einsum("p...n,p...n->...", f, kh[::-1])))
 
-    The diagonal blocks use the radial profiles only; with
-    ``corrections=True`` (multipolar coupling only) the residual
-    matter-light covariance terms are added to the chi0/z0 block.
 
-    The band products run once per distinct ``|t|``: the pulse is
-    transform-limited, so of the parts at -t, ``u_re`` and ``v_re`` are
-    those at t with the sign of their product flipped and ``u_im`` and
-    ``v_im`` equal them, before the causal terms, which each time adds
-    with its own sign.  A series with ``+-t`` pairs or repeated times thus
-    costs one product row per distinct ``|t|`` (a mirrored window of
-    ``2N + 1`` times ``N + 1`` rows); a block without a pair or repeat
-    goes through :meth:`FrequencyIntegrals.parts` as it is.  A block holds
-    at most ``_BLOCK_ELEMENTS // n`` distinct ``|t|``, so an unpaired
-    series keeps its blocks and working memory.
+def _block_sums(spectral: SpectralPulse, mags, kern, weights, kernels=None):
+    """The QFI sums of one block of distinct ``|t|`` for stacked sources.
+
+    ``kern`` is ``(S, 1, m)``, the sources' band kernels, and ``weights``
+    ``(S, n, 2)``, their ``w p^2 pref^2`` and ``w p^4 pref^2``.  Returns
+    ``(even, odd)``, each ``(S, R, K)`` for ``R`` values in ``mags``: at
+    ``+-|t|`` the sum is ``even +- odd``, and its columns are the sums over
+    the nodes of ``|u|^2 w p^2 pref^2``, the same times ``p^2``,
+    ``|v|^2 w p^2 pref^2`` and ``Im(v u*) w p^2 pref^2``, then with
+    ``kernels`` (one source's ``(w p^2 pref, upsilon - delta_xi,
+    upsilon + delta_xi)``) the three covariance forms.  The working arrays
+    are freed on return.
     """
-    if corrections and gauge != "multipolar":
+    band = spectral.band
+    p, w = spectral.grid.nodes, spectral.grid.weights
+    sin, cos = spectral.band_values(mags)
+    g_re, g_im = kern * sin, kern * cos
+    x, y = spectral._products(g_re, g_im)
+    wpp = weights[..., :1]
+    wb = weights[:, band]
+    # u = s x + pi g_im + i (y - s pi g_re), s = sign t:
+    # |u|^2 = x^2 + y^2 + pi^2 |g|^2 + 2 s pi (g_im x - g_re y)
+    sq = np.square(x)
+    sq += np.square(y)
+    u_even = sq @ weights
+    del sq
+    q = g_im * x[..., band]
+    q -= g_re * y[..., band]
+    u_odd = 2.0 * math.pi * (q @ wb)
+    del q
+    # v = s (p x + C g_re) + pi p g_im + i (p y + d + C g_im - s pi p g_re)
+    # with d = 2 w @ g_im, so Im(v u*) = s ((d + C g_im) x - (C g_re) y)
+    # + pi ((d + C g_im) g_im + (C g_re) g_re) on the band
+    d = 2.0 * (g_im @ w[band])[..., None]
+    rows, c_re = spectral._k_remainder(g_re)
+    _, c_im = spectral._k_remainder(g_im)
+    t = c_im * x[..., rows]
+    t -= c_re * y[..., rows]
+    cross_odd = d * (x @ wpp) + t @ wpp[:, rows]
+    if kernels is not None:
+        scale, minus, plus = kernels
+        # a = w p^2 pref u and b = w p^2 pref v, each part as its even and
+        # odd halves: a_re and b_im meet upsilon + delta_xi, a_im and b_re
+        # upsilon - delta_xi
+        f_plus, f_minus = np.zeros((2, 2, 2) + x.shape)
+        (a_re, b_im), (a_im, b_re) = f_plus, f_minus
+        a_re[1] = scale * x
+        a_im[0] = scale * y
+    x *= p
+    x[..., rows] += c_re
+    y *= p
+    y += d
+    y[..., rows] += c_im
+    c_im += d
+    on = slice(band.start - rows.start, band.stop - rows.start)
+    c_re, c_im = c_re[..., on], c_im[..., on]
+    t = g_im * c_im
+    t += g_re * c_re
+    cross_even = math.pi * (t @ wpp[:, band])
+    # x and y are now v's full-grid parts, so |v|^2 = x^2 + y^2
+    # + pi^2 p^2 |g|^2 + 2 s pi p (g_im x - g_re y), whose odd half on the
+    # band is p^2 times |u|^2's plus 2 s pi p (g_im C g_re - g_re (d + C g_im))
+    t = g_im * c_re
+    t -= g_re * c_im
+    v_odd = u_odd[..., 1:] + 2.0 * math.pi * (t @ (wpp[:, band]
+                                                   * p[band, None]))
+    del t, c_re, c_im
+    sq = np.square(x)
+    sq += np.square(y)
+    v_even = sq @ wpp
+    del sq
+    # the band terms' pi^2 |g|^2 is the same at every t
+    const = math.pi**2 * (np.square(kern * spectral.alpha.imag[band]) @ wb)
+    even = [u_even + const, v_even + const[..., 1:], cross_even]
+    odd = [u_odd, v_odd, cross_odd]
+    if kernels is not None:
+        b_re[1] = scale * x
+        b_im[0] = scale * y
+        del x, y
+        sb, pb = scale[..., band], p[band]
+        a_re[0][..., band] = math.pi * sb * g_im
+        a_im[1][..., band] = -math.pi * sb * g_re
+        b_re[0][..., band] = math.pi * sb * pb * g_im
+        b_im[1][..., band] = -math.pi * sb * pb * g_re
+        n = p.size
+        pa_re, pb_im = (f_plus.reshape(-1, n) @ plus).reshape(f_plus.shape)
+        ma_im, mb_re = (f_minus.reshape(-1, n) @ minus).reshape(
+            f_minus.shape)
+        forms = np.stack((_even_odd(b_re, mb_re) - _even_odd(b_im, pb_im),
+                          _even_odd(a_re, pa_re) - _even_odd(a_im, ma_im),
+                          _even_odd(a_im, mb_re) + _even_odd(a_re, pb_im)),
+                         axis=-1)
+        even.append(forms[0])
+        odd.append(forms[1])
+    return np.concatenate(even, axis=-1), np.concatenate(odd, axis=-1)
+
+
+def qfi_matrices(spectral: SpectralPulse, times, sources,
+                 corrections: bool = False) -> list:
+    """QFI matrices of several sources on one pulse, at each requested time.
+
+    ``sources`` holds ``(scatterer, gauge)`` pairs; one :class:`QfiSeries`
+    is returned per source, in order.  The diagonal blocks use the radial
+    profiles only; with ``corrections=True`` (multipolar coupling only)
+    the residual matter-light covariance terms are added to the chi0/z0
+    block.
+
+    The pulse is transform-limited, so at ``-t`` the band samples
+    ``g_re`` and with them ``x = g_re @ (V + P)`` flip sign while ``g_im``
+    and ``y = g_im @ (V - P)`` do not.  With ``s = sign t`` the parts are
+    ``u = s x + pi g_im + i (y - s pi g_re)``, the causal terms on the
+    band, and ``v`` follows from ``u`` as :class:`FrequencyIntegrals`
+    states, so every QFI entry is an even sum plus ``s`` times an odd one,
+    and only the band terms and the u-v cross term carry ``s``.  The
+    products run once per distinct ``|t|`` and are shared by both signs:
+    a mirrored window of ``2N + 1`` times costs ``N + 1`` product rows per
+    source and transform.  The band values and the blocks of distinct
+    ``|t|`` are made once for all sources, whose kernels are stacked: a
+    block costs one product per transform for all of them, on at most
+    ``_BLOCK_ELEMENTS // n`` rows counted across sources.  Sources beyond
+    that are taken in chunks, and with ``corrections`` one at a time, as
+    each holds two ``(n, n)`` covariance kernels of its own.
+    """
+    sources = list(sources)
+    if corrections and any(gauge != "multipolar" for _, gauge in sources):
         raise ValueError(
             "covariance corrections are derived for the multipolar coupling; "
             "combine corrections=True with gauge='multipolar'")
-    # laid out before the working arrays exist, which keeps the heap small
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    blocks = _mirror_blocks(times, spectral.grid.size)
-    integrals = FrequencyIntegrals(spectral, scatterer, gauge)
-    grid = spectral.grid
-    chi0, p, pref = scatterer.chi0, grid.nodes, integrals._pref
+    # each time's distinct |t|, in order of first appearance, and its sign
+    first = {}
+    index = np.array([first.setdefault(v, len(first))
+                      for v in np.abs(times).tolist()], dtype=np.intp)
+    mags = np.array(list(first), dtype=float)
+    sign = np.where(times < 0.0, -1.0, 1.0)
+
+    grid, band = spectral.grid, spectral.band
+    p = grid.nodes
     wp2 = grid.weights * p**2
-    # |f3|^2 = pref^2 |u|^2, |f2|^2 = chi0^2 p^2 |f3|^2,
-    # |f1|^2 = chi0^2 pref^2 |v|^2 and Im(f1 f3*) = -chi0 pref^2 Im(v u*)
-    wpp = wp2 * pref**2
-    weights = np.stack((wpp, chi0**2 * wpp * p**2), axis=-1)
-
-    if corrections:
-        delta_xi, upsilon = covariance_kernels(grid, scatterer)
-        # each correction reads the kernels only as upsilon -+ delta_xi
-        minus = upsilon - delta_xi
-        plus = np.add(upsilon, delta_xi, out=upsilon)
-        del delta_xi
-
-    out = np.zeros((times.size, 4, 4))
-    for rows, mags, src in blocks:
-        if mags is None:
-            u_re, u_im, v_re, v_im = integrals.parts(times[rows])
-        else:
-            u_re, u_im, v_re, v_im = integrals._mirrored_parts(
-                mags, src, np.where(times[rows] < 0.0, -1.0, 1.0))
-        # one temporary per sum, the second term added in place
-        sq = np.square(u_re)
-        sq += np.square(u_im)
-        i3, i2 = (sq @ weights).T
-        sq = np.square(v_re, out=sq)
-        sq += np.square(v_im)
-        i1 = chi0**2 * (sq @ wpp)
-        sq = np.multiply(v_im, u_re, out=sq)
-        sq -= v_re * u_im
-        cross = sq @ wpp
-        del sq
-        j11 = 4.0 / (15.0 * math.pi**2) * i2
-        j33 = 2.0 * j11 + 4.0 / (3.0 * math.pi**2) * i1
-        j00 = 4.0 / (3.0 * math.pi**2) * i3
-        j03 = 4.0 / (3.0 * math.pi**2) * chi0 * cross
+    step = max(1, _BLOCK_ELEMENTS // grid.size)
+    chunk = 1 if corrections else max(1, min(len(sources), step))
+    per = step // chunk
+    out = np.zeros((len(sources), times.size, 4, 4))
+    for lo in range(0, len(sources), chunk):
+        group = sources[lo:lo + chunk]
+        kern = np.empty((len(group), 1, band.stop - band.start))
+        weights = np.empty((len(group), grid.size, 2))
+        chi0 = np.empty((len(group), 1))
+        for row, (scat, gauge) in enumerate(group):
+            integrals = FrequencyIntegrals(spectral, scat, gauge)
+            kern[row, 0], chi0[row] = integrals._kern, integrals._chi0
+            weights[row, :, 0] = integrals._pref
+        kernels = None
         if corrections:
-            # a = w p^2 f3 and b = -w p^2 f1 / chi0, split into real parts;
-            # the kernels are real and symmetric
-            a_re, a_im, b_re, b_im = wp2 * pref * np.stack(
-                (u_re, u_im, v_re, v_im))
-            ma_im, mb_re = np.stack((a_im, b_re)) @ minus
-            pa_re, pb_im = np.stack((a_re, b_im)) @ plus
-            x = np.sum(b_re * mb_re - b_im * pb_im, axis=-1)
-            y = np.sum(a_re * pa_re - a_im * ma_im, axis=-1)
-            z = np.sum(a_im * mb_re + a_re * pb_im, axis=-1)
-            c = 4.0 / (9.0 * math.pi**4)
-            j33 += c * chi0**2 * x
-            j00 -= c * y
-            j03 -= c * chi0 * z
-        out[rows, 0, 0], out[rows, 3, 3], out[rows, 0, 3] = j00, j33, j03
-        out[rows, 1, 1], out[rows, 2, 2] = j11, 2.0 * j11
-        out[rows, 3, 0] = j03
-    return QfiSeries(times, out)
+            # a chunk is then one source, with (n, n) kernels of its own
+            delta_xi, upsilon = covariance_kernels(grid, scat)
+            # each correction reads the kernels only as upsilon -+ delta_xi
+            minus = upsilon - delta_xi
+            plus = np.add(upsilon, delta_xi, out=upsilon)
+            del delta_xi
+            kernels = ((wp2 * integrals._pref)[None, None], minus, plus)
+        # |f3|^2 = pref^2 |u|^2, |f2|^2 = chi0^2 p^2 |f3|^2,
+        # |f1|^2 = chi0^2 pref^2 |v|^2 and Im(f1 f3*) = -chi0 pref^2 Im(v u*)
+        wpp = weights[..., 0]
+        np.square(wpp, out=wpp)
+        wpp *= wp2
+        np.multiply(wpp, p**2, out=weights[..., 1])
+        blk = out[lo:lo + len(group)]
+        for m0 in range(0, mags.size, per):
+            even, odd = _block_sums(spectral, mags[m0:m0 + per], kern,
+                                    weights, kernels)
+            # each time takes its |t|'s sums, the odd ones with its sign
+            at = np.flatnonzero((index >= m0) & (index < m0 + per))
+            i = index[at] - m0
+            tot = even[:, i] + sign[at, None] * odd[:, i]
+            j11 = 4.0 / (15.0 * math.pi**2) * chi0**2 * tot[..., 1]
+            j33 = 2.0 * j11 + 4.0 / (3.0 * math.pi**2) * chi0**2 * tot[..., 2]
+            j00 = 4.0 / (3.0 * math.pi**2) * tot[..., 0]
+            j03 = 4.0 / (3.0 * math.pi**2) * chi0 * tot[..., 3]
+            if corrections:
+                c = 4.0 / (9.0 * math.pi**4)
+                j33 += c * chi0**2 * tot[..., 4]
+                j00 -= c * tot[..., 5]
+                j03 -= c * chi0 * tot[..., 6]
+            blk[:, at, 0, 0], blk[:, at, 3, 3] = j00, j33
+            blk[:, at, 1, 1], blk[:, at, 2, 2] = j11, 2.0 * j11
+            blk[:, at, 0, 3] = blk[:, at, 3, 0] = j03
+    return [QfiSeries(times, j) for j in out]
+
+
+def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
+               gauge: str = "multipolar", corrections: bool = False) -> QfiSeries:
+    """QFI matrix of the scattered state at each requested time: the
+    one-source case of :func:`qfi_matrices`."""
+    return qfi_matrices(spectral, times, [(scatterer, gauge)], corrections)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +575,7 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     :func:`~dipolebounds.quadrature.pv_matrix`, so it can serve as an
     independent consistency check of the QFI pipeline
     (J_00 = 4 N_sc / chi0^2 at all times).  For the same reason it does
-    not pair ``+-t`` as :func:`qfi_matrix` does: every time gets its own
+    not pair ``+-t`` as :func:`qfi_matrices` does: every time gets its own
     product row, so a fault in that pairing shows in the photon identity
     (``tests/test_qfi.py`` holds it to 1e-12 on a series where the negative
     times pair).  Poles inside the pulse's band

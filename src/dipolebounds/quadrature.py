@@ -21,6 +21,7 @@ __all__ = [
     "trapezoid_weights",
     "pv_integral",
     "pv_matrix",
+    "pv_k_stencil",
 ]
 
 
@@ -52,7 +53,8 @@ class SinhGrid:
     delta : float
         Logarithmic stretching increment.
     k_max : float
-        Upper cutoff; the grid stops at the last node below ``k_max``.
+        Upper cutoff; the grid ends at the first node at or above ``k_max``
+        (1134.87 for the default 1100).
     """
 
     d: float = 2.5e-3
@@ -208,7 +210,40 @@ def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarra
     p = nodes[i]
     m[i, i] += np.log((b - p) / (p - a)) - m.sum(axis=1)[i]
     # on-pole removable ratio: w_i * f'(p_i) via neighbouring nodes
-    stencil = weights[i] / (nodes[i + 1] - nodes[i - 1])
+    stencil = _stencil(nodes, weights)[i]
     m[i, i + 1] += stencil
     m[i, i - 1] -= stencil
     return m
+
+
+def _stencil(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`pv_matrix`'s on-pole weights ``s_i = w_i / (k_{i+1} - k_{i-1})``,
+    zero on the two end rows, which have no stencil."""
+    s = np.zeros_like(nodes)
+    s[1:-1] = weights[1:-1] / (nodes[2:] - nodes[:-2])
+    return s
+
+
+def pv_k_stencil(nodes: np.ndarray, weights: np.ndarray | None = None):
+    """What a factor ``k`` leaves behind under :func:`pv_matrix`.
+
+    For ``M = pv_matrix(nodes, weights)`` and any samples ``g`` every row
+    obeys, to rounding,
+
+        (M @ (k g))_i = p_i (M @ g)_i + w @ g + (C g)_i,
+
+    since ``k_j / (k_j - p_i) = 1 + p_i / (k_j - p_i)`` off the diagonal,
+    the diagonal entry meets ``k_i = p_i``, and what is left is the
+    excised node ``-w_i g_i`` and the on-pole stencil's
+    ``s_i [(k_{i+1} - p_i) g_{i+1} + (p_i - k_{i-1}) g_{i-1}]``.  ``C`` is
+    tridiagonal; returned as ``(below, on, above)``, each of length ``n``,
+    with ``(C g)_i = below_i g_{i-1} + on_i g_i + above_i g_{i+1}``.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if weights is None:
+        weights = trapezoid_weights(nodes)
+    s = _stencil(nodes, weights)
+    below, above = np.zeros_like(s), np.zeros_like(s)
+    below[1:-1] = s[1:-1] * (nodes[1:-1] - nodes[:-2])
+    above[1:-1] = s[1:-1] * (nodes[2:] - nodes[1:-1])
+    return below, -weights, above

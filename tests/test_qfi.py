@@ -17,6 +17,7 @@ from dipolebounds.qfi import (
     farfield_qfi,
     mode_integral_field,
     nsc_series,
+    qfi_matrices,
     qfi_matrix,
     regularizer,
 )
@@ -186,8 +187,8 @@ class TestFrequencyIntegrals:
 
     def test_a_block_costs_two_products(self, spectral_200, scat_532,
                                         monkeypatch):
-        # V + P and V - P each act once on a (2, T, m) stack of the m band
-        # nodes: f1 and f3 share them, and f2 is formed from f3
+        # V + P and V - P each act once on a (T, m) array of the m band
+        # nodes: f1 follows from f3's products, and f2 is formed from f3
         calls = []
 
         class Spy(np.ndarray):
@@ -198,13 +199,35 @@ class TestFrequencyIntegrals:
         integ = FrequencyIntegrals(spectral_200, scat_532)
         times = np.linspace(-100.0, 100.0, 7)
         plain = integ.eval(times)
-        monkeypatch.setattr(integ, "_sum", integ._sum.view(Spy))
-        monkeypatch.setattr(integ, "_diff", integ._diff.view(Spy))
+        monkeypatch.setitem(spectral_200.__dict__, "transforms", tuple(
+            m.view(Spy) for m in spectral_200.transforms))
         spied = integ.eval(times)
         band = spectral_200.band
-        assert calls == [(2, 7, band.stop - band.start)] * 2
+        assert calls == [(7, band.stop - band.start)] * 2
         for name in ("f1", "f2", "f3"):
             np.testing.assert_array_equal(spied[name], plain[name])
+
+    @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
+    @pytest.mark.parametrize("a0", [0.0, LAM / 30.0], ids=["point", "lambda/30"])
+    def test_f1_follows_from_f3_products(self, spectral_200, scat_532, gauge,
+                                         a0):
+        # the reference route: k g through both transforms, with the causal
+        # term -(i/2) k g; eval forms f1 from f3's products by pv_k_stencil
+        integ = FrequencyIntegrals(spectral_200, replace(scat_532, a0=a0),
+                                   gauge)
+        times = np.array([-240.0, -1.3, 0.0, 2.5, 130.0])
+        band = spectral_200.band
+        kb = spectral_200.grid.nodes[band]
+        v_sum, v_diff = spectral_200.transforms
+        g_re, g_im = integ._pulse(times)
+        v_re = (kb * g_re) @ v_diff
+        v_im = (kb * g_im) @ v_sum
+        v_re[:, band] += math.pi * kb * g_im
+        v_im[:, band] -= math.pi * kb * g_re
+        want = -integ._chi0 * integ._pref * (v_re + 1j * v_im)
+        got = integ.eval(times)["f1"]
+        dev = np.abs(got - want).max(axis=-1)
+        assert np.all(dev <= 1e-13 * np.abs(want).max(axis=-1)), dev
 
     def test_one_transform_build_per_spectrum(self, scat_532, pulse_200,
                                               spectral_200, monkeypatch):
@@ -220,9 +243,12 @@ class TestFrequencyIntegrals:
         size_scaling_sweep(scat_532, pulse_200, [1 / 60, 1 / 40, 1 / 30],
                            gauges=("multipolar", "coulomb"), peak_samples=5)
         assert len(calls) == 1
-        one = FrequencyIntegrals(spectral_200, scat_532)
-        two = FrequencyIntegrals(spectral_200, scat_532, "coulomb")
-        assert two._sum is one._sum
+        # profiles in both gauges on a fresh pulse share its one build
+        calls.clear()
+        fresh = SpectralPulse.from_pulse(pulse_200)
+        for gauge in qfi.GAUGES:
+            FrequencyIntegrals(fresh, scat_532, gauge).eval(0.0)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
     def test_array_of_times_stacks_single_times(self, spectral_200, scat_532,
@@ -366,10 +392,10 @@ def product_rows(spectral_200, monkeypatch):
         m.view(_ProductSpy) for m in spectral_200.transforms))
 
     def rows():
-        # the two products of a block act on stacks of equal shape
+        # the two products of a block act on (rows, m) arrays of equal shape
         assert calls[::2] == calls[1::2]
-        assert all(shape[0] == 2 for shape in calls)
-        total = sum(shape[1] for shape in calls[::2])
+        assert all(len(shape) == 2 for shape in calls)
+        total = sum(shape[0] for shape in calls[::2])
         calls.clear()
         return total
     return rows
@@ -403,6 +429,34 @@ class TestTimeReversalPairing:
         dev = np.abs(series - single).max(axis=0)
         assert np.all(dev <= 1e-13 * np.abs(single).max(axis=0)), dev
 
+    def test_sources_in_one_call_match_single_calls(self, scat_532,
+                                                   spectral_200):
+        # more sources than one block has rows, in both gauges, with a
+        # point source among the radii: chunked, stacked and paired, each
+        # column stays within 1e-13 of its peak of the one-source calls
+        n = spectral_200.grid.size
+        times = self.mixed_series(n)
+        radii = LAM * np.concatenate(([0.0], np.geomspace(1 / 400, 1 / 10,
+                                                          qfi._BLOCK_ELEMENTS
+                                                          // (2 * n) + 1)))
+        sources = [(replace(scat_532, a0=a0), gauge) for a0 in radii
+                   for gauge in qfi.GAUGES]
+        assert len(sources) > qfi._BLOCK_ELEMENTS // n
+        for corrections in (False, True):
+            if corrections:
+                sources = [src for src in sources if src[1] == "multipolar"]
+            batch = qfi_matrices(spectral_200, times, sources, corrections)
+            for (scat, gauge), series in zip(sources, batch, strict=True):
+                single = qfi_matrix(scat, spectral_200, times, gauge,
+                                    corrections).j
+                assert np.array_equal(series.times, times)
+                dev = np.abs(series.j - single).max(axis=0)
+                assert np.all(dev <= 1e-13 * np.abs(single).max(axis=0)), dev
+        with pytest.raises(ValueError, match="multipolar"):
+            qfi_matrices(spectral_200, times,
+                         [(scat_532, "multipolar"), (scat_532, "coulomb")],
+                         corrections=True)
+
     def test_a_mirrored_window_costs_one_row_per_distinct_time(
             self, scat_532, spectral_200, product_rows):
         # N + 1 = _BLOCK_ELEMENTS // n + 9 rows, over more than one block
@@ -432,6 +486,16 @@ class TestTimeReversalPairing:
         size_scaling_sweep(scat_532, pulse_200, [1 / 60],
                            gauges=("multipolar",), peak_samples=samples)
         assert product_rows() == rows + 1
+
+    def test_size_scan_stacks_its_sources(self, scat_532, pulse_200,
+                                          spectral_200, product_rows,
+                                          monkeypatch):
+        # the default sweep's 8 radii in 2 gauges share one call: 16 x 34
+        # rows per transform for the 34 distinct |t| of its 66 times
+        monkeypatch.setattr(qfi.SpectralPulse, "from_pulse",
+                            lambda *args: spectral_200)
+        size_scaling_sweep(scat_532, pulse_200)
+        assert product_rows() == 16 * 34
 
 
 class TestScatteredPhotons:

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from dipolebounds.quadrature import (
     SinhGrid,
     pv_integral,
+    pv_k_stencil,
     pv_matrix,
     trapezoid_weights,
 )
@@ -115,6 +116,44 @@ class TestPvMatrix:
             ref[i, hi] += w[i] / (k[hi] - k[lo])
             ref[i, lo] -= w[i] / (k[hi] - k[lo])
         assert np.array_equal(pv_matrix(k, w), ref)
+
+    @pytest.mark.parametrize("grid", ["sinh", "uneven"])
+    def test_times_k_minus_p_is_weights_and_stencil(self, grid):
+        # the premise of pv_k_stencil: entry by entry, M_ij (k_j - p_i) is
+        # w_j - w_i delta_ij plus s_i |k_j - p_i| on j = i +- 1, with
+        # s_i = w_i / (k_{i+1} - k_{i-1}) and no stencil on the end rows
+        if grid == "sinh":
+            k, w = SinhGrid().nodes, SinhGrid().weights
+        else:
+            k, w = self.nodes, trapezoid_weights(self.nodes)
+        n = k.size
+        want = np.tile(w, (n, 1)) - np.diag(w)
+        for i in range(1, n - 1):
+            s = w[i] / (k[i + 1] - k[i - 1])
+            want[i, i + 1] += s * (k[i + 1] - k[i])
+            want[i, i - 1] += s * (k[i] - k[i - 1])
+        got = pv_matrix(k, w) * (k[None, :] - k[:, None])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("weights", [None, "sinh"])
+    def test_k_stencil_moves_k_through_the_matrix(self, weights):
+        # M (k g) = p (M g) + w @ g + C g, row by row, for any samples g
+        if weights is None:
+            k, w = self.nodes, trapezoid_weights(self.nodes)
+            below, on, above = pv_k_stencil(k)
+        else:
+            k, w = SinhGrid().nodes, SinhGrid().weights
+            below, on, above = pv_k_stencil(k, w)
+        g = np.random.default_rng(3).standard_normal((4, k.size))
+        c = on * g
+        c[:, 1:] += below[1:] * g[:, :-1]
+        c[:, :-1] += above[:-1] * g[:, 1:]
+        m = pv_matrix(k, w)
+        lhs = (k * g) @ m.T
+        rhs = k * (g @ m.T) + (g @ w)[:, None] + c
+        scale = np.abs(k * g) @ np.abs(m.T)
+        assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale)
+        assert below[0] == above[0] == below[-1] == above[-1] == 0.0
 
 
 class TestSinhGrid:
