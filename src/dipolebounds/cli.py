@@ -314,16 +314,16 @@ def build_pulse(cfg: dict, units: UnitSystem, scatterer: Scatterer,
     return Pulse(phi=phi, tau=tau)
 
 
-def build_grid(cfg: dict) -> SinhGrid:
+def build_grid(cfg: dict, arrays: int = 3) -> SinhGrid:
     """The momentum grid, refused before any ``n x n`` operator on it is
-    built if three such float64 arrays (the QFI's working set) would not
-    fit in physical memory."""
+    built if ``arrays`` such float64 arrays would not fit in physical
+    memory: three are the QFI's working set."""
     g = cfg["grid"]
     grid = SinhGrid(d=g["d_over_k0"], delta=g["delta"],
                     k_max=g["kmax_over_k0"])
-    _within_memory(3 * 8 * grid.size**2,
+    _within_memory(arrays * 8 * grid.size**2,
                    f"momentum grid of {grid.size} nodes",
-                   f"three {grid.size} x {grid.size} arrays",
+                   f"{arrays} {grid.size} x {grid.size} arrays",
                    "raise grid.delta or lower grid.kmax_over_k0")
     return grid
 
@@ -478,7 +478,9 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
         scat = build_scatterer(cfg, units)
         if i == 1:
             pulse = build_pulse(cfg, units, scat)
-            grid = build_grid(cfg)
+            # the covariance corrections hold two n x n kernels more
+            kernels = run["corrections"] and "multipolar" in run["gauges"]
+            grid = build_grid(cfg, 5 if kernels else 3)
             phi1_si = units.fluence_from_internal(pulse.phi)
             times = scenarios.default_time_axis(
                 pulse, run["samples_per_period"],

@@ -17,12 +17,12 @@ purely imaginary amplitude is a transform-limited pulse: the amplitude at
 -t mirrors the one at t, so one product is odd in t and the other even,
 and :func:`qfi_matrices` makes them once per distinct ``|t|`` for all its
 sources at once, assembling every entry at ``+-|t|`` as an even sum plus
-or minus an odd one.  It never forms the complex profiles;
-:meth:`FrequencyIntegrals.eval` builds them on request.  The module also
-provides independent cross-checks: the mean scattered photon number from
-the scattering amplitude itself, the analytic long-time (far-field) limits,
-and a direct mode-decomposition evaluation of the stationary scattered
-field.
+or minus an odd one.  Only the covariance corrections and
+:meth:`FrequencyIntegrals.eval` form the profiles, from the same products
+at signed times.  The module also provides independent cross-checks: the
+mean scattered photon number from the scattering amplitude itself, the
+analytic long-time (far-field) limits, and a direct mode-decomposition
+evaluation of the stationary scattered field.
 
 Conventions: internal units (``hbar = c = 1``, carrier wavenumber 1, as fixed
 by :class:`~dipolebounds.model.UnitSystem`), pulse spectrum
@@ -192,6 +192,23 @@ class SpectralPulse:
         out[..., :-1] += above[:-1] * pad[..., 1:]
         return rows, out
 
+    def _profiles(self, g_re, g_im, x, y):
+        """``(Re u, Im u, Re v, Im v)`` on the full grid, as
+        :class:`FrequencyIntegrals` defines u and v, from band samples
+        ``g_re, g_im`` and their products ``x, y`` (:meth:`_products`) of
+        one leading shape; ``x`` and ``y`` become u's parts in place."""
+        band, p = self.band, self.grid.nodes
+        # the causal term -(i/2) g, with g carrying the transforms' 1/2pi
+        x[..., band] += math.pi * g_im
+        y[..., band] -= math.pi * g_re
+        v_re, v_im = p * x, p * y
+        v_im += 2.0 * np.asarray(g_im @ self.grid.weights[band])[..., None]
+        rows, c = self._k_remainder(g_re)
+        v_re[..., rows] += c
+        rows, c = self._k_remainder(g_im)
+        v_im[..., rows] += c
+        return x, y, v_re, v_im
+
 
 # ---------------------------------------------------------------------------
 # the three derivative profiles
@@ -226,9 +243,9 @@ class FrequencyIntegrals:
 
     where ``C`` is the tridiagonal remainder of the PV matrix's on-pole
     stencil; the causal terms follow the same rule, with ``k = p`` on the
-    pole.  :func:`qfi_matrices` assembles the QFI from the real products
-    and never forms the complex profiles, which :meth:`eval` builds on
-    request.
+    pole.  :meth:`SpectralPulse._profiles` forms the parts of u and v, for
+    :meth:`eval` and for the covariance corrections of
+    :func:`qfi_matrices`; the main QFI sums use the real products alone.
 
     Parameters
     ----------
@@ -273,22 +290,13 @@ class FrequencyIntegrals:
         ``t.shape + (n,)``.  The working arrays grow with ``t.size``, so long
         series are passed in blocks (as :func:`qfi_matrices` does).
         """
-        spectral, p = self.spectral, self.nodes
-        band = spectral.band
+        spectral = self.spectral
         g_re, g_im = self._pulse(t)
-        u_re, u_im = spectral._products(g_re, g_im)
-        # the causal term -(i/2) g, with g carrying the transforms' 1/2pi
-        u_re[..., band] += math.pi * g_im
-        u_im[..., band] -= math.pi * g_re
-        v_re, v_im = p * u_re, p * u_im
-        v_im += 2.0 * np.asarray(g_im @ spectral.grid.weights[band])[..., None]
-        rows, c = spectral._k_remainder(g_re)
-        v_re[..., rows] += c
-        rows, c = spectral._k_remainder(g_im)
-        v_im[..., rows] += c
+        u_re, u_im, v_re, v_im = spectral._profiles(
+            g_re, g_im, *spectral._products(g_re, g_im))
         f3 = self._pref * (u_re + 1j * u_im)
         f1 = -self._chi0 * self._pref * (v_re + 1j * v_im)
-        return {"f1": f1, "f2": self._chi0 * p * f3, "f3": f3}
+        return {"f1": f1, "f2": self._chi0 * self.nodes * f3, "f3": f3}
 
 
 # ---------------------------------------------------------------------------
@@ -331,31 +339,43 @@ class QfiSeries:
         return np.einsum("tii->ti", self.j)
 
 
-def _even_odd(f, kh):
-    """``sum f kh`` over the last axis at ``+-|t|``, stacked as
-    ``(even, odd)``, for ``f = f[0] +- f[1]`` and ``kh = kh[0] +- kh[1]``."""
-    return np.stack((np.einsum("p...n,p...n->...", f, kh),
-                     np.einsum("p...n,p...n->...", f, kh[::-1])))
-
-
-def _block_sums(spectral: SpectralPulse, mags, kern, weights, kernels=None):
-    """The QFI sums of one block of distinct ``|t|`` for stacked sources.
+def _block_sums(spectral: SpectralPulse, mags, i, s, kern, weights,
+                covariance=None):
+    """The QFI sums of one block of distinct ``|t|`` for stacked sources, at
+    the block's times ``s * mags[i]``.
 
     ``kern`` is ``(S, 1, m)``, the sources' band kernels, and ``weights``
     ``(S, n, 2)``, their ``w p^2 pref^2`` and ``w p^4 pref^2``.  Returns
-    ``(even, odd)``, each ``(S, R, K)`` for ``R`` values in ``mags``: at
-    ``+-|t|`` the sum is ``even +- odd``, and its columns are the sums over
-    the nodes of ``|u|^2 w p^2 pref^2``, the same times ``p^2``,
-    ``|v|^2 w p^2 pref^2`` and ``Im(v u*) w p^2 pref^2``, then with
-    ``kernels`` (one source's ``(w p^2 pref, upsilon - delta_xi,
-    upsilon + delta_xi)``) the three covariance forms.  The working arrays
-    are freed on return.
+    ``(S, T, K)`` for the ``T`` values in ``i``.  Its columns are the sums
+    over the nodes of ``|u|^2 w p^2 pref^2``, the same times ``p^2``,
+    ``|v|^2 w p^2 pref^2`` and ``Im(v u*) w p^2 pref^2``, each an even sum
+    in ``t`` made once per ``|t|`` plus ``s`` times an odd one.  With
+    ``covariance``, one source's ``(w p^2 pref, upsilon - delta_xi,
+    upsilon + delta_xi)``, the three covariance forms follow, made on the
+    signed rows.  The working arrays are freed on return.
     """
     band = spectral.band
     p, w = spectral.grid.nodes, spectral.grid.weights
     sin, cos = spectral.band_values(mags)
     g_re, g_im = kern * sin, kern * cos
     x, y = spectral._products(g_re, g_im)
+    forms = None
+    if covariance is not None:
+        scale, minus, plus = covariance
+        # at -t, g_re and x flip sign while g_im and y do not.  With
+        # a = scale u, b = scale v and M, P = upsilon -+ delta_xi the forms
+        # are b_re M b_re - b_im P b_im, a_re P a_re - a_im M a_im and
+        # a_im M b_re + a_re P b_im
+        ab = np.stack(spectral._profiles(g_re[:, i] * s[:, None], g_im[:, i],
+                                         x[:, i] * s[:, None], y[:, i]))
+        ab *= scale
+        kab = np.empty_like(ab)
+        np.matmul(ab[::3], plus, out=kab[::3])
+        np.matmul(ab[1:3], minus, out=kab[1:3])
+        q = np.einsum("f...n,g...n->fg...", ab, kab)
+        forms = np.stack((q[2, 2] - q[3, 3], q[0, 0] - q[1, 1],
+                          q[1, 2] + q[0, 3]), axis=-1)
+        del ab, kab
     wpp = weights[..., :1]
     wb = weights[:, band]
     # u = s x + pi g_im + i (y - s pi g_re), s = sign t:
@@ -377,15 +397,6 @@ def _block_sums(spectral: SpectralPulse, mags, kern, weights, kernels=None):
     t = c_im * x[..., rows]
     t -= c_re * y[..., rows]
     cross_odd = d * (x @ wpp) + t @ wpp[:, rows]
-    if kernels is not None:
-        scale, minus, plus = kernels
-        # a = w p^2 pref u and b = w p^2 pref v, each part as its even and
-        # odd halves: a_re and b_im meet upsilon + delta_xi, a_im and b_re
-        # upsilon - delta_xi
-        f_plus, f_minus = np.zeros((2, 2, 2) + x.shape)
-        (a_re, b_im), (a_im, b_re) = f_plus, f_minus
-        a_re[1] = scale * x
-        a_im[0] = scale * y
     x *= p
     x[..., rows] += c_re
     y *= p
@@ -411,28 +422,11 @@ def _block_sums(spectral: SpectralPulse, mags, kern, weights, kernels=None):
     del sq
     # the band terms' pi^2 |g|^2 is the same at every t
     const = math.pi**2 * (np.square(kern * spectral.alpha.imag[band]) @ wb)
-    even = [u_even + const, v_even + const[..., 1:], cross_even]
-    odd = [u_odd, v_odd, cross_odd]
-    if kernels is not None:
-        b_re[1] = scale * x
-        b_im[0] = scale * y
-        del x, y
-        sb, pb = scale[..., band], p[band]
-        a_re[0][..., band] = math.pi * sb * g_im
-        a_im[1][..., band] = -math.pi * sb * g_re
-        b_re[0][..., band] = math.pi * sb * pb * g_im
-        b_im[1][..., band] = -math.pi * sb * pb * g_re
-        n = p.size
-        pa_re, pb_im = (f_plus.reshape(-1, n) @ plus).reshape(f_plus.shape)
-        ma_im, mb_re = (f_minus.reshape(-1, n) @ minus).reshape(
-            f_minus.shape)
-        forms = np.stack((_even_odd(b_re, mb_re) - _even_odd(b_im, pb_im),
-                          _even_odd(a_re, pa_re) - _even_odd(a_im, ma_im),
-                          _even_odd(a_im, mb_re) + _even_odd(a_re, pb_im)),
-                         axis=-1)
-        even.append(forms[0])
-        odd.append(forms[1])
-    return np.concatenate(even, axis=-1), np.concatenate(odd, axis=-1)
+    even = np.concatenate((u_even + const, v_even + const[..., 1:],
+                           cross_even), axis=-1)
+    odd = np.concatenate((u_odd, v_odd, cross_odd), axis=-1)
+    sums = even[:, i] + s[:, None] * odd[:, i]
+    return sums if forms is None else np.concatenate((sums, forms), axis=-1)
 
 
 def qfi_matrices(spectral: SpectralPulse, times, sources,
@@ -445,21 +439,26 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
     the residual matter-light covariance terms are added to the chi0/z0
     block.
 
-    The pulse is transform-limited, so at ``-t`` the band samples
-    ``g_re`` and with them ``x = g_re @ (V + P)`` flip sign while ``g_im``
-    and ``y = g_im @ (V - P)`` do not.  With ``s = sign t`` the parts are
-    ``u = s x + pi g_im + i (y - s pi g_re)``, the causal terms on the
-    band, and ``v`` follows from ``u`` as :class:`FrequencyIntegrals`
-    states, so every QFI entry is an even sum plus ``s`` times an odd one,
-    and only the band terms and the u-v cross term carry ``s``.  The
-    products run once per distinct ``|t|`` and are shared by both signs:
-    a mirrored window of ``2N + 1`` times costs ``N + 1`` product rows per
-    source and transform.  The band values and the blocks of distinct
-    ``|t|`` are made once for all sources, whose kernels are stacked: a
-    block costs one product per transform for all of them, on at most
-    ``_BLOCK_ELEMENTS // n`` rows counted across sources.  Sources beyond
-    that are taken in chunks, and with ``corrections`` one at a time, as
-    each holds two ``(n, n)`` covariance kernels of its own.
+    The pulse is transform-limited, so at ``-t`` the band samples ``g_re``
+    and with them ``x = g_re @ (V + P)`` flip sign while ``g_im`` and
+    ``y = g_im @ (V - P)`` do not, and every main QFI sum is an even sum
+    plus ``sign t`` times an odd one.  The products run once per distinct
+    ``|t|`` and are shared by both signs: a mirrored window of ``2N + 1``
+    times costs ``N + 1`` product rows per source and transform.  The band
+    values and the blocks of distinct ``|t|`` are made once for all
+    sources, whose kernels are stacked: a block costs one product per
+    transform for all of them, on at most ``_BLOCK_ELEMENTS // n`` rows
+    counted across sources.  Sources beyond that are taken in chunks, and
+    with ``corrections`` one at a time, as each holds two ``(n, n)``
+    covariance kernels of its own.  The corrections are quadratic forms in
+    those kernels of u and v, which each block forms on its signed times
+    (:meth:`SpectralPulse._profiles`): ``T`` times cost ``4 T`` kernel
+    rows, paired or not.
+
+    Before the pulse arrives, an entry at ``-|t|`` is the difference of
+    two nearly equal sums and keeps fewer relative digits: on the 1030 nm,
+    24 fs pulse with ``a0 = 0.1``, J00 at -5 to -2 pulse durations matches
+    ``4 N_sc / chi0^2`` (:func:`nsc_series`) to 4e-11 to 2e-10 of itself.
     """
     sources = list(sources)
     if corrections and any(gauge != "multipolar" for _, gauge in sources):
@@ -490,7 +489,7 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
             integrals = FrequencyIntegrals(spectral, scat, gauge)
             kern[row, 0], chi0[row] = integrals._kern, integrals._chi0
             weights[row, :, 0] = integrals._pref
-        kernels = None
+        covariance = None
         if corrections:
             # a chunk is then one source, with (n, n) kernels of its own
             delta_xi, upsilon = covariance_kernels(grid, scat)
@@ -498,7 +497,7 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
             minus = upsilon - delta_xi
             plus = np.add(upsilon, delta_xi, out=upsilon)
             del delta_xi
-            kernels = ((wp2 * integrals._pref)[None, None], minus, plus)
+            covariance = (wp2 * integrals._pref, minus, plus)
         # |f3|^2 = pref^2 |u|^2, |f2|^2 = chi0^2 p^2 |f3|^2,
         # |f1|^2 = chi0^2 pref^2 |v|^2 and Im(f1 f3*) = -chi0 pref^2 Im(v u*)
         wpp = weights[..., 0]
@@ -507,12 +506,9 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
         np.multiply(wpp, p**2, out=weights[..., 1])
         blk = out[lo:lo + len(group)]
         for m0 in range(0, mags.size, per):
-            even, odd = _block_sums(spectral, mags[m0:m0 + per], kern,
-                                    weights, kernels)
-            # each time takes its |t|'s sums, the odd ones with its sign
             at = np.flatnonzero((index >= m0) & (index < m0 + per))
-            i = index[at] - m0
-            tot = even[:, i] + sign[at, None] * odd[:, i]
+            tot = _block_sums(spectral, mags[m0:m0 + per], index[at] - m0,
+                              sign[at], kern, weights, covariance)
             j11 = 4.0 / (15.0 * math.pi**2) * chi0**2 * tot[..., 1]
             j33 = 2.0 * j11 + 4.0 / (3.0 * math.pi**2) * chi0**2 * tot[..., 2]
             j00 = 4.0 / (3.0 * math.pi**2) * tot[..., 0]

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dipolebounds
-from dipolebounds import cli, detector, scenarios
+from dipolebounds import cli, detector, qfi, scenarios
 from dipolebounds.cli import (
     DEFAULT_CONFIG,
     PRESETS,
@@ -227,6 +227,24 @@ class TestExitCodes:
         rc = main(["qfi-time", "--out", str(tmp_path / "out")])
         assert rc == 4
         assert not (tmp_path / "out" / "data.csv").exists()
+
+    def test_corrected_grid_counts_its_kernels(self, tmp_path, monkeypatch):
+        # 10 MB of RAM hold the default grid's three n x n arrays (6.9 MB)
+        # but not the five of a corrected run (11.5 MB), which is refused
+        # before its photon-number series
+        def refuse(*args, **kwargs):
+            raise AssertionError("series computed")
+
+        sizes = {"SC_PHYS_PAGES": 2560, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
+        with monkeypatch.context() as patch:
+            patch.setattr(qfi, "nsc_series", refuse)
+            rc = main(["qfi-time", "--set", "run.corrections=true",
+                       "--out", str(tmp_path / "corrected")])
+        assert rc == 4
+        assert not (tmp_path / "corrected").exists()
+        assert main(["qfi-time", "--out", str(tmp_path / "plain")]) == 0
+        assert (tmp_path / "plain" / "data.csv").exists()
 
     def test_oversized_plate_is_4(self, tmp_path, capsys, monkeypatch):
         # a plate at 1e6 wavelengths has a mirror cell of ~3e16 pixels: the

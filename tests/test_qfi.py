@@ -382,6 +382,22 @@ class _ProductSpy(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
+class _KernelSpy(_ProductSpy):
+    """Covariance kernels that record their products and stay spies
+    through ``upsilon -+ delta_xi``."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            return super().__array_ufunc__(ufunc, method, *inputs, out=out,
+                                           **kwargs)
+        inputs = [x.view(np.ndarray) for x in inputs]
+        if out is None:
+            return getattr(ufunc, method)(*inputs, **kwargs).view(_KernelSpy)
+        getattr(ufunc, method)(*inputs, **kwargs,
+                               out=tuple(x.view(np.ndarray) for x in out))
+        return out[0]
+
+
 @pytest.fixture
 def product_rows(spectral_200, monkeypatch):
     """Rows of the band products qfi_matrix makes on ``spectral_200``,
@@ -476,6 +492,20 @@ class TestTimeReversalPairing:
         qfi_matrix(scat_532, spectral_200, times)
         assert product_rows() == times.size
 
+    def test_corrections_cost_four_kernel_rows_per_time(
+            self, scat_532, spectral_200, monkeypatch):
+        # the covariance forms act on a and b at the signed times: per
+        # block of T times, 2T rows meet each of upsilon -+ delta_xi
+        calls = []
+        monkeypatch.setattr(_KernelSpy, "calls", calls)
+        kernels = qfi.covariance_kernels
+        monkeypatch.setattr(qfi, "covariance_kernels", lambda *args: tuple(
+            k.view(_KernelSpy) for k in kernels(*args)))
+        times = np.linspace(-300.0, 600.0, 149) + 0.1234
+        qfi_matrix(scat_532, spectral_200, times, corrections=True)
+        assert len(calls) > 2
+        assert sum(math.prod(shape[:-1]) for shape in calls) == 4 * times.size
+
     @pytest.mark.parametrize("samples,rows", [(65, 33), (6, 3)])
     def test_size_scan_window_is_mirrored(self, scat_532, pulse_200,
                                           spectral_200, product_rows,
@@ -517,6 +547,18 @@ class TestScatteredPhotons:
         j00 = qfi_matrix(scat_532, spectral_200, times).j[:, 0, 0]
         dev = np.abs(j00 * scat_532.chi0 ** 2 / 4.0 - nsc)
         assert dev.max() <= 1e-12 * nsc.max()
+
+    def test_early_times_keep_nine_digits(self, scat_1030, pulse_1030):
+        # before the 1030 nm, 24 fs pulse arrives, J00 at -|t| is an even
+        # sum minus an odd one of nearly equal size and loses digits to the
+        # difference; the photon identity still holds to 1e-9 of J00
+        scat = replace(scat_1030, a0=0.1)
+        spectral = SpectralPulse.from_pulse(pulse_1030)
+        times = np.arange(-5.0, -1.0) * pulse_1030.tau
+        nsc = nsc_series(scat, spectral, times)
+        j00 = qfi_matrix(scat, spectral, times).j[:, 0, 0]
+        dev = np.abs(j00 - 4.0 * nsc / scat.chi0 ** 2) / j00
+        assert np.all(dev <= 1e-9), dev
 
     def test_series_longer_than_a_block_matches_single_times(
             self, scat_532, spectral_200):
