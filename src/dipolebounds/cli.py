@@ -317,7 +317,15 @@ def build_pulse(cfg: dict, units: UnitSystem, scatterer: Scatterer,
 def build_grid(cfg: dict, arrays: int = 3) -> SinhGrid:
     """The momentum grid, refused before any ``n x n`` operator on it is
     built if ``arrays`` such float64 arrays would not fit in physical
-    memory: three are the QFI's working set."""
+    memory.
+
+    The counts cover the measured tracemalloc peaks on the default
+    537-node grid: 2.75 ``n^2`` for ``size-scan`` (3 arrays, the default),
+    3.03 for ``qfi-time --preset fig3`` (4) and 6.15 with the covariance
+    corrections (7).  A block of times adds a fixed working set to the
+    ``n x n`` arrays; on 2145 nodes the two ``qfi-time`` peaks are 2.53 and
+    4.53 ``n^2``.
+    """
     g = cfg["grid"]
     grid = SinhGrid(d=g["d_over_k0"], delta=g["delta"],
                     k_max=g["kmax_over_k0"])
@@ -349,8 +357,12 @@ def write_csv(path: Path, names: list, rows) -> None:
     """A header of ``names`` and one line per row: numbers to 17 significant
     digits, strings as they are."""
     lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        # Python floats format faster than numpy scalars, to the same digits
+        lines += [",".join([format(v, ".17g") for v in row])
+                  for row in np.asarray(rows, dtype=float).tolist()]
+    else:
+        lines += [",".join(_format_value(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -478,9 +490,10 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
         scat = build_scatterer(cfg, units)
         if i == 1:
             pulse = build_pulse(cfg, units, scat)
-            # the covariance corrections hold two n x n kernels more
+            # the covariance corrections hold two n x n kernels more, and
+            # their blocks' working set
             kernels = run["corrections"] and "multipolar" in run["gauges"]
-            grid = build_grid(cfg, 5 if kernels else 3)
+            grid = build_grid(cfg, 7 if kernels else 4)
             phi1_si = units.fluence_from_internal(pulse.phi)
             times = scenarios.default_time_axis(
                 pulse, run["samples_per_period"],

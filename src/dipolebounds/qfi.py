@@ -459,6 +459,8 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
     two nearly equal sums and keeps fewer relative digits: on the 1030 nm,
     24 fs pulse with ``a0 = 0.1``, J00 at -5 to -2 pulse durations matches
     ``4 N_sc / chi0^2`` (:func:`nsc_series`) to 4e-11 to 2e-10 of itself.
+    ``qfi-time``'s rows from -3 pulse durations to 0 are such entries, as
+    :func:`~dipolebounds.scenarios.default_time_axis` pairs them.
     """
     sources = list(sources)
     if corrections and any(gauge != "multipolar" for _, gauge in sources):
@@ -535,25 +537,31 @@ def qfi_matrix(scatterer: Scatterer, spectral: SpectralPulse, times,
 # scattered photon number (independent route through the amplitude itself)
 # ---------------------------------------------------------------------------
 
-def _pv_operator(nodes: np.ndarray, weights: np.ndarray,
-                 inside: np.ndarray) -> np.ndarray:
-    """Real ``(n, n)`` operator ``V`` with ``f @ V`` the principal values of
-    ``int f(k)/(k - p) dk`` at every node ``p``.
+def _pv_operator(nodes: np.ndarray, weights: np.ndarray, inside: slice,
+                 rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the real ``(n, n)`` operator ``V`` with ``f @ V`` the
+    principal values of ``int f(k)/(k - p) dk`` at every node ``p``.
 
     The columns of the poles ``inside`` follow :func:`pv_integral`'s pole
     subtraction, its log term folded into the pole's own entry; the other
     columns get plain excision, ``w / (k - p)`` without the on-pole node.
+    Both slices are contiguous runs of nodes, and every entry is the one
+    the full operator holds.
     """
     n = nodes.size
-    op = np.empty((n, n))
+    op = np.empty((rows.stop - rows.start, n))
     c, coef = _pole_subtraction(nodes, weights, nodes[inside])
-    op[:, inside] = c.T
-    op[inside, inside] = coef
+    op[:, inside] = c[:, rows].T
     del c
-    outside = np.flatnonzero(~np.isin(np.arange(n), inside))
+    k, w = nodes[rows, None], weights[rows, None]
     with np.errstate(divide="ignore"):
-        op[:, outside] = weights[:, None] / (nodes[:, None] - nodes[outside])
-    op[outside, outside] = 0.0
+        for cols in (slice(0, inside.start), slice(inside.stop, n)):
+            op[:, cols] = w / (k - nodes[cols])
+    # the diagonal: each pole's own entry, 0 where a pole is excised
+    diag = np.zeros(n)
+    diag[inside] = coef
+    on = np.arange(rows.start, rows.stop)
+    op[on - rows.start, on] = diag[rows]
     return op
 
 
@@ -579,7 +587,7 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     remaining poles get plain excision.  Both are built once per call, as one
     real operator V, and combined with the 1/(k+p) operator P: for the real
     kernel, ``f = a + ib`` gives ``f V + f* P = a (V + P) + i b (V - P)``.
-    ``f`` vanishes off the band, so only the band rows of V +- P are kept,
+    ``f`` vanishes off the band, so only the band rows of V and P are built,
     and a block of ``T`` times costs two real products on ``(T, m)`` band
     arrays; ``|s|^2`` is summed from the real and imaginary parts.
     """
@@ -592,9 +600,9 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     kern = np.sqrt(kb) * xi[band] * scatterer.chi(kb) / (2.0 * math.pi)
     # a pole outside the band or at a grid boundary gets plain excision, with
     # negligible weight downstream
-    inside = np.arange(max(band.start, 1), min(band.stop - 1, n - 2) + 1)
-    # the operator is the one n x n array: the rest is built on the band
-    v = _pv_operator(k, w, inside)[band]
+    inside = slice(max(band.start, 1), min(band.stop - 1, n - 2) + 1)
+    # V's band rows: nothing n x n is built
+    v = _pv_operator(k, w, inside, band)
     # P's band rows first, then V - P, then V + P in place
     v_plus = kb[:, None] + k
     np.divide(w[band, None], v_plus, out=v_plus)

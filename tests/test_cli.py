@@ -173,6 +173,21 @@ def test_format_value_round_trips(v):
     assert float(_format_value(v)) == v
 
 
+def test_csv_of_an_array_matches_the_per_value_join(tmp_path):
+    # an array's rows are formatted as Python floats, byte for byte as
+    # _format_value formats each numpy scalar
+    rows = np.array([[-0.0, 0.0, 5e-324, -2.2250738585072e-309],
+                     [1e308, -1.7976931348623157e308, 3.0, -12345678901.0],
+                     [1.0 / 3.0, 2.0**53, 1e-300, 6.02214076e23]])
+    names = ["a", "b", "c", "d"]
+    cli.write_csv(tmp_path / "data.csv", names, rows)
+    lines = [",".join(names)] + [",".join(_format_value(v) for v in row)
+                                 for row in rows]
+    want = ("\n".join(lines) + "\n").encode()
+    assert (tmp_path / "data.csv").read_bytes() == want
+    assert want.splitlines()[1].startswith(b"-0,0,4.9406564584124654e-324,")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -209,7 +224,7 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_oversized_qfi_grid_is_4(self, tmp_path, capsys):
-        # ~272 k nodes: three n x n float64 arrays would take ~1.8 TB, so
+        # ~272 k nodes: four n x n float64 arrays would take ~2.4 TB, so
         # the grid is refused before anything n x n is allocated
         start = time.perf_counter()
         rc = main(["qfi-time", "--set", "grid.delta=1e-4",
@@ -221,7 +236,7 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "data.csv").exists()
 
     def test_grid_limit_is_physical_memory(self, tmp_path, monkeypatch):
-        # the default 537-node grid needs 6.9 MB: refused with 4 MB of RAM
+        # the default 537-node grid needs 9.2 MB: refused with 4 MB of RAM
         sizes = {"SC_PHYS_PAGES": 1024, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
         rc = main(["qfi-time", "--out", str(tmp_path / "out")])
@@ -229,8 +244,8 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "data.csv").exists()
 
     def test_corrected_grid_counts_its_kernels(self, tmp_path, monkeypatch):
-        # 10 MB of RAM hold the default grid's three n x n arrays (6.9 MB)
-        # but not the five of a corrected run (11.5 MB), which is refused
+        # 10 MB of RAM hold the default grid's four n x n arrays (9.2 MB)
+        # but not the seven of a corrected run (16.1 MB), which is refused
         # before its photon-number series
         def refuse(*args, **kwargs):
             raise AssertionError("series computed")
@@ -245,6 +260,19 @@ class TestExitCodes:
         assert not (tmp_path / "corrected").exists()
         assert main(["qfi-time", "--out", str(tmp_path / "plain")]) == 0
         assert (tmp_path / "plain" / "data.csv").exists()
+
+    @pytest.mark.parametrize("pages,sets", [
+        (2048, []), (3584, ["--set", "run.corrections=true"])])
+    def test_grid_budget_covers_the_measured_peak(self, tmp_path, monkeypatch,
+                                                  pages, sets):
+        # 8 and 14 MB hold the 3 and 5 n x n arrays once counted (6.9 and
+        # 11.5 MB) but not the 4 and 7 (9.2 and 16.1 MB) that cover the
+        # measured peaks of 3.03 and 6.15 n^2
+        sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
+        rc = main(["qfi-time", *sets, "--out", str(tmp_path / "out")])
+        assert rc == 4
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_plate_is_4(self, tmp_path, capsys, monkeypatch):
         # a plate at 1e6 wavelengths has a mirror cell of ~3e16 pixels: the
@@ -512,6 +540,39 @@ def test_qfi_time_meta(tmp_path, capsys, second, ratio):
     phi2 = UnitSystem.from_wavelength_nm(4500.0).fluence_to_internal(
         expect * phi1_si)
     assert meta["sweep_2"]["phi_internal"] == pytest.approx(phi2, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def fig3_run(tmp_path_factory):
+    """``qfi-time --preset fig3`` in full: its data table and ``_meta``."""
+    out = tmp_path_factory.mktemp("fig3")
+    assert main(["qfi-time", "--preset", "fig3", "--out", str(out)]) == 0
+    table = np.genfromtxt(out / "data.csv", delimiter=",", names=True)
+    doc = json.loads((out / "config.resolved.json").read_text())
+    return table, doc
+
+
+def test_fig3_pairs_its_times(fig3_run):
+    # the axis is mirrored about t = 0 and the second wavelength's times
+    # follow from the first's by multiplications, so both pair alike
+    _, doc = fig3_run
+    for i in (1, 2):
+        sweep = doc["_meta"][f"sweep_{i}"]
+        assert (sweep["times"], sweep["product_rows"]) == (449, 281)
+
+
+def test_fig3_photon_identity(fig3_run):
+    # J00 chi0^2 / (4 N_sc) = 1 on the paired axis wherever photons are
+    # out: the unpaired nsc_series checks qfi_matrices' pairing
+    table, doc = fig3_run
+    chi0 = doc["scatterer"]["chi0_nm3"]
+    for tag in ("1030nm", "4500nm"):
+        nsc = table[f"nsc_{tag}"]
+        j00 = table[f"j00_per_nm6_multipolar_{tag}"]
+        rows = nsc > 1e-3 * nsc.max()
+        assert rows.sum() > 200
+        ratio = j00[rows] * chi0**2 / (4.0 * nsc[rows])
+        assert np.abs(ratio - 1.0).max() <= 1e-12, tag
 
 
 def _leaf_paths(node: dict, prefix: str = "") -> set:

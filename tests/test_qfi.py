@@ -597,11 +597,11 @@ class TestScatteredPhotons:
         k, w, n = grid.nodes, grid.weights, grid.size
         lo = max(1, int(ends[0] * n))
         hi = min(n - 2, int(ends[1] * n))
-        inside = np.arange(lo, hi + 1)
-        op = qfi._pv_operator(k, w, inside)
+        inside = slice(lo, hi + 1)
+        op = qfi._pv_operator(k, w, inside, slice(0, n))
         f = np.exp(-np.square(k - 1.0)) * np.sqrt(k)
         pv = f @ op
-        for i in inside:
+        for i in range(lo, hi + 1):
             assert pv[i] == pytest.approx(
                 pv_integral(f, k, k[i], weights=w), rel=1e-12)
         excised = np.concatenate((np.arange(lo), np.arange(hi + 1, n)))
@@ -611,6 +611,18 @@ class TestScatteredPhotons:
                 col = w / (k - k[i])
             col[i] = 0.0
             assert pv[i] == pytest.approx(f @ col, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [(0, 362), (29, 322), (1, 536),
+                                      (300, 537), (0, 537)])
+    def test_band_rows_are_the_full_operators(self, rows):
+        # nsc_series builds only the band rows; each is the full operator's
+        # row bit for bit, whether the rows start or end inside the poles
+        grid = SinhGrid()
+        k, w, n = grid.nodes, grid.weights, grid.size
+        inside = slice(30, 321)
+        full = qfi._pv_operator(k, w, inside, slice(0, n))
+        part = qfi._pv_operator(k, w, inside, slice(*rows))
+        assert part.tobytes() == full[slice(*rows)].tobytes()
 
     def test_independent_of_the_qfi_route(self, scat_532, spectral_200,
                                           pulse_200, monkeypatch):
@@ -734,8 +746,8 @@ def dense_reference_nsc(scat, spectral, times):
     """The photon number as summed before the band kernel, on all n nodes."""
     k, w, n = spectral.grid.nodes, spectral.grid.weights, spectral.grid.size
     idx = np.flatnonzero(spectral.alpha)
-    inside = np.arange(max(idx[0], 1), min(idx[-1], n - 2) + 1)
-    v = qfi._pv_operator(k, w, inside)
+    inside = slice(max(idx[0], 1), min(idx[-1], n - 2) + 1)
+    v = qfi._pv_operator(k, w, inside, slice(0, n))
     plus = w[:, None] / np.add.outer(k, k)
     xi = regularizer(k, scat.a0)
     fk = (np.sqrt(k) * xi * scat.chi(k) * spectral.alpha

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dipolebounds import detector, fields
+from dipolebounds import cli, detector, fields
 from dipolebounds.detector import planar_grid
 from dipolebounds.fisher import crb_bounds, fi_matrix
+from dipolebounds.model import Pulse, UnitSystem
 from dipolebounds.qfi import farfield_qcrb_constants
 from dipolebounds.scenarios import (
     SweepResult,
@@ -55,6 +56,34 @@ def test_default_axes(pulse_200):
     assert t[0] == -3.0 * pulse_200.tau and t[-1] == 5.0 * pulse_200.tau
     # 8 samples per optical period resolves the 2-omega transient
     assert t.size > 8.0 * (t[-1] - t[0]) / (2.0 * math.pi)
+
+
+class TestDefaultTimeAxis:
+    @pytest.mark.parametrize("preset", [None, "fig3"])
+    def test_mirrored_about_zero(self, preset):
+        # the qfi-time axis of the 24 fs, 1030 nm pulse: 0 is sample 168 of
+        # np.linspace's 449, and every -t in the overlap is an exact -(+t)
+        cfg = cli.resolve_config(None, preset, None)
+        units = cli.build_units(cfg)
+        pulse = cli.build_pulse(cfg, units, cli.build_scatterer(cfg, units))
+        run = cfg["run"]
+        t = default_time_axis(pulse, run["samples_per_period"],
+                              (run["t_min_over_tau"], run["t_max_over_tau"]))
+        assert t.size == 449 and t[168] == 0.0
+        overlap = t[np.abs(t) <= -t[0]]
+        assert overlap.size == 2 * 168 + 1
+        assert np.all(np.isin(-overlap, t))
+        line = np.linspace(-3.0 * pulse.tau, 5.0 * pulse.tau, t.size)
+        assert np.abs(t - line).max() <= 2.2e-16 * np.abs(t).max()
+        assert len(set(np.abs(t).tolist())) == 281
+
+    def test_lattice_without_zero_is_linspace(self):
+        # at 532 nm the 24 fs pulse's 867 samples miss t = 0
+        tau = UnitSystem.from_wavelength_nm(532.0).time_to_internal(24e-15)
+        t = default_time_axis(Pulse(phi=1.0, tau=tau))
+        assert t.size == 867 and not np.any(t == 0.0)
+        line = np.linspace(-3.0 * tau, 5.0 * tau, 867)
+        assert t.tobytes() == line.tobytes()
 
 
 @pytest.fixture(scope="module")
