@@ -321,10 +321,10 @@ def build_grid(cfg: dict, arrays: int = 3) -> SinhGrid:
 
     The counts cover the measured tracemalloc peaks on the default
     537-node grid: 2.75 ``n^2`` for ``size-scan`` (3 arrays, the default),
-    3.03 for ``qfi-time --preset fig3`` (4) and 6.15 with the covariance
-    corrections (7).  A block of times adds a fixed working set to the
+    3.03 for ``qfi-time --preset fig3`` (4) and 5.18 with the covariance
+    corrections (6).  A block of times adds a fixed working set to the
     ``n x n`` arrays; on 2145 nodes the two ``qfi-time`` peaks are 2.53 and
-    4.53 ``n^2``.
+    4.52 ``n^2``.
     """
     g = cfg["grid"]
     grid = SinhGrid(d=g["d_over_k0"], delta=g["delta"],
@@ -357,12 +357,9 @@ def write_csv(path: Path, names: list, rows) -> None:
     """A header of ``names`` and one line per row: numbers to 17 significant
     digits, strings as they are."""
     lines = [",".join(names)]
-    if isinstance(rows, np.ndarray):
-        # Python floats format faster than numpy scalars, to the same digits
-        lines += [",".join([format(v, ".17g") for v in row])
-                  for row in np.asarray(rows, dtype=float).tolist()]
-    else:
-        lines += [",".join(_format_value(v) for v in row) for row in rows]
+    # Python floats format faster than numpy scalars, to the same digits
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    lines += [",".join(_format_value(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -493,7 +490,7 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
             # the covariance corrections hold two n x n kernels more, and
             # their blocks' working set
             kernels = run["corrections"] and "multipolar" in run["gauges"]
-            grid = build_grid(cfg, 7 if kernels else 4)
+            grid = build_grid(cfg, 6 if kernels else 4)
             phi1_si = units.fluence_from_internal(pulse.phi)
             times = scenarios.default_time_axis(
                 pulse, run["samples_per_period"],

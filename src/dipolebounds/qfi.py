@@ -429,6 +429,16 @@ def _block_sums(spectral: SpectralPulse, mags, i, s, kern, weights,
     return sums if forms is None else np.concatenate((sums, forms), axis=-1)
 
 
+def _time_pairs(times: np.ndarray) -> tuple:
+    """The distinct ``|t|`` of ``times`` in order of first appearance, and
+    each time's index into them: :func:`qfi_matrices` makes one product
+    row per distinct ``|t|``."""
+    first = {}
+    index = np.array([first.setdefault(v, len(first))
+                      for v in np.abs(times).tolist()], dtype=np.intp)
+    return np.array(list(first), dtype=float), index
+
+
 def qfi_matrices(spectral: SpectralPulse, times, sources,
                  corrections: bool = False) -> list:
     """QFI matrices of several sources on one pulse, at each requested time.
@@ -453,7 +463,8 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
     covariance kernels of its own.  The corrections are quadratic forms in
     those kernels of u and v, which each block forms on its signed times
     (:meth:`SpectralPulse._profiles`): ``T`` times cost ``4 T`` kernel
-    rows, paired or not.
+    rows, paired or not, and a corrected block holds at most as many signed
+    times as an uncorrected one holds distinct ``|t|``.
 
     Before the pulse arrives, an entry at ``-|t|`` is the difference of
     two nearly equal sums and keeps fewer relative digits: on the 1030 nm,
@@ -468,11 +479,7 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
             "covariance corrections are derived for the multipolar coupling; "
             "combine corrections=True with gauge='multipolar'")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    # each time's distinct |t|, in order of first appearance, and its sign
-    first = {}
-    index = np.array([first.setdefault(v, len(first))
-                      for v in np.abs(times).tolist()], dtype=np.intp)
-    mags = np.array(list(first), dtype=float)
+    mags, index = _time_pairs(times)
     sign = np.where(times < 0.0, -1.0, 1.0)
 
     grid, band = spectral.grid, spectral.band
@@ -481,6 +488,13 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
     step = max(1, _BLOCK_ELEMENTS // grid.size)
     chunk = 1 if corrections else max(1, min(len(sources), step))
     per = step // chunk
+    # a block holds at most per distinct |t|; a corrected one also at most
+    # per signed times, as its forms are made on those
+    rows = np.bincount(index) if corrections else np.ones(mags.size, np.intp)
+    starts = [0]
+    while starts[-1] < mags.size:
+        held = np.cumsum(rows[starts[-1]:starts[-1] + per])
+        starts.append(starts[-1] + max(1, np.searchsorted(held, per, "right")))
     out = np.zeros((len(sources), times.size, 4, 4))
     for lo in range(0, len(sources), chunk):
         group = sources[lo:lo + chunk]
@@ -507,9 +521,9 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
         wpp *= wp2
         np.multiply(wpp, p**2, out=weights[..., 1])
         blk = out[lo:lo + len(group)]
-        for m0 in range(0, mags.size, per):
-            at = np.flatnonzero((index >= m0) & (index < m0 + per))
-            tot = _block_sums(spectral, mags[m0:m0 + per], index[at] - m0,
+        for m0, m1 in zip(starts, starts[1:]):
+            at = np.flatnonzero((index >= m0) & (index < m1))
+            tot = _block_sums(spectral, mags[m0:m1], index[at] - m0,
                               sign[at], kern, weights, covariance)
             j11 = 4.0 / (15.0 * math.pi**2) * chi0**2 * tot[..., 1]
             j33 = 2.0 * j11 + 4.0 / (3.0 * math.pi**2) * chi0**2 * tot[..., 2]

@@ -214,8 +214,8 @@ def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
         "modes": spectral.grid.size,
         "nsc_total": nsc_total,
         "times": times.size,
-        # qfi_matrices' product rows per transform: one per distinct |t|
-        "product_rows": len(set(np.abs(times).tolist())),
+        # qfi_matrices' product rows per transform
+        "product_rows": qfi._time_pairs(times)[0].size,
     }
     return SweepResult("t_internal", times, columns, meta)
 

@@ -245,7 +245,7 @@ class TestExitCodes:
 
     def test_corrected_grid_counts_its_kernels(self, tmp_path, monkeypatch):
         # 10 MB of RAM hold the default grid's four n x n arrays (9.2 MB)
-        # but not the seven of a corrected run (16.1 MB), which is refused
+        # but not the six of a corrected run (13.8 MB), which is refused
         # before its photon-number series
         def refuse(*args, **kwargs):
             raise AssertionError("series computed")
@@ -262,12 +262,12 @@ class TestExitCodes:
         assert (tmp_path / "plain" / "data.csv").exists()
 
     @pytest.mark.parametrize("pages,sets", [
-        (2048, []), (3584, ["--set", "run.corrections=true"])])
+        (2048, []), (3072, ["--set", "run.corrections=true"])])
     def test_grid_budget_covers_the_measured_peak(self, tmp_path, monkeypatch,
                                                   pages, sets):
-        # 8 and 14 MB hold the 3 and 5 n x n arrays once counted (6.9 and
-        # 11.5 MB) but not the 4 and 7 (9.2 and 16.1 MB) that cover the
-        # measured peaks of 3.03 and 6.15 n^2
+        # 8 and 12 MB hold the 3 and 5 n x n arrays once counted (6.9 and
+        # 11.5 MB) but not the 4 and 6 (9.2 and 13.8 MB) that cover the
+        # measured peaks of 3.03 and 5.18 n^2
         sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
         rc = main(["qfi-time", *sets, "--out", str(tmp_path / "out")])

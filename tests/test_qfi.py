@@ -417,6 +417,17 @@ def product_rows(spectral_200, monkeypatch):
     return rows
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Shapes of the stacks the covariance kernels multiply."""
+    calls = []
+    monkeypatch.setattr(_KernelSpy, "calls", calls)
+    kernels = qfi.covariance_kernels
+    monkeypatch.setattr(qfi, "covariance_kernels", lambda *args: tuple(
+        k.view(_KernelSpy) for k in kernels(*args)))
+    return calls
+
+
 class TestTimeReversalPairing:
     """A pulse with purely imaginary alpha is transform-limited:
     band_values(-t) mirrors band_values(t) bit for bit, so qfi_matrix makes
@@ -493,18 +504,27 @@ class TestTimeReversalPairing:
         assert product_rows() == times.size
 
     def test_corrections_cost_four_kernel_rows_per_time(
-            self, scat_532, spectral_200, monkeypatch):
+            self, scat_532, spectral_200, kernel_calls):
         # the covariance forms act on a and b at the signed times: per
         # block of T times, 2T rows meet each of upsilon -+ delta_xi
-        calls = []
-        monkeypatch.setattr(_KernelSpy, "calls", calls)
-        kernels = qfi.covariance_kernels
-        monkeypatch.setattr(qfi, "covariance_kernels", lambda *args: tuple(
-            k.view(_KernelSpy) for k in kernels(*args)))
         times = np.linspace(-300.0, 600.0, 149) + 0.1234
         qfi_matrix(scat_532, spectral_200, times, corrections=True)
-        assert len(calls) > 2
-        assert sum(math.prod(shape[:-1]) for shape in calls) == 4 * times.size
+        assert len(kernel_calls) > 2
+        assert sum(math.prod(shape[:-1])
+                   for shape in kernel_calls) == 4 * times.size
+
+    def test_corrected_blocks_hold_their_signed_times(
+            self, scat_532, spectral_200, product_rows, kernel_calls):
+        # a mirrored window of 2 per + 1 times, per = _BLOCK_ELEMENTS // n:
+        # each corrected block holds at most per signed times, and the
+        # products still run once per distinct |t|
+        per = qfi._BLOCK_ELEMENTS // spectral_200.grid.size
+        window = mirrored_window(np.linspace(0.0, 300.0, per + 1))
+        qfi_matrix(scat_532, spectral_200, window, corrections=True)
+        assert product_rows() == per + 1
+        assert max(shape[-2] for shape in kernel_calls) <= per
+        assert sum(math.prod(shape[:-1])
+                   for shape in kernel_calls) == 4 * window.size
 
     @pytest.mark.parametrize("samples,rows", [(65, 33), (6, 3)])
     def test_size_scan_window_is_mirrored(self, scat_532, pulse_200,
