@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, detector, qfi, scenarios
+from . import __version__, detector, fisher, qfi, scenarios
 from .model import C_SI, PhysicsError, Pulse, Scatterer, UnitSystem
 from .quadrature import SinhGrid
 
@@ -285,9 +285,16 @@ def resolve_config(config_path: str | None, preset: str | None,
 # config -> internal objects
 # ---------------------------------------------------------------------------
 
-def build_units(cfg: dict, lambda_nm: float | None = None) -> UnitSystem:
-    lam = lambda_nm if lambda_nm is not None else cfg["pulse"]["lambda_nm"]
-    return UnitSystem.from_wavelength_nm(lam)
+def build_physics(cfg: dict, lambda_nm: float | None = None,
+                  fluence_si: float | None = None) -> tuple:
+    """``(units, scatterer, pulse)`` of ``cfg`` at ``lambda_nm`` (default
+    ``pulse.lambda_nm``); a ``fluence_si`` (photons per m^2) replaces the
+    config's fluence."""
+    units = UnitSystem.from_wavelength_nm(
+        cfg["pulse"]["lambda_nm"] if lambda_nm is None else lambda_nm)
+    scatterer = build_scatterer(cfg, units)
+    phi = None if fluence_si is None else units.fluence_to_internal(fluence_si)
+    return units, scatterer, build_pulse(cfg, units, scatterer, phi)
 
 
 def build_scatterer(cfg: dict, units: UnitSystem) -> Scatterer:
@@ -419,9 +426,7 @@ def emit_outputs(out_dir: Path, cfg: dict, subcommand: str, names: list,
 # ---------------------------------------------------------------------------
 
 def cmd_crb_scan(cfg: dict, out_dir: Path) -> int:
-    units = build_units(cfg)
-    scatterer = build_scatterer(cfg, units)
-    pulse = build_pulse(cfg, units, scatterer)
+    units, scatterer, pulse = build_physics(cfg)
     run = cfg["run"]
     det = cfg["detector"]
     axis = scenarios.default_distance_axis(run["z_min_over_lambda"],
@@ -483,10 +488,8 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
     # the first pulse fixes the fluence in SI and the femtosecond time axis,
     # which a second wavelength shares
     for i, lam in enumerate((lam1,) if lam2 is None else (lam1, lam2), 1):
-        units = build_units(cfg, lam)
-        scat = build_scatterer(cfg, units)
         if i == 1:
-            pulse = build_pulse(cfg, units, scat)
+            units, scat, pulse = build_physics(cfg)
             # the covariance corrections hold two n x n kernels more, and
             # their blocks' working set
             kernels = run["corrections"] and "multipolar" in run["gauges"]
@@ -498,11 +501,9 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
             t_fs = units.time_from_internal(times) * 1e15
         else:
             ratio = run["fluence_ratio"]
-            if ratio is None:
-                ratio = lam2 / lam1
+            ratio = lam2 / lam1 if ratio is None else ratio
             meta["fluence_ratio"] = ratio
-            phi = units.fluence_to_internal(ratio * phi1_si)
-            pulse = build_pulse(cfg, units, scat, phi_internal=phi)
+            units, scat, pulse = build_physics(cfg, lam, ratio * phi1_si)
             times = units.time_to_internal(t_fs * 1e-15)
         sweep = scenarios.qfi_time_sweep(scat, pulse, times=times,
                                          gauges=tuple(run["gauges"]),
@@ -526,9 +527,7 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_size_scan(cfg: dict, out_dir: Path) -> int:
-    units = build_units(cfg)
-    scatterer = build_scatterer(cfg, units)
-    pulse = build_pulse(cfg, units, scatterer)
+    _, scatterer, pulse = build_physics(cfg)
     run = cfg["run"]
     axis = np.geomspace(run["a0_min_over_lambda"], run["a0_max_over_lambda"],
                         run["sizes"])
@@ -555,11 +554,9 @@ def cmd_size_scan(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_farfield(cfg: dict, out_dir: Path | None) -> int:
-    units = build_units(cfg)
-    scatterer = build_scatterer(cfg, units)
-    pulse = build_pulse(cfg, units, scatterer)
+    _, scatterer, pulse = build_physics(cfg)
     consts = qfi.farfield_qcrb_constants()
-    nsc = scatterer.cross_section() * pulse.phi
+    nsc = fisher.n_scattered(scatterer, pulse)
     labels = (
         "sqrt(N_sc) sigma_chi / chi0",
         "sqrt(N_sc) sigma_x / lambda",

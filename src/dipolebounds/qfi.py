@@ -742,21 +742,14 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer):
     e_out = np.empty(pts.shape, dtype=complex)
     b_out = np.empty(pts.shape, dtype=complex)
     i_pole = int(round(1.0 / dp))           # the node carrying the pole
+    base = p**3 * xi_p
     for i, r in enumerate(rho):
         ft1, ft2, g = _angular_profiles(p * r)
-        base = p**3 * xi_p
-        ints = {}
         # the electric kernels carry p^3; the magnetic one p^4, because
         # the per-mode curl contributes one extra power of the mode momentum
-        for name, prof, extra in (("t1", ft1, 1.0), ("t2", ft2, 1.0),
-                                  ("g", g, p)):
-            fk = base * prof * extra
-            pv = pv_integral(fk, p, 1.0, weights=w)
-            plus = (fk / (p + 1.0)) @ w
-            ints[name] = (pv, plus, fk[i_pole])
-        et1 = ints["t1"][0] + ints["t1"][1] + 1j * math.pi * ints["t1"][2]
-        et2 = ints["t2"][0] + ints["t2"][1] + 1j * math.pi * ints["t2"][2]
-        gb = ints["g"][0] + ints["g"][1] + 1j * math.pi * ints["g"][2]
+        fk = np.stack((base * ft1, base * ft2, base * g * p))
+        pv = pv_integral(fk, p, 1.0, weights=w)
+        et1, et2, gb = pv + (fk / (p + 1.0)) @ w + 1j * math.pi * fk[:, i_pole]
         # the magnetic kernel only falls off as 1/p^2 (one power slower than
         # the electric ones), so add its truncated tail analytically: beyond
         # the cutoff the integrand is -32 cos(p r) / (a0^4 r p^2)

@@ -62,6 +62,13 @@ class SweepResult:
         return np.column_stack(cols)
 
 
+def _physics_meta(scatterer: Scatterer, pulse: Pulse) -> dict:
+    """The internal-unit parameters that every sweep's metadata echoes."""
+    return {"chi0_internal": scatterer.chi0,
+            "omega0_internal": scatterer.omega0,
+            "phi_internal": pulse.phi, "tau_internal": pulse.tau}
+
+
 # ---------------------------------------------------------------------------
 # CRB vs detector distance
 # ---------------------------------------------------------------------------
@@ -124,10 +131,7 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
         "solid_angle": float(solid_angle),
         "finite_a0_internal": float(finite_a0),
         "refinement": int(refinement),
-        "chi0_internal": scatterer.chi0,
-        "omega0_internal": scatterer.omega0,
-        "phi_internal": pulse.phi,
-        "tau_internal": pulse.tau,
+        **_physics_meta(scatterer, pulse),
         "n_sc": fisher.n_scattered(point, pulse),
         "pixels": len(placements) * sum(sizes),
     }
@@ -138,31 +142,43 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
 # QFI vs time
 # ---------------------------------------------------------------------------
 
+def _paired_linspace(t0: float, t1: float, n: int) -> np.ndarray:
+    """``np.linspace(t0, t1, n)`` with every ``-t`` the exact negative of a
+    ``+t`` where the lattice is symmetric about ``t = 0``.
+
+    With ``h`` the step and ``j2 = round(-2 t0 / h)``, the lattice is
+    symmetric when ``2 t0 + j2 h`` vanishes to rounding; then each pair of
+    samples ``(j, j2 - j)`` is set to ``-+`` the mean of its two
+    magnitudes, and an on-lattice zero (``j2`` even) to 0.0.  A sample moves
+    by at most half its pair's gap and a rounding.  Otherwise the samples
+    are ``np.linspace``'s.  :func:`~dipolebounds.qfi.qfi_matrices` makes
+    one product row per pair.
+    """
+    times = np.linspace(t0, t1, n)
+    h = (t1 - t0) / (n - 1)
+    j2 = round(-2.0 * t0 / h)
+    symmetric = abs(2.0 * t0 + j2 * h) <= 8e-16 * max(-t0, t1)
+    if symmetric and 0 <= j2 <= 2 * (n - 1):
+        j = np.arange(max(0, j2 - n + 1), (j2 + 1) // 2)
+        mean = 0.5 * (times[j2 - j] - times[j])
+        times[j], times[j2 - j] = -mean, mean
+        if j2 % 2 == 0:
+            times[j2 // 2] = 0.0
+    return times
+
+
 def default_time_axis(pulse: Pulse, samples_per_period: int = 8,
                       span: tuple = (-3.0, 5.0)) -> np.ndarray:
-    """Times covering ``span`` (in units of tau) resolving the 2-omega beat.
+    """Times covering ``span`` (in units of tau) resolving the 2-omega beat,
+    paired about ``t = 0`` by :func:`_paired_linspace`.
 
-    These are ``np.linspace``'s samples, made symmetric about ``t = 0`` when
-    0 is a point of their lattice: that sample is set to 0, and each pair of
-    samples ``j0 -+ i`` that the span holds on both sides to ``-+`` the mean
-    of its two magnitudes, so every ``-t`` there is the exact negative of a
-    ``+t``.  ``np.linspace`` leaves such pairs an ulp or two apart; the
-    mean moves each sample by at most half that gap and a rounding, 1.3e-16
-    of the largest ``|t|`` on the default span of the 24 fs, 1030 nm pulse.
-    :func:`~dipolebounds.qfi.qfi_matrices` makes one product row per pair:
-    that axis's 449 times cost 281 rows.  An axis whose lattice misses 0 is
-    ``np.linspace``'s as it is.
+    The default span of the 24 fs, 1030 nm pulse has 449 times, 281
+    distinct ``|t|``, and no sample farther from ``np.linspace``'s than
+    1.3e-16 of the largest ``|t|``.
     """
     t0, t1 = span[0] * pulse.tau, span[1] * pulse.tau
     n = max(2, int(math.ceil((t1 - t0) / _TWO_PI * samples_per_period)) + 1)
-    times = np.linspace(t0, t1, n)
-    h = (t1 - t0) / (n - 1)
-    j0 = round(-t0 / h)
-    if 0 <= j0 < n and abs(t0 + j0 * h) <= 4e-16 * max(-t0, t1):
-        m = min(j0, n - 1 - j0)
-        mean = 0.5 * (times[j0 + 1:j0 + m + 1] - times[j0 - m:j0][::-1])
-        times[j0 - m:j0 + m + 1] = np.concatenate((-mean[::-1], [0.0], mean))
-    return times
+    return _paired_linspace(t0, t1, n)
 
 
 def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
@@ -183,21 +199,17 @@ def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
     spectral = qfi.SpectralPulse.from_pulse(pulse, grid)
     # first: the QFI's n x n transforms, built on first use, are not yet held
     nsc = qfi.nsc_series(scatterer, spectral, times)
+    scale = (np.diag(qfi.farfield_qfi(scatterer, pulse.phi)) if normalize
+             else np.ones(4))
     columns = {}
     for gauge in gauges:
         series = qfi.qfi_matrix(scatterer, spectral, times, gauge=gauge,
                                 corrections=corrections and gauge == "multipolar")
-        diag = series.diagonal()
-        j03 = series.j[:, 0, 3]
-        scale = np.ones(4)
-        scale03 = 1.0
-        if normalize:
-            ff = np.diag(qfi.farfield_qfi(scatterer, pulse.phi))
-            scale = ff
-            scale03 = math.sqrt(ff[0] * ff[3])
+        diag = series.diagonal() / scale
         for j, name in enumerate(("j00", "j11", "j22", "j33")):
-            columns[f"{name}_{gauge}"] = diag[:, j] / scale[j]
-        columns[f"j03_{gauge}"] = j03 / scale03
+            columns[f"{name}_{gauge}"] = diag[:, j]
+        columns[f"j03_{gauge}"] = (series.j[:, 0, 3]
+                                   / math.sqrt(scale[0] * scale[3]))
     nsc_total = fisher.n_scattered(scatterer, pulse)
     columns["nsc"] = nsc / nsc_total if normalize else nsc
 
@@ -206,11 +218,8 @@ def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
         "gauges": list(gauges),
         "corrections": bool(corrections),
         "normalize": bool(normalize),
-        "chi0_internal": scatterer.chi0,
+        **_physics_meta(scatterer, pulse),
         "a0_internal": scatterer.a0,
-        "omega0_internal": scatterer.omega0,
-        "phi_internal": pulse.phi,
-        "tau_internal": pulse.tau,
         "modes": spectral.grid.size,
         "nsc_total": nsc_total,
         "times": times.size,
@@ -232,10 +241,6 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple:
     return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
 
 
-def _peak_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values)))
-
-
 def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
                        a0_over_lambda: np.ndarray | None = None,
                        gauges: tuple = ("multipolar", "coulomb"),
@@ -246,14 +251,11 @@ def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
     For each radius the QFI entries are sampled over a window of one
     half-period around the pulse peak (the transient beats at twice the
     carrier, so the window is guaranteed to contain a crest) and the largest
-    magnitude is recorded (``peak_*`` columns).  The window is built from
-    its upper half, ``np.linspace``'s samples at and above the centre,
-    and their exact negatives, so every ``-t`` pairs with a ``+t``; the
-    samples differ from the full ``np.linspace`` by at most 2.2e-16.  All
-    radii in all gauges go to one :func:`~dipolebounds.qfi.qfi_matrices`
-    call, which makes one band product per pair and per source and stacks
-    the sources: the default 8 radii in 2 gauges cost 16 x 34 product rows
-    per transform for the window's 66 times.
+    magnitude is recorded (``peak_*`` columns).  The window is
+    :func:`_paired_linspace`'s, so every ``-t`` pairs with a ``+t``, and
+    5 tau is appended for the late-time value.  All radii in all gauges go
+    to one :func:`~dipolebounds.qfi.qfi_matrices` call: the default 8 radii
+    in 2 gauges cost 16 x 34 product rows per transform for the 66 times.
     Because at the envelope center only half the pulse has scattered, the
     on-shell pedestal under the peak equals half the late-time value;
     subtracting it isolates the transient enhancement, whose size scaling
@@ -267,73 +269,49 @@ def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
     if a0_over_lambda is None:
         a0_over_lambda = np.geomspace(1.0 / 120.0, 1.0 / 20.0, 8)
     a0_over_lambda = np.asarray(a0_over_lambda, dtype=float)
-    # the peak window (one half-period), mirrored from its upper half so
-    # that every -t is the exact negative of a +t; then the late time for
-    # the pedestal
-    upper = np.linspace(-0.5 * math.pi, 0.5 * math.pi,
-                        peak_samples)[peak_samples // 2:]
-    times = np.concatenate((-upper[::-1][:peak_samples // 2], upper,
-                            [5.0 * pulse.tau]))
+    times = np.append(_paired_linspace(-0.5 * math.pi, 0.5 * math.pi,
+                                       peak_samples), 5.0 * pulse.tau)
     spectral = qfi.SpectralPulse.from_pulse(pulse, grid)
-
-    entries = ("j00", "j11", "j33", "j03")
-    index = {"j00": (0, 0), "j11": (1, 1), "j33": (3, 3), "j03": (0, 3)}
 
     # every radius in every gauge, in one call on one series
     sources = [(replace(scatterer, a0=a_rel * _TWO_PI), gauge)
                for a_rel in a0_over_lambda for gauge in gauges]
-    series = iter(qfi.qfi_matrices(spectral, times, sources))
-    rows = []
-    for _ in a0_over_lambda:
-        peaks = {}
-        for gauge in gauges:
-            qfi_j = next(series).j
-            for name in entries:
-                i, j = index[name]
-                pk = _peak_abs(qfi_j[:-1, i, j])
-                lt = abs(qfi_j[-1, i, j])
-                peaks[f"peak_{name}_{gauge}"] = pk
-                peaks[f"transient_{name}_{gauge}"] = pk - 0.5 * lt
-        rows.append(peaks)
-    columns = {key: np.array([r[key] for r in rows]) for key in rows[0]}
+    j = np.stack([s.j for s in qfi.qfi_matrices(spectral, times, sources)])
+    # (radii, gauges, times, entry) for the entries j00, j11, j33 and j03
+    j = np.abs(j.reshape(a0_over_lambda.size, len(gauges), times.size, 4, 4)
+               [..., [0, 1, 3, 0], [0, 1, 3, 3]])
+    peak = j[:, :, :-1].max(axis=2)
+    transient = peak - 0.5 * j[:, :, -1]
+    columns = {f"{kind}_{name}_{gauge}": table[:, g, e]
+               for g, gauge in enumerate(gauges)
+               for e, name in enumerate(("j00", "j11", "j33", "j03"))
+               for kind, table in (("peak", peak), ("transient", transient))}
 
     lam_over_a0 = 1.0 / a0_over_lambda
     fits = {}
     for key, col in columns.items():
-        good = col > 0
-        if good.sum() < 3:
-            fits[key] = {"exponent": math.nan, "residual": math.nan,
-                         "excluded_two_largest_a0": False,
-                         "points_used": int(good.sum())}
-            continue
-        x, y = lam_over_a0[good], col[good]
-        n_all, r_all = fit_power_law(x, y)
-        # optionally drop the two largest radii (smallest lambda/a0 values);
-        # a two-point remainder has zero residual by construction, so the
-        # halving criterion is only meaningful with three or more points
+        x, y = lam_over_a0[col > 0], col[col > 0]
+        fit = fit_power_law(x, y) if x.size >= 3 else (math.nan, math.nan)
+        # the two largest radii (smallest lambda/a0) go when that halves the
+        # residual; a remainder under three points would fit exactly
         keep = np.argsort(x)[2:]
-        if keep.size >= 3:
-            n_trim, r_trim = fit_power_law(x[keep], y[keep])
-        else:
-            n_trim, r_trim = n_all, math.inf
-        if r_trim < 0.5 * r_all:
-            fits[key] = {"exponent": n_trim, "residual": r_trim,
-                         "excluded_two_largest_a0": True,
-                         "points_used": int(keep.size)}
-        else:
-            fits[key] = {"exponent": n_all, "residual": r_all,
-                         "excluded_two_largest_a0": False,
-                         "points_used": int(x.size)}
+        trim = fit_power_law(x[keep], y[keep]) if keep.size >= 3 else None
+        drop = trim is not None and trim[1] < 0.5 * fit[1]
+        if drop:
+            fit, x = trim, x[keep]
+        fits[key] = {"exponent": fit[0], "residual": fit[1],
+                     "excluded_two_largest_a0": drop,
+                     "points_used": int(x.size)}
 
     meta = {
         "scenario": "size_scaling_sweep",
         "gauges": list(gauges),
         "peak_samples": int(peak_samples),
-        "chi0_internal": scatterer.chi0,
-        "omega0_internal": scatterer.omega0,
-        "phi_internal": pulse.phi,
-        "tau_internal": pulse.tau,
+        **_physics_meta(scatterer, pulse),
         "fits": fits,
+        "times": times.size,
+        # qfi_matrices' product rows per transform and source
+        "product_rows": qfi._time_pairs(times)[0].size,
     }
     return SweepResult("a0_over_lambda", a0_over_lambda, columns, meta)
 

@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dipolebounds import cli, detector, fields
+from dipolebounds import cli, detector, fields, qfi
 from dipolebounds.detector import planar_grid
 from dipolebounds.fisher import crb_bounds, fi_matrix
 from dipolebounds.model import Pulse, UnitSystem
 from dipolebounds.qfi import farfield_qcrb_constants
 from dipolebounds.scenarios import (
     SweepResult,
+    _paired_linspace,
     crb_distance_sweep,
     default_distance_axis,
     default_time_axis,
@@ -64,8 +65,7 @@ class TestDefaultTimeAxis:
         # the qfi-time axis of the 24 fs, 1030 nm pulse: 0 is sample 168 of
         # np.linspace's 449, and every -t in the overlap is an exact -(+t)
         cfg = cli.resolve_config(None, preset, None)
-        units = cli.build_units(cfg)
-        pulse = cli.build_pulse(cfg, units, cli.build_scatterer(cfg, units))
+        _, _, pulse = cli.build_physics(cfg)
         run = cfg["run"]
         t = default_time_axis(pulse, run["samples_per_period"],
                               (run["t_min_over_tau"], run["t_max_over_tau"]))
@@ -84,6 +84,26 @@ class TestDefaultTimeAxis:
         assert t.size == 867 and not np.any(t == 0.0)
         line = np.linspace(-3.0 * tau, 5.0 * tau, 867)
         assert t.tobytes() == line.tobytes()
+
+
+class TestPairedLinspace:
+    @pytest.mark.parametrize("n,distinct", [(5, 3), (6, 3), (17, 9), (65, 33)])
+    def test_peak_window_pairs(self, n, distinct):
+        # size-scan's half-period window about the pulse peak
+        t = _paired_linspace(-0.5 * math.pi, 0.5 * math.pi, n)
+        assert np.all(np.isin(-t, t))
+        line = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n)
+        assert np.abs(t - line).max() <= 2.2e-16 * np.abs(t).max()
+        assert len(set(np.abs(t).tolist())) == distinct
+        assert (0.0 in t) == (n % 2 == 1)
+
+    def test_half_integer_lattice_pairs_without_zero(self):
+        # -2.5 .. 3.5 in unit steps: 0 lies between two samples
+        t = _paired_linspace(-2.5, 3.5, 7)
+        assert not np.any(t == 0.0)
+        np.testing.assert_array_equal(t[:6], -t[:6][::-1])
+        assert t[-1] == 3.5
+        assert len(set(np.abs(t).tolist())) == 4
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +232,44 @@ def test_size_scaling_sweep_structure(scat_532, pulse_200):
         pytest.approx(4.0, abs=0.4)
     # peaks grow monotonically as the source shrinks
     assert np.all(np.diff(sweep.columns["peak_j11_multipolar"]) < 0)
+
+
+@pytest.fixture(scope="module")
+def size_sweep(scat_532, pulse_200):
+    # the default 65-sample window, three radii, both gauges
+    return size_scaling_sweep(scat_532, pulse_200, [1 / 60, 1 / 40, 1 / 30])
+
+
+class TestSizeScalingSweep:
+    ENTRIES = {"j00": (0, 0), "j11": (1, 1), "j33": (3, 3), "j03": (0, 3)}
+
+    def test_column_and_fit_order(self, size_sweep):
+        # per gauge, per entry: the peak, then the transient
+        names = [f"{kind}_{entry}_{gauge}"
+                 for gauge in ("multipolar", "coulomb") for entry in self.ENTRIES
+                 for kind in ("peak", "transient")]
+        assert list(size_sweep.columns) == names
+        assert list(size_sweep.meta["fits"]) == names
+
+    def test_meta_counts_the_paired_window(self, size_sweep):
+        # 65 window samples and the late time; 33 window pairs and the late time
+        assert size_sweep.meta["times"] == 66
+        assert size_sweep.meta["product_rows"] == 34
+
+    @pytest.mark.parametrize("gauge", ["multipolar", "coulomb"])
+    def test_columns_are_the_series_peaks(self, size_sweep, scat_532,
+                                          pulse_200, spectral_200, gauge):
+        # the middle radius, one source at a time
+        times = np.append(_paired_linspace(-0.5 * math.pi, 0.5 * math.pi, 65),
+                          5.0 * pulse_200.tau)
+        scat = replace(scat_532, a0=2.0 * math.pi / 40)
+        j = np.abs(qfi.qfi_matrix(scat, spectral_200, times, gauge=gauge).j)
+        for entry, (a, b) in self.ENTRIES.items():
+            peak = j[:-1, a, b].max()
+            assert size_sweep.columns[f"peak_{entry}_{gauge}"][1] == \
+                pytest.approx(peak, rel=1e-12)
+            assert size_sweep.columns[f"transient_{entry}_{gauge}"][1] == \
+                pytest.approx(peak - 0.5 * j[-1, a, b], rel=1e-9)
 
 
 class TestValidateSuite:
