@@ -328,10 +328,10 @@ def build_grid(cfg: dict, arrays: int = 3) -> SinhGrid:
 
     The counts cover the measured tracemalloc peaks on the default
     537-node grid: 2.75 ``n^2`` for ``size-scan`` (3 arrays, the default),
-    3.03 for ``qfi-time --preset fig3`` (4) and 5.18 with the covariance
-    corrections (6).  A block of times adds a fixed working set to the
-    ``n x n`` arrays; on 2145 nodes the two ``qfi-time`` peaks are 2.53 and
-    4.52 ``n^2``.
+    3.03 for ``qfi-time --preset fig3`` (4) and 4.26 with the covariance
+    corrections, whose one grid-only Cauchy matrix all sources share (5).
+    A block of times adds a fixed working set to the ``n x n`` arrays; on
+    2145 nodes the two ``qfi-time`` peaks are 2.53 and 3.50 ``n^2``.
     """
     g = cfg["grid"]
     grid = SinhGrid(d=g["d_over_k0"], delta=g["delta"],
@@ -387,7 +387,7 @@ def write_resolved_config(out_dir: Path, cfg: dict, subcommand: str,
     }
     if extra_meta:
         doc["_meta"].update(extra_meta)
-    out = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+    out = json.dumps(doc, indent=2, allow_nan=False,
                      default=_numpy_to_json) + "\n"
     (out_dir / "config.resolved.json").write_text(out, encoding="utf-8",
                                                   newline="\n")
@@ -490,10 +490,10 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
     for i, lam in enumerate((lam1,) if lam2 is None else (lam1, lam2), 1):
         if i == 1:
             units, scat, pulse = build_physics(cfg)
-            # the covariance corrections hold two n x n kernels more, and
+            # the covariance corrections hold one n x n matrix more, and
             # their blocks' working set
             kernels = run["corrections"] and "multipolar" in run["gauges"]
-            grid = build_grid(cfg, 6 if kernels else 4)
+            grid = build_grid(cfg, 5 if kernels else 4)
             phi1_si = units.fluence_from_internal(pulse.phi)
             times = scenarios.default_time_axis(
                 pulse, run["samples_per_period"],

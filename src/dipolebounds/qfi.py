@@ -55,7 +55,6 @@ __all__ = [
     "farfield_qfi",
     "farfield_qcrb_constants",
     "mode_integral_field",
-    "covariance_kernels",
 ]
 
 GAUGES = ("multipolar", "coulomb")
@@ -300,31 +299,6 @@ class FrequencyIntegrals:
 
 
 # ---------------------------------------------------------------------------
-# matter-light covariance kernels (multipolar coupling, scatterer at origin)
-# ---------------------------------------------------------------------------
-
-def covariance_kernels(grid: SinhGrid, scatterer: Scatterer):
-    """Residual matter-light covariance kernels on the grid.
-
-    Returns ``(delta_xi, upsilon)``, the real symmetric kernels coupling pairs
-    of radial modes in the QFI correction terms.  Both scale with the squared
-    dipole coupling ``d0^2 = omega0 chi0`` and are strongly suppressed for
-    narrow-band driving, which is what keeps the leading QFI expressions
-    accurate.
-    """
-    p = grid.nodes
-    xi = regularizer(p, scatterer.a0)
-    root = np.sqrt(p) * xi
-    denom = p + scatterer.omega0
-    d0sq = scatterer.d0_sq
-    delta_xi = d0sq * np.outer(root / denom, root / denom)
-    inv = 1.0 / denom
-    upsilon = (-d0sq * np.outer(root, root) / (p[:, None] + p[None, :])
-               * (inv[:, None] + inv[None, :]))
-    return delta_xi, upsilon
-
-
-# ---------------------------------------------------------------------------
 # QFI assembly
 # ---------------------------------------------------------------------------
 
@@ -350,9 +324,11 @@ def _block_sums(spectral: SpectralPulse, mags, i, s, kern, weights,
     over the nodes of ``|u|^2 w p^2 pref^2``, the same times ``p^2``,
     ``|v|^2 w p^2 pref^2`` and ``Im(v u*) w p^2 pref^2``, each an even sum
     in ``t`` made once per ``|t|`` plus ``s`` times an odd one.  With
-    ``covariance``, one source's ``(w p^2 pref, upsilon - delta_xi,
-    upsilon + delta_xi)``, the three covariance forms follow, made on the
-    signed rows.  The working arrays are freed on return.
+    ``covariance``, ``(scale, omega0, C)``, the sources' ``(S, 1, n)``
+    ``w p^2 pref q`` and ``(S, 1)`` ``omega0`` and the grid's Cauchy matrix
+    (:func:`qfi_matrices`), the three covariance forms over ``-2 d0^2``
+    follow, made on the signed rows.  The working arrays are freed on
+    return.
     """
     band = spectral.band
     p, w = spectral.grid.nodes, spectral.grid.weights
@@ -361,21 +337,24 @@ def _block_sums(spectral: SpectralPulse, mags, i, s, kern, weights,
     x, y = spectral._products(g_re, g_im)
     forms = None
     if covariance is not None:
-        scale, minus, plus = covariance
-        # at -t, g_re and x flip sign while g_im and y do not.  With
-        # a = scale u, b = scale v and M, P = upsilon -+ delta_xi the forms
-        # are b_re M b_re - b_im P b_im, a_re P a_re - a_im M a_im and
-        # a_im M b_re + a_re P b_im
-        ab = np.stack(spectral._profiles(g_re[:, i] * s[:, None], g_im[:, i],
-                                         x[:, i] * s[:, None], y[:, i]))
-        ab *= scale
-        kab = np.empty_like(ab)
-        np.matmul(ab[::3], plus, out=kab[::3])
-        np.matmul(ab[1:3], minus, out=kab[1:3])
-        q = np.einsum("f...n,g...n->fg...", ab, kab)
-        forms = np.stack((q[2, 2] - q[3, 3], q[0, 0] - q[1, 1],
-                          q[1, 2] + q[0, 3]), axis=-1)
-        del ab, kab
+        scale, omega0, cauchy = covariance
+        # at -t, g_re and x flip sign while g_im and y do not.  b stacks
+        # scale (Re u, Im u, Re v, Im v) on the signed rows.  Over -2 d0^2,
+        # P = upsilon + delta_xi gives f P g = omega0 f C g and
+        # M = upsilon - delta_xi gives f M g = omega0 f C g + (sum f)(sum g),
+        # and the forms are v_re M v_re - v_im P v_im,
+        # u_re P u_re - u_im M u_im and u_im M v_re + u_re P v_im
+        b = np.stack(spectral._profiles(g_re[:, i] * s[:, None], g_im[:, i],
+                                        x[:, i] * s[:, None], y[:, i]))
+        b *= scale
+        bcb = np.einsum("f...n,g...n->fg...", b, b @ cauchy)
+        bcb *= omega0
+        total = b.sum(axis=-1)
+        del b
+        forms = np.stack((bcb[2, 2] - bcb[3, 3] + total[2] * total[2],
+                          bcb[0, 0] - bcb[1, 1] - total[1] * total[1],
+                          bcb[1, 2] + bcb[0, 3] + total[1] * total[2]),
+                         axis=-1)
     wpp = weights[..., :1]
     wb = weights[:, band]
     # u = s x + pi g_im + i (y - s pi g_re), s = sign t:
@@ -429,6 +408,11 @@ def _block_sums(spectral: SpectralPulse, mags, i, s, kern, weights,
     return sums if forms is None else np.concatenate((sums, forms), axis=-1)
 
 
+def _cauchy(p: np.ndarray) -> np.ndarray:
+    """The grid's ``(n, n)`` Cauchy matrix ``1 / (p_i + p_j)``."""
+    return 1.0 / np.add.outer(p, p)
+
+
 def _time_pairs(times: np.ndarray) -> tuple:
     """The distinct ``|t|`` of ``times`` in order of first appearance, and
     each time's index into them: :func:`qfi_matrices` makes one product
@@ -458,13 +442,22 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
     values and the blocks of distinct ``|t|`` are made once for all
     sources, whose kernels are stacked: a block costs one product per
     transform for all of them, on at most ``_BLOCK_ELEMENTS // n`` rows
-    counted across sources.  Sources beyond that are taken in chunks, and
-    with ``corrections`` one at a time, as each holds two ``(n, n)``
-    covariance kernels of its own.  The corrections are quadratic forms in
-    those kernels of u and v, which each block forms on its signed times
-    (:meth:`SpectralPulse._profiles`): ``T`` times cost ``4 T`` kernel
-    rows, paired or not, and a corrected block holds at most as many signed
-    times as an uncorrected one holds distinct ``|t|``.
+    counted across sources.  Sources beyond that are taken in chunks.
+
+    The corrections are quadratic forms of u and v in the matter-light
+    covariance kernels ``delta_xi = d0^2 q q^T`` and
+    ``upsilon = -d0^2 q_i q_j (1 + 2 omega0 / (p_i + p_j))``, with
+    ``q = sqrt(p) xi_p / (p + omega0)`` and ``d0^2 = omega0 chi0``.  So
+    ``upsilon + delta_xi = -2 omega0 d0^2 q_i q_j C_ij`` and
+    ``upsilon - delta_xi`` is that minus ``2 d0^2 q q^T``, where
+    ``C = 1 / (p_i + p_j)`` depends on the grid alone: one ``(n, n)``
+    matrix per call, built after the pulse's transforms, serves every
+    source, and corrected sources stack and chunk as plain ones do.  Each
+    block forms u and v on its signed times
+    (:meth:`SpectralPulse._profiles`) and multiplies C once: ``T`` times
+    cost ``4 T`` rows of C per source, paired or not, and a corrected block
+    holds at most as many signed times as an uncorrected one holds
+    distinct ``|t|``.
 
     Before the pulse arrives, an entry at ``-|t|`` is the difference of
     two nearly equal sums and keeps fewer relative digits: on the 1030 nm,
@@ -486,7 +479,7 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
     p = grid.nodes
     wp2 = grid.weights * p**2
     step = max(1, _BLOCK_ELEMENTS // grid.size)
-    chunk = 1 if corrections else max(1, min(len(sources), step))
+    chunk = max(1, min(len(sources), step))
     per = step // chunk
     # a block holds at most per distinct |t|; a corrected one also at most
     # per signed times, as its forms are made on those
@@ -495,31 +488,29 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
     while starts[-1] < mags.size:
         held = np.cumsum(rows[starts[-1]:starts[-1] + per])
         starts.append(starts[-1] + max(1, np.searchsorted(held, per, "right")))
+    cauchy = None
+    if corrections:
+        spectral.transforms     # built first: C is not alive beside them
+        cauchy = _cauchy(p)
     out = np.zeros((len(sources), times.size, 4, 4))
     for lo in range(0, len(sources), chunk):
         group = sources[lo:lo + chunk]
         kern = np.empty((len(group), 1, band.stop - band.start))
         weights = np.empty((len(group), grid.size, 2))
-        chi0 = np.empty((len(group), 1))
+        chi0, omega0 = np.empty((2, len(group), 1))
         for row, (scat, gauge) in enumerate(group):
             integrals = FrequencyIntegrals(spectral, scat, gauge)
-            kern[row, 0], chi0[row] = integrals._kern, integrals._chi0
-            weights[row, :, 0] = integrals._pref
-        covariance = None
-        if corrections:
-            # a chunk is then one source, with (n, n) kernels of its own
-            delta_xi, upsilon = covariance_kernels(grid, scat)
-            # each correction reads the kernels only as upsilon -+ delta_xi
-            minus = upsilon - delta_xi
-            plus = np.add(upsilon, delta_xi, out=upsilon)
-            del delta_xi
-            covariance = (wp2 * integrals._pref, minus, plus)
+            kern[row, 0], weights[row, :, 0] = integrals._kern, integrals._pref
+            chi0[row], omega0[row] = integrals._chi0, scat.omega0
         # |f3|^2 = pref^2 |u|^2, |f2|^2 = chi0^2 p^2 |f3|^2,
         # |f1|^2 = chi0^2 pref^2 |v|^2 and Im(f1 f3*) = -chi0 pref^2 Im(v u*)
         wpp = weights[..., 0]
         np.square(wpp, out=wpp)
         wpp *= wp2
         np.multiply(wpp, p**2, out=weights[..., 1])
+        # multipolar pref is sqrt(p) xi_p, so w p^2 pref q = wpp / (p + omega0)
+        covariance = (None if cauchy is None else
+                      ((wpp / (p + omega0))[:, None], omega0, cauchy))
         blk = out[lo:lo + len(group)]
         for m0, m1 in zip(starts, starts[1:]):
             at = np.flatnonzero((index >= m0) & (index < m1))
@@ -530,7 +521,8 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
             j00 = 4.0 / (3.0 * math.pi**2) * tot[..., 0]
             j03 = 4.0 / (3.0 * math.pi**2) * chi0 * tot[..., 3]
             if corrections:
-                c = 4.0 / (9.0 * math.pi**4)
+                # the forms are over -2 d0^2 = -2 omega0 chi0
+                c = -8.0 / (9.0 * math.pi**4) * omega0 * chi0
                 j33 += c * chi0**2 * tot[..., 4]
                 j00 -= c * tot[..., 5]
                 j03 -= c * chi0 * tot[..., 6]
@@ -693,6 +685,23 @@ def _angular_profiles(x: np.ndarray):
     return ft1, ft2, g
 
 
+#: smallest argument of :func:`_si_tail`: its series then holds
+#: ``pi/2 - Si(x)`` to 2e-11 of the envelope ``1/x``, and far better above
+_SI_TAIL_MIN_X = 30.0
+
+
+def _si_tail(x: float) -> float:
+    """``pi/2 - Si(x)`` for ``x >= _SI_TAIL_MIN_X``, from the 8-term
+    asymptotic series ``f cos x + g sin x`` with
+    ``f ~ sum_k (-1)^k (2k)! / x^(2k+1)`` and
+    ``g ~ sum_k (-1)^k (2k+1)! / x^(2k+2)``; its error is about the first
+    omitted term, ``16! / x^17``."""
+    inv = -1.0 / (x * x)
+    f = sum(math.factorial(2 * k) * inv**k for k in range(8)) / x
+    g = sum(math.factorial(2 * k + 1) * inv**k for k in range(8)) / (x * x)
+    return f * math.cos(x) + g * math.sin(x)
+
+
 def mode_integral_field(points: np.ndarray, scatterer: Scatterer):
     """Stationary scattered field assembled mode by mode.
 
@@ -700,13 +709,15 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer):
     numerically over momentum (principal value across the on-shell pole plus
     the resonant half-residue) instead of using the closed forms in
     :mod:`dipolebounds.fields`.  Agreement between the two routes validates
-    both the closed forms and the causal pole prescription.  Needs scipy
-    and a finite source size (``a0 > 0``, for momentum-space convergence).
+    both the closed forms and the causal pole prescription.  Needs a finite
+    source size (``a0 > 0``, for momentum-space convergence), and refuses a
+    point so near the source that ``p_max rho`` falls below
+    ``_SI_TAIL_MIN_X`` (:func:`_si_tail`), with ``p_max`` the momentum
+    cutoff: at ``a0 = lambda/30``, a point within 2.9e-4 wavelengths.
 
     Returns the ``(E, B)`` pair for a unit incident amplitude, complex
     arrays shaped like ``points``.
     """
-    from scipy.special import sici
     if scatterer.a0 <= 0:
         raise PhysicsError("mode-integral field needs a finite source size a0")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -725,6 +736,10 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer):
     dp = 1.0 / math.ceil(1.0 / dp)          # land the pole exactly on a node
     p = np.arange(0.0, p_max + 0.5 * dp, dp)
     p[0] = 1e-30                            # kernels are regular at p -> 0
+    if p[-1] * rho.min() < _SI_TAIL_MIN_X:
+        raise PhysicsError(
+            "mode-integral field requested too near the source center: its "
+            f"momentum tail needs p_max rho >= {_SI_TAIL_MIN_X:g}")
     w = trapezoid_weights(p)
     xi_p = regularizer(p, a0)
 
@@ -754,9 +769,8 @@ def mode_integral_field(points: np.ndarray, scatterer: Scatterer):
         # the electric ones), so add its truncated tail analytically: beyond
         # the cutoff the integrand is -32 cos(p r) / (a0^4 r p^2)
         p_end = p[-1]
-        si_end = sici(p_end * r)[0]
         gb -= (32.0 / (a0**4 * r)) * (
-            math.cos(p_end * r) / p_end - r * (0.5 * math.pi - si_end))
+            math.cos(p_end * r) / p_end - r * _si_tail(p_end * r))
         e_out[i] = pref * (et1 * t1[i] + et2 * t2[i])
         b_out[i] = 1j * pref * gb * cross[i]
     return e_out, b_out

@@ -245,8 +245,8 @@ class TestExitCodes:
 
     def test_corrected_grid_counts_its_kernels(self, tmp_path, monkeypatch):
         # 10 MB of RAM hold the default grid's four n x n arrays (9.2 MB)
-        # but not the six of a corrected run (13.8 MB), which is refused
-        # before its photon-number series
+        # but not the five of a corrected run (11.5 MB), which is refused
+        # before its photon-number series; 12 MB hold the five
         def refuse(*args, **kwargs):
             raise AssertionError("series computed")
 
@@ -260,14 +260,17 @@ class TestExitCodes:
         assert not (tmp_path / "corrected").exists()
         assert main(["qfi-time", "--out", str(tmp_path / "plain")]) == 0
         assert (tmp_path / "plain" / "data.csv").exists()
+        sizes["SC_PHYS_PAGES"] = 3072
+        assert main(["qfi-time", "--set", "run.corrections=true",
+                     "--out", str(tmp_path / "corrected")]) == 0
 
     @pytest.mark.parametrize("pages,sets", [
-        (2048, []), (3072, ["--set", "run.corrections=true"])])
+        (2048, []), (2560, ["--set", "run.corrections=true"])])
     def test_grid_budget_covers_the_measured_peak(self, tmp_path, monkeypatch,
                                                   pages, sets):
-        # 8 and 12 MB hold the 3 and 5 n x n arrays once counted (6.9 and
-        # 11.5 MB) but not the 4 and 6 (9.2 and 13.8 MB) that cover the
-        # measured peaks of 3.03 and 5.18 n^2
+        # 8 and 10 MB hold 3 and 4 n x n arrays (6.9 and 9.2 MB) but not
+        # the 4 and 5 (9.2 and 11.5 MB) that cover the measured peaks of
+        # 3.03 and 4.26 n^2
         sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
         rc = main(["qfi-time", *sets, "--out", str(tmp_path / "out")])
@@ -444,9 +447,10 @@ class TestCrbScanEndToEnd:
         assert (a / "data.csv").read_bytes() == (b / "data.csv").read_bytes()
 
 
-# The solver path must run without scipy, which only the validate oracles
-# use, and without jsonschema, which the package does not use at all.
-# A fresh interpreter, because other tests import scipy into this one.
+# Every subcommand, validate's full battery included, must run without
+# scipy, which only the tests use, and without jsonschema, which the
+# package does not use at all.  A fresh interpreter, because other tests
+# import scipy into this one.
 _NO_SCIPY_SCRIPT = textwrap.dedent("""
     import importlib.abc
     import sys
@@ -474,6 +478,7 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
          "--set", "run.samples_per_period=2", "--out", out + "/qfi"],
         ["size-scan", "--set", "run.sizes=3", "--set", "run.peak_samples=5",
          "--out", out + "/size"],
+        ["validate", "--set", "run.level=full", "--out", out + "/validate"],
     ]
     codes = [main(argv) for argv in runs]
     loaded = sorted(m for m in sys.modules
@@ -488,9 +493,23 @@ def test_solver_subcommands_run_without_scipy_or_jsonschema(tmp_path):
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, src, str(tmp_path)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0, 0] []", proc.stderr
-    for name in ("crb", "qfi", "size"):
+    assert proc.stdout.splitlines()[-1] == "RESULT [0, 0, 0, 0, 0] []", \
+        proc.stderr
+    for name in ("crb", "qfi", "size", "validate"):
         assert (tmp_path / name / "data.csv").is_file()
+
+
+def test_size_scan_fits_in_column_order(tmp_path, capsys):
+    # config.resolved.json keeps insertion order: _meta.fits follows the
+    # columns after the radius axis, as the printed fits do
+    out = tmp_path / "size"
+    assert main(["size-scan", "--set", "run.sizes=3",
+                 "--set", "run.peak_samples=5", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    columns = (out / "data.csv").read_text().splitlines()[0].split(",")[1:]
+    meta = json.loads((out / "config.resolved.json").read_text())["_meta"]
+    assert list(meta["fits"]) == columns
+    assert [line.split(":")[0] for line in printed] == columns
 
 
 def test_qfi_time_two_color_columns(tmp_path, capsys):

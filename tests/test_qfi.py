@@ -12,7 +12,6 @@ from dipolebounds.model import PhysicsError, Pulse, Scatterer
 from dipolebounds.qfi import (
     FrequencyIntegrals,
     SpectralPulse,
-    covariance_kernels,
     farfield_qcrb_constants,
     farfield_qfi,
     mode_integral_field,
@@ -289,6 +288,22 @@ class TestFrequencyIntegrals:
             assert got == pytest.approx(power + shift, abs=0.05), name
 
 
+def covariance_kernels(grid, scat):
+    """The residual matter-light covariance kernels ``(delta_xi, upsilon)``
+    as dense ``(n, n)`` arrays, from their defining formulas: with
+    ``r = sqrt(p) xi_p`` and ``d = p + omega0``,
+    ``delta_xi = d0^2 (r/d)_i (r/d)_j`` and
+    ``upsilon = -d0^2 r_i r_j (1/d_i + 1/d_j) / (p_i + p_j)``."""
+    p = grid.nodes
+    root = np.sqrt(p) * regularizer(p, scat.a0)
+    denom = p + scat.omega0
+    delta_xi = scat.d0_sq * np.outer(root / denom, root / denom)
+    inv = 1.0 / denom
+    upsilon = (-scat.d0_sq * np.outer(root, root) / np.add.outer(p, p)
+               * (inv[:, None] + inv[None, :]))
+    return delta_xi, upsilon
+
+
 def test_covariance_kernels_are_symmetric_and_small(scat_532, spectral_200):
     delta_xi, upsilon = covariance_kernels(spectral_200.grid, scat_532)
     np.testing.assert_allclose(delta_xi, delta_xi.T, rtol=1e-14)
@@ -296,6 +311,17 @@ def test_covariance_kernels_are_symmetric_and_small(scat_532, spectral_200):
     # both carry the tiny squared coupling d0^2 = omega0 chi0
     assert np.abs(delta_xi).max() < scat_532.d0_sq
     assert np.abs(upsilon).max() < 2.0 * scat_532.d0_sq
+    # qfi_matrices reads them as one grid-only Cauchy matrix and the weight
+    # q = sqrt(p) xi_p / (p + omega0): upsilon + delta_xi = -2 omega0 d0^2
+    # q_i q_j C_ij and upsilon - delta_xi is that minus 2 d0^2 q q^T
+    p = spectral_200.grid.nodes
+    q = np.sqrt(p) * regularizer(p, scat_532.a0) / (p + scat_532.omega0)
+    plus = -2.0 * scat_532.omega0 * scat_532.d0_sq * (
+        np.outer(q, q) * qfi._cauchy(p))
+    minus = plus - 2.0 * scat_532.d0_sq * np.outer(q, q)
+    scale = np.abs(upsilon).max()
+    assert np.abs(upsilon + delta_xi - plus).max() <= 1e-15 * scale
+    assert np.abs(upsilon - delta_xi - minus).max() <= 1e-15 * scale
 
 
 class TestQfiMatrix:
@@ -383,19 +409,10 @@ class _ProductSpy(np.ndarray):
 
 
 class _KernelSpy(_ProductSpy):
-    """Covariance kernels that record their products and stay spies
-    through ``upsilon -+ delta_xi``."""
+    """The covariance corrections' Cauchy matrix, recording the stacks it
+    multiplies in a list of its own."""
 
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        if ufunc is np.matmul:
-            return super().__array_ufunc__(ufunc, method, *inputs, out=out,
-                                           **kwargs)
-        inputs = [x.view(np.ndarray) for x in inputs]
-        if out is None:
-            return getattr(ufunc, method)(*inputs, **kwargs).view(_KernelSpy)
-        getattr(ufunc, method)(*inputs, **kwargs,
-                               out=tuple(x.view(np.ndarray) for x in out))
-        return out[0]
+    calls: list = []
 
 
 @pytest.fixture
@@ -419,12 +436,12 @@ def product_rows(spectral_200, monkeypatch):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Shapes of the stacks the covariance kernels multiply."""
+    """Shapes of the stacks the Cauchy matrix multiplies."""
     calls = []
     monkeypatch.setattr(_KernelSpy, "calls", calls)
-    kernels = qfi.covariance_kernels
-    monkeypatch.setattr(qfi, "covariance_kernels", lambda *args: tuple(
-        k.view(_KernelSpy) for k in kernels(*args)))
+    cauchy = qfi._cauchy
+    monkeypatch.setattr(qfi, "_cauchy",
+                        lambda p: cauchy(p).view(_KernelSpy))
     return calls
 
 
@@ -505,11 +522,11 @@ class TestTimeReversalPairing:
 
     def test_corrections_cost_four_kernel_rows_per_time(
             self, scat_532, spectral_200, kernel_calls):
-        # the covariance forms act on a and b at the signed times: per
-        # block of T times, 2T rows meet each of upsilon -+ delta_xi
+        # the covariance forms act on u and v at the signed times: per
+        # block of T times, one product of C with the 4T rows of their parts
         times = np.linspace(-300.0, 600.0, 149) + 0.1234
         qfi_matrix(scat_532, spectral_200, times, corrections=True)
-        assert len(kernel_calls) > 2
+        assert len(kernel_calls) > 1
         assert sum(math.prod(shape[:-1])
                    for shape in kernel_calls) == 4 * times.size
 
@@ -525,6 +542,35 @@ class TestTimeReversalPairing:
         assert max(shape[-2] for shape in kernel_calls) <= per
         assert sum(math.prod(shape[:-1])
                    for shape in kernel_calls) == 4 * window.size
+
+    def test_corrected_sources_share_one_cauchy_matrix(
+            self, scat_532, spectral_200, kernel_calls, monkeypatch):
+        # sources of their own radius, coupling and resonance: one (n, n)
+        # matrix per call, one stacked product per block, and each source
+        # within 1e-13 of each column's peak of its one-source call
+        n = spectral_200.grid.size
+        built = []
+        cauchy = qfi._cauchy
+        monkeypatch.setattr(qfi, "_cauchy",
+                            lambda p: built.append(p.shape) or cauchy(p))
+        sources = [(replace(scat_532, a0=a0, chi0=chi0, omega0=omega0),
+                    "multipolar")
+                   for a0, chi0, omega0 in ((0.0, scat_532.chi0, 5.32),
+                                            (LAM / 60, 2.0 * scat_532.chi0,
+                                             3.1),
+                                            (LAM / 30, scat_532.chi0, 8.0))]
+        times = self.mixed_series(n)
+        batch = qfi_matrices(spectral_200, times, sources, corrections=True)
+        assert built == [(n,)]
+        assert {shape[:2] for shape in kernel_calls} == {(4, len(sources))}
+        assert sum(shape[2] for shape in kernel_calls) == times.size
+        built.clear()
+        for (scat, gauge), series in zip(sources, batch, strict=True):
+            single = qfi_matrix(scat, spectral_200, times, gauge,
+                                corrections=True).j
+            dev = np.abs(series.j - single).max(axis=0)
+            assert np.all(dev <= 1e-13 * np.abs(single).max(axis=0)), dev
+        assert built == [(n,)] * len(sources)
 
     @pytest.mark.parametrize("samples,rows", [(65, 33), (6, 3)])
     def test_size_scan_window_is_mirrored(self, scat_532, pulse_200,
@@ -848,6 +894,26 @@ class TestModeIntegralField:
     def test_rejects_the_center(self, scat_532):
         with pytest.raises(PhysicsError, match="center"):
             mode_integral_field(np.zeros((1, 3)), scat_532)
+
+    def test_si_tail_series_matches_sici(self):
+        # from the bound to 1e4, within 5e-11 of the envelope 1/x of
+        # scipy's pi/2 - Si (measured 1.8e-11 at x = 30; above x = 100 the
+        # 2e-12 left is scipy's own rounding)
+        from scipy.special import sici
+
+        xs = np.geomspace(qfi._SI_TAIL_MIN_X, 1e4, 2001)
+        got = np.array([qfi._si_tail(x) for x in xs])
+        want = 0.5 * math.pi - sici(xs)[0]
+        assert np.max(np.abs(got - want) * xs) < 5e-11
+
+    def test_refuses_points_below_the_tail_bound(self, scat_532):
+        # at a0 = lambda/30 the bound p_max rho >= 30 falls at 2.9e-4 lambda
+        with pytest.raises(PhysicsError, match="p_max rho >= 30"):
+            mode_integral_field(np.array([[0.0, 0.0, 2.8e-4 * LAM]]),
+                                scat_532)
+        e, b = mode_integral_field(np.array([[0.0, 0.0, 3.0e-4 * LAM]]),
+                                   scat_532)
+        assert np.all(np.isfinite(e)) and np.all(np.isfinite(b))
 
     def test_agrees_with_closed_forms(self, scat_532):
         from dipolebounds.fields import scattered_regularized
