@@ -40,14 +40,13 @@ from .qfi import (
     nsc_series,
     qfi_matrix,
 )
+from .oracles import CheckResult, validate_suite
 from .quadrature import SinhGrid, pv_integral, pv_matrix
 from .scenarios import (
-    CheckResult,
     SweepResult,
     crb_distance_sweep,
     qfi_time_sweep,
     size_scaling_sweep,
-    validate_suite,
 )
 
 __version__ = "0.1.0"

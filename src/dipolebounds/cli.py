@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, detector, fisher, qfi, scenarios
+from . import __version__, detector, fisher, oracles, qfi, scenarios
 from .model import C_SI, PhysicsError, Pulse, Scatterer, UnitSystem
 from .quadrature import SinhGrid
 
@@ -143,8 +143,6 @@ FIELDS = {
         "a0_max_over_lambda": (1.0 / 20.0, _POS),
         "sizes": (8, _number(ge=3, integer=True)),
         "peak_samples": (65, _number(ge=5, integer=True)),
-        # validate
-        "level": ("quick", _choice(("quick", "full"))),
     },
 }
 
@@ -579,7 +577,7 @@ def cmd_farfield(cfg: dict, out_dir: Path | None) -> int:
 
 
 def cmd_validate(cfg: dict, out_dir: Path | None) -> int:
-    checks = scenarios.validate_suite(cfg["run"]["level"])
+    checks = oracles.validate_suite()
     for check in checks:
         print(check.line())
     n_fail = sum(not c.passed for c in checks)
@@ -589,7 +587,8 @@ def cmd_validate(cfg: dict, out_dir: Path | None) -> int:
                      ["name", "error", "tolerance", "passed"],
                      [(c.name, c.error, c.tolerance, int(c.passed))
                       for c in checks],
-                     "# validation table; nothing to plot\n")
+                     "# validation table; nothing to plot\n",
+                     {"seconds": {c.name: c.seconds for c in checks}})
     return EXIT_OK if n_fail == 0 else EXIT_VALIDATION
 
 

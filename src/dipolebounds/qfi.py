@@ -584,7 +584,10 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     :attr:`SpectralPulse.transforms` or
     :func:`~dipolebounds.quadrature.pv_matrix`, so it can serve as an
     independent consistency check of the QFI pipeline
-    (J_00 = 4 N_sc / chi0^2 at all times).  For the same reason it does
+    (J_00 = 4 N_sc / chi0^2 at all times); the ``transient_photon_identity``
+    row of :data:`~dipolebounds.oracles.ORACLES` names those and
+    :func:`_block_sums` as forbidden, and ``tests/test_oracles.py``
+    enforces it.  For the same reason it does
     not pair ``+-t`` as :func:`qfi_matrices` does: every time gets its own
     product row, so a fault in that pairing shows in the photon identity
     (``tests/test_qfi.py`` holds it to 1e-12 on a series where the negative

@@ -48,8 +48,8 @@ def spectral_200(pulse_200):
 
 
 @pytest.fixture(scope="session")
-def quick_checks():
-    # shared across files: the quick self-check battery is not free
-    from dipolebounds.scenarios import validate_suite
+def battery():
+    # shared across files: the self-check battery is not free
+    from dipolebounds.oracles import validate_suite
 
-    return validate_suite("quick")
+    return validate_suite()

@@ -266,8 +266,8 @@ def test_criterion_09_correction_magnitude(scat_532, spectral_200, pulse_200,
     ("poisson_likelihood_fi", 1e-8),
     ("fd_vs_analytic_chi_gradient", 1e-6),
 ])
-def test_criterion_10_oracles(quick_checks, name, tolerance, capsys):
-    check = next(c for c in quick_checks if c.name == name)
+def test_criterion_10_oracles(battery, name, tolerance, capsys):
+    check = next(c for c in battery if c.name == name)
     with capsys.disabled():
         print(f"\n[criterion 10] {check.line()}")
     assert check.tolerance == tolerance

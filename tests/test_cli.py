@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dipolebounds
-from dipolebounds import cli, detector, qfi, scenarios
+from dipolebounds import cli, detector, oracles, qfi, scenarios
 from dipolebounds.cli import (
     DEFAULT_CONFIG,
     PRESETS,
@@ -84,10 +84,6 @@ class TestResolveConfig:
             resolve_config(None, None, ["scatterer.chi0_nm3=-1"])
         assert "chi0_nm3" in err.value.path
 
-    def test_level_is_schema_checked(self):
-        with pytest.raises(ConfigError):
-            resolve_config(None, None, ["run.level=paranoid"])
-
     @pytest.mark.parametrize("override,path", [
         ("scatterer.chi0_nm3=0", "scatterer.chi0_nm3"),           # > 0
         ("scatterer.a0_nm=-0.1", "scatterer.a0_nm"),              # >= 0
@@ -104,7 +100,6 @@ class TestResolveConfig:
         ("run.fluence_ratio=\"a\"", "run.fluence_ratio"),
         ("run.corrections=1", "run.corrections"),                 # boolean
         ("run.normalize=\"yes\"", "run.normalize"),
-        ("run.level=1", "run.level"),                             # choice
         ("scatterer.position_nm=[1,2]", "scatterer.position_nm"),
         ("scatterer.position_nm=[1,2,3,4]", "scatterer.position_nm"),
         ("scatterer.position_nm=[1,\"a\",3]", "scatterer.position_nm"),
@@ -135,7 +130,6 @@ class TestResolveConfig:
         "run.second_lambda_nm=null",
         "run.fluence_ratio=0.5",
         "run.corrections=true",
-        "run.level=full",
         "scatterer.position_nm=[1, -2.5, 3]",
         "run.gauges=[\"coulomb\", \"multipolar\"]",
         "pulse.phi_per_um2=2",
@@ -209,6 +203,11 @@ class TestExitCodes:
         # the planar plate is placed by the scan axis, not by a distance key
         assert main(["farfield", "--set", "detector.distance_um=5"]) == 2
         assert "distance_um" in capsys.readouterr().err
+
+    def test_validate_level_is_2(self, capsys):
+        # one battery: there is no level to choose
+        assert main(["validate", "--set", "run.level=full"]) == 2
+        assert "run.level" in capsys.readouterr().err
 
     def test_detector_type_is_2(self, capsys):
         # the plate is the only detector, so there is no type to choose
@@ -382,27 +381,31 @@ class TestFarfield:
 def test_validate_quick_passes(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert "11/11 checks passed" in out
-    assert out.count("PASS") == 11
+    assert "15/15 checks passed" in out
+    assert out.count("PASS") == 15
 
 
 def test_validate_writes_one_row_per_check(tmp_path, capsys, monkeypatch,
-                                           quick_checks):
-    # the quick battery's results, written as `validate --out` writes them
-    monkeypatch.setattr(scenarios, "validate_suite",
-                        lambda level: quick_checks)
+                                           battery):
+    # the battery's results, written as `validate --out` writes them
+    monkeypatch.setattr(oracles, "validate_suite", lambda: battery)
     out = tmp_path / "val"
     assert main(["validate", "--out", str(out)]) == 0
     printed = capsys.readouterr().out.splitlines()[:-1]
     header, *rows = (out / "data.csv").read_text().splitlines()
     assert header == "name,error,tolerance,passed"
-    assert len(rows) == len(printed) == len(quick_checks)
-    for row, check in zip(rows, quick_checks):
+    assert len(rows) == len(printed) == len(battery)
+    for row, check in zip(rows, battery):
         name, error, tolerance, passed = row.split(",")
         assert (name, float(error), float(tolerance), passed) == \
             (check.name, check.error, check.tolerance, "1")
     resolved = json.loads((out / "config.resolved.json").read_text())
     assert resolved["_meta"]["subcommand"] == "validate"
+    # each check's seconds, keyed in the CSV's row order
+    seconds = resolved["_meta"]["seconds"]
+    assert list(seconds) == [row.split(",")[0] for row in rows]
+    assert seconds == {c.name: c.seconds for c in battery}
+    assert all(s > 0.0 for s in seconds.values())
     assert (out / "plot.script").read_text().endswith(
         "# validation table; nothing to plot\n")
 
@@ -478,7 +481,7 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
          "--set", "run.samples_per_period=2", "--out", out + "/qfi"],
         ["size-scan", "--set", "run.sizes=3", "--set", "run.peak_samples=5",
          "--out", out + "/size"],
-        ["validate", "--set", "run.level=full", "--out", out + "/validate"],
+        ["validate", "--out", out + "/validate"],
     ]
     codes = [main(argv) for argv in runs]
     loaded = sorted(m for m in sys.modules
@@ -637,7 +640,7 @@ def test_every_default_key_is_read(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(scenarios, "size_scaling_sweep",
                         sweep("a0_over_lambda", "a0_over_lambda",
                               {"fits": {}}))
-    monkeypatch.setattr(scenarios, "validate_suite", lambda level: [])
+    monkeypatch.setattr(oracles, "validate_suite", lambda: [])
     monkeypatch.setattr(cli, "emit_outputs", lambda *args: None)
 
     seen = set()

@@ -690,21 +690,6 @@ class TestScatteredPhotons:
         part = qfi._pv_operator(k, w, inside, slice(*rows))
         assert part.tobytes() == full[slice(*rows)].tobytes()
 
-    def test_independent_of_the_qfi_route(self, scat_532, spectral_200,
-                                          pulse_200, monkeypatch):
-        # the photon identity is a check only while the two routes share
-        # neither the profile evaluator nor the principal-value matrix
-        def forbidden(*args, **kwargs):
-            raise AssertionError("nsc_series reused the QFI route")
-
-        monkeypatch.setattr(qfi, "pv_matrix", forbidden)
-        monkeypatch.setattr(qfi, "FrequencyIntegrals", forbidden)
-        assert nsc_series(scat_532, spectral_200, [0.0])[0] > 0.0
-        # nor the QFI's V +- P, which a fresh pulse builds on first use
-        fresh = SpectralPulse.from_pulse(pulse_200)
-        assert nsc_series(scat_532, fresh, [0.0])[0] > 0.0
-        assert "transforms" not in vars(fresh)
-
     def test_causality(self, scat_532, spectral_200, pulse_200):
         early, late = nsc_series(scat_532, spectral_200,
                                  [-4.0 * pulse_200.tau, 5.0 * pulse_200.tau])

@@ -1,4 +1,4 @@
-"""Sweep drivers and the built-in validation battery."""
+"""Sweep drivers, and the validation battery that runs the oracle table."""
 import math
 import weakref
 from dataclasses import replace
@@ -10,6 +10,7 @@ from dipolebounds import cli, detector, fields, qfi
 from dipolebounds.detector import planar_grid
 from dipolebounds.fisher import crb_bounds, fi_matrix
 from dipolebounds.model import Pulse, UnitSystem
+from dipolebounds.oracles import ORACLES
 from dipolebounds.qfi import farfield_qcrb_constants
 from dipolebounds.scenarios import (
     SweepResult,
@@ -20,7 +21,6 @@ from dipolebounds.scenarios import (
     fit_power_law,
     qfi_time_sweep,
     size_scaling_sweep,
-    validate_suite,
 )
 
 LAM = 2.0 * math.pi
@@ -104,6 +104,17 @@ class TestPairedLinspace:
         np.testing.assert_array_equal(t[:6], -t[:6][::-1])
         assert t[-1] == 3.5
         assert len(set(np.abs(t).tolist())) == 4
+
+    def test_one_sample_is_linspace(self, scat_532, pulse_200):
+        t = _paired_linspace(-0.5 * math.pi, 0.5 * math.pi, 1)
+        assert t.tolist() == [-0.5 * math.pi]
+        sweep = size_scaling_sweep(scat_532, pulse_200, peak_samples=1,
+                                   a0_over_lambda=[1 / 120, 1 / 60, 1 / 30])
+        assert sweep.meta["times"] == 2
+
+    def test_empty_span_is_linspace(self, pulse_200):
+        t = default_time_axis(pulse_200, span=(1.0, 1.0))
+        assert t.tolist() == [pulse_200.tau, pulse_200.tau]
 
 
 @pytest.fixture(scope="module")
@@ -273,23 +284,14 @@ class TestSizeScalingSweep:
 
 
 class TestValidateSuite:
-    def test_quick_battery_passes(self, quick_checks):
-        assert len(quick_checks) == 11
-        failures = [c for c in quick_checks if not c.passed]
+    def test_full_battery_passes(self, battery):
+        # every row of the oracle table, in its order
+        assert [c.name for c in battery] == [row.name for row in ORACLES]
+        assert len(battery) == 15
+        failures = [c for c in battery if not c.passed]
         assert not failures, "\n".join(c.line() for c in failures)
 
-    def test_check_lines_are_printable(self, quick_checks):
-        for c in quick_checks:
+    def test_check_lines_are_printable(self, battery):
+        for c in battery:
             line = c.line()
             assert c.name in line and ("PASS" in line or "FAIL" in line)
-
-    def test_rejects_unknown_level(self):
-        with pytest.raises(ValueError, match="level"):
-            validate_suite("paranoid")
-
-    @pytest.mark.slow
-    def test_full_battery_passes(self):
-        checks = validate_suite("full")
-        assert len(checks) == 15
-        failures = [c for c in checks if not c.passed]
-        assert not failures, "\n".join(c.line() for c in failures)
