@@ -84,6 +84,11 @@ class TestResolveConfig:
             resolve_config(None, None, ["scatterer.chi0_nm3=-1"])
         assert "chi0_nm3" in err.value.path
 
+    def test_level_is_schema_checked(self):
+        # run.level is no longer a key: the schema refuses any value of it
+        with pytest.raises(ConfigError):
+            resolve_config(None, None, ["run.level=paranoid"])
+
     @pytest.mark.parametrize("override,path", [
         ("scatterer.chi0_nm3=0", "scatterer.chi0_nm3"),           # > 0
         ("scatterer.a0_nm=-0.1", "scatterer.a0_nm"),              # >= 0
@@ -110,6 +115,7 @@ class TestResolveConfig:
         ("run.gauges=\"coulomb\"", "run.gauges"),
         ("bogus=1", "bogus"),                                     # root key
         ("pulse.bogus=1", "pulse.bogus"),                         # section key
+        ("run.level=1", "run.level"),                             # deleted key
         ("scatterer=5", "scatterer"),                             # not an object
         ("run=null", "run"),
     ])
