@@ -325,11 +325,11 @@ def build_grid(cfg: dict, arrays: int = 3) -> SinhGrid:
     memory.
 
     The counts cover the measured tracemalloc peaks on the default
-    537-node grid: 2.75 ``n^2`` for ``size-scan`` (3 arrays, the default),
-    3.03 for ``qfi-time --preset fig3`` (4) and 4.26 with the covariance
+    537-node grid: 2.43 ``n^2`` for ``size-scan`` (3 arrays, the default),
+    2.70 for ``qfi-time --preset fig3`` (4) and 4.18 with the covariance
     corrections, whose one grid-only Cauchy matrix all sources share (5).
     A block of times adds a fixed working set to the ``n x n`` arrays; on
-    2145 nodes the two ``qfi-time`` peaks are 2.53 and 3.50 ``n^2``.
+    2145 nodes the two ``qfi-time`` peaks are 2.34 and 3.50 ``n^2``.
     """
     g = cfg["grid"]
     grid = SinhGrid(d=g["d_over_k0"], delta=g["delta"],
@@ -432,11 +432,12 @@ def cmd_crb_scan(cfg: dict, out_dir: Path) -> int:
                                            run["points_per_decade"])
     finite_a0 = units.length_to_internal(run["finite_a0_nm"] * 1e-9)
     solid_angle = det["solid_angle_over_pi"] * math.pi
-    # pixels grow with distance; a mirror cell holds a center and an area
-    cells = detector.cell_pixels(axis[-1] * _TWO_PI, solid_angle,
-                                 det["refinement"])
-    _within_memory(4 * 8 * cells, f"plate at {axis[-1]:g} wavelengths",
-                   f"a mirror cell of {cells} pixels",
+    # the axis grows with distance; a plate holds its edges and the
+    # centers and widths of its cells, the measured peak of its build
+    cells = detector.axis_cells(axis[-1] * _TWO_PI, solid_angle,
+                                det["refinement"])
+    _within_memory(3 * 8 * cells, f"plate at {axis[-1]:g} wavelengths",
+                   f"an edge axis of {cells} cells",
                    "lower run.z_max_over_lambda or detector.refinement")
     result = scenarios.crb_distance_sweep(
         scatterer, pulse,

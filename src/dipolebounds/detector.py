@@ -4,8 +4,11 @@ The detector is a square planar array at ``z = Z`` (forward ``Z > 0`` or
 backward ``Z < 0``) normal to the z axis, so the counted flux is its z
 component and pixels carry no normal vector.  A grid is pixel centers and
 exact per-pixel areas; it is a deterministic pure function of its
-arguments.  :func:`planar_grid` stores only the mirror cell of its plate,
-a :class:`MirroredGrid`; :meth:`PixelGrid.plate` expands every pixel.
+arguments.  :func:`planar_grid` returns a :class:`MirroredGrid`, which
+holds one edge axis and the plane ``z``: its mirror cell is the axis times
+itself, made a run of pixels at a time, so a plate costs memory in its
+linear pixel count, not its area.  ``plate()`` builds every pixel, for the
+reference routes.
 
 The planar transverse coordinates use a sinh stretching ``s = |Z| sinh(xi)``
 with uniform ``xi`` cell edges: pixels are small near the axis (where the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +35,7 @@ __all__ = [
     "planar_solid_angle",
     "half_width_for_solid_angle",
     "planar_grid",
-    "cell_pixels",
+    "axis_cells",
     "solid_angle_sum",
 ]
 
@@ -64,24 +68,85 @@ class PixelGrid:
         object.__setattr__(self, "areas", areas)
 
     @property
+    def cell_size(self) -> int:
+        """Pixels whose sign images make up the plate: all of them."""
+        return self.areas.size
+
+    @property
     def size(self) -> int:
-        return self.images * self.areas.size
+        return self.images * self.cell_size
+
+    def block(self, lo: int, hi: int) -> PixelGrid:
+        """Pixels ``[lo, hi)``."""
+        return PixelGrid(self.positions[lo:hi], self.areas[lo:hi])
 
     def plate(self) -> PixelGrid:
         """Every pixel of the plate."""
         return self
 
 
-class MirroredGrid(PixelGrid):
-    """A plate stored as its mirror cell ``x > 0, y > 0``, which its images
-    under ``x -> -x``, ``y -> -y`` and both (same areas) complete."""
+@dataclass(frozen=True, eq=False)
+class MirroredGrid:
+    """A square plate at ``z`` held as one edge axis ``0 = s_0 < ... < s_n``.
 
+    Its mirror cell ``x > 0, y > 0`` is the tensor product of the axis with
+    itself: cell pixel ``k = i n + j`` (row-major, x slowest) is centered at
+    ``(c_i, c_j, z)``, ``c_i = (s_i + s_{i+1}) / 2``, with area
+    ``w_i w_j``, ``w_i = s_{i+1} - s_i``.  The cell's images under
+    ``x -> -x``, ``y -> -y`` and both (same areas) complete the plate.
+    Runs of cell pixels are made on demand (:meth:`pixels`), so the grid
+    holds ``O(n)`` floats for a plate of ``4 n^2`` pixels.
+    """
+
+    edges: np.ndarray
+    z: float
     images = len(_MIRROR_SIGNS)
 
+    @cached_property
+    def _axis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and widths of the axis cells."""
+        s = self.edges
+        return 0.5 * (s[:-1] + s[1:]), np.diff(s)
+
+    @property
+    def cell_size(self) -> int:
+        """Pixels of the mirror cell."""
+        return (self.edges.size - 1) ** 2
+
+    @property
+    def size(self) -> int:
+        return self.images * self.cell_size
+
+    def pixels(self, lo: int, hi: int) -> PixelGrid:
+        """Cell pixels ``[lo, hi)``."""
+        centers, widths = self._axis
+        i, j = np.divmod(np.arange(lo, min(hi, self.cell_size)), centers.size)
+        pos = np.empty((i.size, 3))
+        pos[:, 0] = centers[i]
+        pos[:, 1] = centers[j]
+        pos[:, 2] = self.z
+        return PixelGrid(pos, widths[i] * widths[j])
+
+    def block(self, lo: int, hi: int) -> PixelGrid:
+        """Cell pixels ``[lo, hi)``, then their three sign images."""
+        cell = self.pixels(lo, hi)
+        return PixelGrid(
+            (_MIRROR_SIGNS[:, None] * cell.positions).reshape(-1, 3),
+            np.tile(cell.areas, self.images))
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Centers of the mirror cell's pixels, built in full."""
+        return self.pixels(0, self.cell_size).positions
+
+    @property
+    def areas(self) -> np.ndarray:
+        """Areas of the mirror cell's pixels, built in full."""
+        return self.pixels(0, self.cell_size).areas
+
     def plate(self) -> PixelGrid:
-        """The cell, then its three sign images, bit for bit."""
-        return PixelGrid((_MIRROR_SIGNS[:, None] * self.positions).reshape(-1, 3),
-                         np.tile(self.areas, self.images))
+        """The cell, then its three sign images, built in full."""
+        return self.block(0, self.cell_size)
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +211,24 @@ def planar_grid(distance: float, solid_angle: float,
     pixel edges follow ``s = |Z| sinh(xi)`` with uniform ``xi``; the outermost
     edges land exactly on ``+-a`` so pixel areas tile the plate exactly.
     ``refinement`` doubles the linear pixel density per unit.
-    The grid stores the mirror cell ``x > 0, y > 0`` (row-major, x
-    slowest); its sign images complete the plate, which
+    The grid holds the edge axis of the mirror cell ``x > 0, y > 0``; the
+    cell's sign images complete the plate, which
     :func:`~dipolebounds.fisher.fi_matrix` folds for a source on the z axis.
     """
     az, a, xi_max, half_cells = _half_axis(distance, solid_angle, refinement)
     half = az * np.sinh(np.linspace(0.0, xi_max, half_cells + 1))
     half[-1] = a
-    centers = 0.5 * (half[:-1] + half[1:])
-    widths = np.diff(half)
-
-    cell = np.empty((half_cells, half_cells, 3))
-    cell[..., 0] = centers[:, None]
-    cell[..., 1] = centers
-    cell[..., 2] = float(distance)
-    return MirroredGrid(cell.reshape(-1, 3), np.outer(widths, widths).ravel())
+    return MirroredGrid(half, float(distance))
 
 
-def cell_pixels(distance: float, solid_angle: float,
-                refinement: int = 1) -> int:
-    """Pixels in the mirror cell of :func:`planar_grid`, without building it."""
-    return _half_axis(distance, solid_angle, refinement)[3] ** 2
+def axis_cells(distance: float, solid_angle: float,
+               refinement: int = 1) -> int:
+    """Cells of the edge axis of :func:`planar_grid`, without building it;
+    the mirror cell has their square of pixels."""
+    return _half_axis(distance, solid_angle, refinement)[3]
 
 
-def solid_angle_sum(grid: PixelGrid) -> float:
+def solid_angle_sum(grid: PixelGrid | MirroredGrid) -> float:
     """Discrete solid angle seen from the origin: sum of z-projected pixel
     areas over distance^2."""
     grid = grid.plate()

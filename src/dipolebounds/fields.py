@@ -288,7 +288,8 @@ def _frame(points: np.ndarray, r0) -> _Frame:
     flat = dz.ravel()
     if flat.size and np.all(flat == flat[0]):
         dz = flat[0]
-    return _Frame(rho, inv, n, np.exp(1j * rho), np.exp(-1j * dz))
+    return _Frame(rho, inv, n, _complex(np.cos(rho), np.sin(rho)),
+                  np.exp(-1j * dz))
 
 
 def _flux_terms(frame: _Frame, a0: float) -> _FluxTerms:
@@ -386,8 +387,10 @@ def z_flux_parts(points: np.ndarray, placements, e_in: float = 1.0) -> list:
     field is formed relative to the incident wave ``e_in exp(i z)``: the
     incident field is the real ``e_in``, and the outgoing wave and the
     screened terms carry ``exp(-i (z - z0))``, one number for points in one
-    plane.  That is one complex exponential per point for the point dipole,
-    and the real screened ``exp(-2 rho / a0)`` besides for a finite source.
+    plane.  That is one cosine and one sine per point for the point dipole
+    (the outgoing wave, formed from its real and imaginary parts, which is
+    cheaper than a complex exponential), and the real screened
+    ``exp(-2 rho / a0)`` besides for a finite source.
 
     The screened terms are dropped when every point has
     ``u = 2 rho / a0 > 80`` and ``a0 > 1.1e-4``.  For ``a0 < 1`` their

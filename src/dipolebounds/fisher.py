@@ -31,8 +31,10 @@ one-placement case.  The x-polarized drive is symmetric under
 even there and the x0 and y0 columns odd.  So for a
 :class:`~dipolebounds.detector.MirroredGrid` (as from
 :func:`~dipolebounds.detector.planar_grid`) and sources on the z axis it
-evaluates the mirror cell alone and multiplies by the parity mask.  A
-source off the axis takes each block of the cell with its sign images.
+evaluates the mirror cell alone, in runs of ``_CHUNK`` cell pixels made
+from the grid's edge axis, and multiplies by the parity mask.  A source
+off the axis takes runs of ``_CHUNK / 4`` cell pixels with their three
+sign images.  So the grid's pixels are never held all at once.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _positive(nbar: np.ndarray) -> np.ndarray:
     return nbar
 
 
-def mean_counts(grid: PixelGrid, scatterer: Scatterer,
+def mean_counts(grid: PixelGrid | MirroredGrid, scatterer: Scatterer,
                 pulse: Pulse) -> np.ndarray:
     """Expected photon counts per pixel of the plate over the pulse, from
     the z flux of the full incident and scattered fields (the reference
@@ -105,7 +107,8 @@ def _counts(parts, chi0: float, pulse: Pulse, factor: np.ndarray):
     return nbar, grad.T
 
 
-def count_gradients(grid: PixelGrid, scatterer: Scatterer, pulse: Pulse):
+def count_gradients(grid: PixelGrid | MirroredGrid, scatterer: Scatterer,
+                    pulse: Pulse):
     """Mean counts and their derivatives along (chi0, x0, y0, z0).
 
     Returns ``(nbar, grad)`` with ``grad`` of shape ``(npixels, 4)``, over
@@ -137,7 +140,8 @@ def poisson_fi(nbar: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return (g / np.asarray(nbar, dtype=float)) @ g.T
 
 
-def fi_matrices(grid: PixelGrid, placements, pulse: Pulse) -> list:
+def fi_matrices(grid: PixelGrid | MirroredGrid, placements,
+                pulse: Pulse) -> list:
     """Fisher-information matrices of several sources on one plate, for
     (chi0, x0, y0, z0), summed block by block.
 
@@ -149,21 +153,22 @@ def fi_matrices(grid: PixelGrid, placements, pulse: Pulse) -> list:
     """
     fold = isinstance(grid, MirroredGrid) and all(
         scat.r0[0] == 0.0 and scat.r0[1] == 0.0 for scat, _ in placements)
-    block = PixelGrid if fold else type(grid)
+    take = grid.pixels if fold else grid.block
     step = _CHUNK if fold else _CHUNK // grid.images
     info = np.zeros((len(placements), 4, 4))
-    for lo in range(0, grid.areas.size, step):
-        sl = slice(lo, lo + step)
-        plate = block(grid.positions[sl], grid.areas[sl]).plate()
+    for lo in range(0, grid.cell_size, step):
+        plate = take(lo, lo + step)
         factor = pulse.tau * plate.areas
+        # rebound, not deleted: freeing a block's arrays before the next
+        # block's exist lets the allocator return the working set to the
+        # system and fault it back in on every block
         parts = fields.z_flux_parts(plate.positions, placements, pulse.e_in)
         for k, (scat, _) in enumerate(placements):
             info[k] += poisson_fi(*_counts(parts[k], scat.chi0, pulse, factor))
-        del parts       # freed before the next block's are built
     return [InfoMatrix(m * _PARITY_MASK if fold else m) for m in info]
 
 
-def fi_matrix(grid: PixelGrid, scatterer: Scatterer,
+def fi_matrix(grid: PixelGrid | MirroredGrid, scatterer: Scatterer,
               pulse: Pulse) -> InfoMatrix:
     """Fisher-information matrix of the pixel counts for (chi0, x0, y0, z0):
     the one-source case of :func:`fi_matrices`."""

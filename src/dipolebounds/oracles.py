@@ -75,7 +75,7 @@ _SCAT_1030 = Scatterer(chi0=13.0e-27 * (_TWO_PI / 1.03e-6) ** 3, omega0=10.3)
 _PULSE_1030 = Pulse(phi=5e17, tau=100.0)
 
 
-def _plate(refinement: int = 1) -> detector.PixelGrid:
+def _plate(refinement: int = 1) -> detector.MirroredGrid:
     return detector.planar_grid(2.0 * _TWO_PI, math.pi, refinement=refinement)
 
 

@@ -139,8 +139,7 @@ class SpectralPulse:
         """
         k, w = self.grid.nodes, self.grid.weights
         band = self.band
-        # pv_matrix's is the one n x n array: the rest is built on the band
-        pv = pv_matrix(k, w)[:, band].T
+        pv = pv_matrix(k, w, band).T
         plus = k[band, None] + k
         np.divide(w[band, None], plus, out=plus)
         v_sum = pv + plus

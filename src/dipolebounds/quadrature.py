@@ -181,7 +181,13 @@ def _interp_quadratic(x: np.ndarray, y: np.ndarray, x0):
     return y[..., i - 1] * l0 + y[..., i] * l1 + y[..., i + 1] * l2
 
 
-def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+#: element budget of the row blocks in which :func:`pv_matrix` forms its
+#: full-row sums
+_ROW_ELEMENTS = 2**15
+
+
+def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
+              cols=None) -> np.ndarray:
     """Matrix form of the principal-value transform on a fixed grid.
 
     Returns ``M`` such that ``M @ f`` approximates
@@ -194,25 +200,45 @@ def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarra
     neighbouring columns.  The two endpoint rows, whose log term is
     infinite, get plain pole excision: accurate only where the integrand is
     small, as this package's are at both grid ends.
+
+    ``cols`` (any index of a 1-d array) returns ``M[:, cols]`` bit for bit
+    without the other columns: the full-row sums that the diagonal
+    entries need are formed in blocks of rows.
     """
     nodes = np.asarray(nodes, dtype=float)
     if weights is None:
         weights = trapezoid_weights(nodes)
     a, b = nodes[0], nodes[-1]
+    n = nodes.size
+    c = np.arange(n) if cols is None else np.arange(n)[cols]
+    at = np.arange(c.size)
 
-    diff = nodes[None, :] - nodes[:, None]          # k_j - p_i
+    m = nodes[c] - nodes[:, None]                   # k_j - p_i
     with np.errstate(divide="ignore"):
-        m = weights[None, :] / diff
-    np.fill_diagonal(m, 0.0)
+        np.divide(weights[c], m, out=m)
+    m[c, at] = 0.0
 
     # interior rows, column i: -f(p_i) sum_j' w_j/(k_j - p_i) + f(p_i) log(...)
-    i = np.arange(1, nodes.size - 1)
+    inner = (c > 0) & (c < n - 1)
+    i = c[inner]
+    sums = np.empty(i.size)
+    step = max(1, _ROW_ELEMENTS // n)
+    for lo in range(0, i.size, step):
+        rows = i[lo:lo + step]
+        full = nodes - nodes[rows, None]
+        with np.errstate(divide="ignore"):
+            np.divide(weights, full, out=full)
+        full[np.arange(rows.size), rows] = 0.0
+        sums[lo:lo + step] = full.sum(axis=1)
     p = nodes[i]
-    m[i, i] += np.log((b - p) / (p - a)) - m.sum(axis=1)[i]
-    # on-pole removable ratio: w_i * f'(p_i) via neighbouring nodes
-    stencil = _stencil(nodes, weights)[i]
-    m[i, i + 1] += stencil
-    m[i, i - 1] -= stencil
+    m[i, at[inner]] += np.log((b - p) / (p - a)) - sums
+    # on-pole removable ratio: w_i * f'(p_i) via neighbouring nodes, on the
+    # interior rows i = c - 1 (column i + 1) and i = c + 1 (column i - 1)
+    stencil = _stencil(nodes, weights)
+    up = c >= 2
+    m[c[up] - 1, at[up]] += stencil[c[up] - 1]
+    down = c <= n - 3
+    m[c[down] + 1, at[down]] -= stencil[c[down] + 1]
     return m
 
 

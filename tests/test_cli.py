@@ -275,7 +275,7 @@ class TestExitCodes:
                                                   pages, sets):
         # 8 and 10 MB hold 3 and 4 n x n arrays (6.9 and 9.2 MB) but not
         # the 4 and 5 (9.2 and 11.5 MB) that cover the measured peaks of
-        # 3.03 and 4.26 n^2
+        # 2.70 and 4.18 n^2
         sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
         rc = main(["qfi-time", *sets, "--out", str(tmp_path / "out")])
@@ -283,33 +283,34 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_oversized_plate_is_4(self, tmp_path, capsys, monkeypatch):
-        # a plate at 1e6 wavelengths has a mirror cell of ~3e16 pixels: the
-        # scan is refused before any plate is built
+        # a plate at 1e9 wavelengths has an edge axis of ~1.7e11 cells, 3.8
+        # TiB to build: the scan is refused before any plate is built
         def refuse(*args, **kwargs):
             raise AssertionError("plate built")
 
         monkeypatch.setattr(detector, "planar_grid", refuse)
         start = time.perf_counter()
-        rc = main(["crb-scan", "--set", "run.z_max_over_lambda=1e6",
+        rc = main(["crb-scan", "--set", "run.z_max_over_lambda=1e9",
                    "--out", str(tmp_path / "out")])
         assert rc == 4
         assert time.perf_counter() - start < 1.0
-        assert "mirror cell of 29708206767833344 pixels" \
-            in capsys.readouterr().err
+        assert "an edge axis of 172360687528 cells" in capsys.readouterr().err
         assert not (tmp_path / "out" / "data.csv").exists()
 
     def test_plate_limit_is_physical_memory(self, tmp_path, monkeypatch):
-        # the default scan's 10-wavelength cell needs 95 MB: refused with
-        # 64 MB of RAM; the cell at 2 wavelengths (3.8 MB) runs with 128 MB
-        sizes = {"SC_PHYS_PAGES": 16384, "SC_PAGE_SIZE": 4096}
+        # the default scan's largest plate, at 10 wavelengths, holds an
+        # edge axis of 1724 cells, 41 KB: the default scan is refused with
+        # 32 KB of RAM, and that plate runs with 64 MB, less than its
+        # mirror cell's 95 MB of pixel centers and areas
+        sizes = {"SC_PHYS_PAGES": 8, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
         assert main(["crb-scan", "--out", str(tmp_path / "out")]) == 4
         assert not (tmp_path / "out" / "data.csv").exists()
-        sizes["SC_PHYS_PAGES"] = 32768
-        assert main(["crb-scan", "--set", "run.z_min_over_lambda=1",
-                     "--set", "run.z_max_over_lambda=2",
-                     "--set", "run.points_per_decade=1",
-                     "--out", str(tmp_path / "small")]) == 0
+        sizes["SC_PHYS_PAGES"] = 16384
+        assert main(["crb-scan", "--set", "run.z_min_over_lambda=9.9",
+                     "--out", str(tmp_path / "largest")]) == 0
+        rows = (tmp_path / "largest" / "data.csv").read_text().splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [9.9, 10.0]
 
     @pytest.mark.parametrize("where,value", [
         ("run.z_max_over_lambda", "Infinity"),

@@ -1,4 +1,5 @@
 """Detector geometry: solid angles, pixel tilings, refinement."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from dipolebounds.detector import (
     MirroredGrid,
     PixelGrid,
-    cell_pixels,
+    axis_cells,
     half_width_for_solid_angle,
     planar_grid,
     planar_solid_angle,
@@ -114,15 +115,53 @@ class TestPlanarGrid:
     @pytest.mark.parametrize("z_rel,omega,refinement", [
         (0.02, 1.97, 1), (-0.3, 1.0, 2), (2.0, 0.5, 1), (4.0, 1.97, 1)])
     def test_cell_pixels_without_building(self, z_rel, omega, refinement):
+        # the cell is the edge axis times itself
         g = planar_grid(z_rel * LAM, omega * math.pi, refinement)
-        assert cell_pixels(z_rel * LAM, omega * math.pi, refinement) \
-            == g.areas.size
+        n = axis_cells(z_rel * LAM, omega * math.pi, refinement)
+        assert n ** 2 == g.cell_size == g.areas.size
+        assert g.edges.shape == (n + 1,)
 
     def test_rejects_bad_refinement(self):
         with pytest.raises(ValueError):
             planar_grid(LAM, math.pi, refinement=0)
         with pytest.raises(ValueError):
-            cell_pixels(LAM, math.pi, refinement=1.5)
+            axis_cells(LAM, math.pi, refinement=1.5)
+
+    def test_holds_only_its_edge_axis(self):
+        # a 10-wavelength plate of 11.9 M pixels is 1725 edges and a plane
+        g = planar_grid(10.0 * LAM, 1.97 * math.pi)
+        assert [f.name for f in dataclasses.fields(g)] == ["edges", "z"]
+        assert g.edges.shape == (1725,) and g.z == 10.0 * LAM
+        assert g.size == 4 * 1724 ** 2
+
+    @pytest.mark.parametrize("refinement", [1, 2])
+    @pytest.mark.parametrize("z_rel", [0.3, -0.3])
+    def test_pixel_runs_are_the_stored_cell(self, z_rel, refinement):
+        # every run of cell pixels, across row ends and past the last one,
+        # is the cell as it was stored, from the outer products of the
+        # axis, bit for bit; block() adds the run's sign images
+        g = planar_grid(z_rel * LAM, 1.97 * math.pi, refinement)
+        s = g.edges
+        centers, widths = 0.5 * (s[:-1] + s[1:]), np.diff(s)
+        n = centers.size
+        cell = np.empty((n, n, 3))
+        cell[..., 0] = centers[:, None]
+        cell[..., 1] = centers
+        cell[..., 2] = z_rel * LAM
+        pos, areas = cell.reshape(-1, 3), np.outer(widths, widths).ravel()
+        for lo, hi in ((0, 1), (n - 1, n + 1), (3, 2 * n + 5),
+                       (n * n - 7, n * n + 20), (0, n * n)):
+            run = g.pixels(lo, hi)
+            np.testing.assert_array_equal(run.positions, pos[lo:hi])
+            np.testing.assert_array_equal(run.areas, areas[lo:hi])
+            block = g.block(lo, hi)
+            np.testing.assert_array_equal(
+                block.positions.reshape(4, -1, 3),
+                pos[lo:hi] * np.array([[[1.0, 1.0, 1.0]], [[-1.0, 1.0, 1.0]],
+                                       [[1.0, -1.0, 1.0]], [[-1.0, -1.0, 1.0]]]))
+            np.testing.assert_array_equal(block.areas, np.tile(areas[lo:hi], 4))
+        np.testing.assert_array_equal(g.positions, pos)
+        np.testing.assert_array_equal(g.areas, areas)
 
 
 def test_pixelgrid_validates_shapes():

@@ -1,5 +1,6 @@
 """Photon-counting Fisher information and classical bounds."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -314,6 +315,72 @@ def test_placements_match_their_own_plates(scat_1030, pulse_1030,
     with pytest.raises(ValueError, match="side"):
         fi_matrices(planar_grid(0.3 * LAM, math.pi), [(scat_1030, 0.0)],
                     pulse_1030)
+
+
+def _stored_cell_route(grid, fold):
+    # the plate's pixels in the order fi_matrices takes them, as one plain
+    # grid built from the whole cell (outer products of the axis, not
+    # MirroredGrid.pixels): the cell in runs of _CHUNK when folded, else
+    # runs of _CHUNK / 4 cells each followed by its three sign images
+    s = grid.edges
+    centers, widths = 0.5 * (s[:-1] + s[1:]), np.diff(s)
+    n = centers.size
+    cell = np.empty((n, n, 3))
+    cell[..., 0] = centers[:, None]
+    cell[..., 1] = centers
+    cell[..., 2] = grid.z
+    pos, areas = cell.reshape(-1, 3), np.outer(widths, widths).ravel()
+    if fold:
+        return PixelGrid(pos, areas)
+    signs = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
+                      [-1.0, -1.0, 1.0]])
+    step = fisher._CHUNK // 4
+    runs = range(0, n * n, step)
+    return PixelGrid(
+        np.concatenate([(signs[:, None] * pos[lo:lo + step]).reshape(-1, 3)
+                        for lo in runs]),
+        np.concatenate([np.tile(areas[lo:lo + step], 4) for lo in runs]))
+
+
+@pytest.mark.parametrize("off_axis", [False, True])
+@pytest.mark.parametrize("chunk", [96, 4096])
+def test_axis_blocks_are_the_stored_cell_route(scat_1030, pulse_1030,
+                                               off_axis, chunk, monkeypatch):
+    # the blocks drawn from the edge axis sum to the information of the
+    # stored cell bit for bit: folded (point and finite sources on both
+    # sides of the plate) and unfolded by one source off the axis.  A plain
+    # grid is never folded and goes in blocks of _CHUNK, the very blocks of
+    # the stored route; the parity mask's entries (0 and 4) scale exactly
+    monkeypatch.setattr(fisher, "_CHUNK", chunk)
+    finite = replace(scat_1030, a0=LAM / 30.0)
+    placements = [(scat_1030, 1.0), (scat_1030, -1.0), (finite, 1.0)]
+    if off_axis:
+        placements.append((replace(scat_1030, r0=(0.3, -0.2, 0.0)), -1.0))
+    grid = planar_grid(0.4 * LAM, 1.97 * math.pi)
+    got = fi_matrices(grid, placements, pulse_1030)
+    want = fi_matrices(_stored_cell_route(grid, not off_axis), placements,
+                       pulse_1030)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(
+            g.matrix, w.matrix if off_axis else w.matrix * fisher._PARITY_MASK)
+
+
+def test_peak_memory_is_flat_in_pixel_count(scat_1030, pulse_1030):
+    # the point placements of crb-scan at 1 and 4 wavelengths: 16 times the
+    # pixels, the same peak, for building the plate and summing its blocks
+    placements = [(scat_1030, 1.0), (scat_1030, -1.0)]
+    peaks, sizes = [], []
+    for z_rel in (1.0, 4.0):
+        tracemalloc.start()
+        try:
+            grid = planar_grid(z_rel * LAM, 1.97 * math.pi)
+            fi_matrices(grid, placements, pulse_1030)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(grid.size)
+    assert sizes == [4 * 173**2, 4 * 690**2]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_information_matrix_block_structure(scat_1030, pulse_1030, small_grid):

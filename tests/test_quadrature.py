@@ -14,6 +14,8 @@ from dipolebounds.quadrature import (
     pv_matrix,
     trapezoid_weights,
 )
+from dipolebounds.model import Pulse, UnitSystem
+from dipolebounds.qfi import SpectralPulse
 
 
 def test_trapezoid_weights_match_numpy():
@@ -116,6 +118,24 @@ class TestPvMatrix:
             ref[i, hi] += w[i] / (k[hi] - k[lo])
             ref[i, lo] -= w[i] / (k[hi] - k[lo])
         assert np.array_equal(pv_matrix(k, w), ref)
+
+    @pytest.mark.parametrize("cols", [
+        "1030nm", "4500nm", slice(0, 40), slice(490, None), slice(0, 1),
+        slice(-1, None), np.array([0, 1, 2, 300, 535, 536])])
+    def test_columns_without_the_matrix(self, cols):
+        # M[:, cols] bit for bit: the pulse bands of the 1030 nm drive and
+        # of fig3's 4500 nm one (nodes 0-361 and 0-399 of 537), bands on
+        # either end, whose columns meet the end rows without a stencil or
+        # log term, and scattered columns
+        grid = SinhGrid()
+        k, w = grid.nodes, grid.weights
+        if isinstance(cols, str):
+            units = UnitSystem.from_wavelength_nm(float(cols[:-2]))
+            pulse = Pulse(phi=1.0, tau=units.time_to_internal(24e-15))
+            cols = SpectralPulse.from_pulse(pulse, grid).band
+        got = pv_matrix(k, w, cols)
+        assert np.array_equal(got, pv_matrix(k, w)[:, cols])
+        assert got.shape == (k.size, np.arange(k.size)[cols].size)
 
     @pytest.mark.parametrize("grid", ["sinh", "uneven"])
     def test_times_k_minus_p_is_weights_and_stencil(self, grid):

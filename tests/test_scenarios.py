@@ -156,8 +156,8 @@ class TestCrbDistanceSweep:
     def test_one_plate_alive_at_a_time(self, scat_1030, pulse_1030,
                                        monkeypatch):
         # one plate per distance, mirrored for the backward placement, and
-        # freed before the next is built, so the sweep's working set is the
-        # largest plate's mirror cell
+        # freed before the next is built, so the sweep holds one edge axis
+        # at a time
         built = []
 
         def spy(*args):
