@@ -326,10 +326,11 @@ def build_grid(cfg: dict, arrays: int = 3) -> SinhGrid:
 
     The counts cover the measured tracemalloc peaks on the default
     537-node grid: 2.43 ``n^2`` for ``size-scan`` (3 arrays, the default),
-    2.70 for ``qfi-time --preset fig3`` (4) and 4.18 with the covariance
+    2.59 for ``qfi-time --preset fig3`` (4) and 4.21 with the covariance
     corrections, whose one grid-only Cauchy matrix all sources share (5).
     A block of times adds a fixed working set to the ``n x n`` arrays; on
-    2145 nodes the two ``qfi-time`` peaks are 2.34 and 3.50 ``n^2``.
+    2145 nodes the two ``qfi-time`` peaks are 2.25 and 3.50 ``n^2``.  The
+    counts date from full ``n x n`` transforms, so they over-count.
     """
     g = cfg["grid"]
     grid = SinhGrid(d=g["d_over_k0"], delta=g["delta"],
@@ -360,11 +361,18 @@ def _format_value(v) -> str:
 
 def write_csv(path: Path, names: list, rows) -> None:
     """A header of ``names`` and one line per row: numbers to 17 significant
-    digits, strings as they are."""
+    digits, strings as they are, as :func:`_format_value` formats each.
+
+    The first row tells the string columns; each row is formatted by one
+    ``%`` format string, ``"%.17g"`` for a number and ``"%s"`` for a string.
+    """
     lines = [",".join(names)]
     # Python floats format faster than numpy scalars, to the same digits
     rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
-    lines += [",".join(_format_value(v) for v in row) for row in rows]
+    if len(rows):
+        fmt = ",".join("%s" if isinstance(v, str) else "%.17g"
+                       for v in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -483,31 +491,33 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
     run = cfg["run"]
     normalize = run["normalize"]
     lam1, lam2 = cfg["pulse"]["lambda_nm"], run["second_lambda_nm"]
-    columns, meta = {}, {}
+    units, scat, pulse = build_physics(cfg)
+    # the covariance corrections hold one n x n matrix more, and their
+    # blocks' working set
+    kernels = run["corrections"] and "multipolar" in run["gauges"]
+    grid = build_grid(cfg, 5 if kernels else 4)
+    times = scenarios.default_time_axis(
+        pulse, run["samples_per_period"],
+        (run["t_min_over_tau"], run["t_max_over_tau"]))
+    t_fs = units.time_from_internal(times) * 1e15
+    runs, tags = [(scat, pulse, times)], [(lam1, units)]
     # the first pulse fixes the fluence in SI and the femtosecond time axis,
     # which a second wavelength shares
-    for i, lam in enumerate((lam1,) if lam2 is None else (lam1, lam2), 1):
-        if i == 1:
-            units, scat, pulse = build_physics(cfg)
-            # the covariance corrections hold one n x n matrix more, and
-            # their blocks' working set
-            kernels = run["corrections"] and "multipolar" in run["gauges"]
-            grid = build_grid(cfg, 5 if kernels else 4)
-            phi1_si = units.fluence_from_internal(pulse.phi)
-            times = scenarios.default_time_axis(
-                pulse, run["samples_per_period"],
-                (run["t_min_over_tau"], run["t_max_over_tau"]))
-            t_fs = units.time_from_internal(times) * 1e15
-        else:
-            ratio = run["fluence_ratio"]
-            ratio = lam2 / lam1 if ratio is None else ratio
+    if lam2 is not None:
+        ratio = run["fluence_ratio"]
+        ratio = lam2 / lam1 if ratio is None else ratio
+        units, scat, pulse = build_physics(
+            cfg, lam2, ratio * units.fluence_from_internal(pulse.phi))
+        runs.append((scat, pulse, units.time_to_internal(t_fs * 1e-15)))
+        tags.append((lam2, units))
+    # both wavelengths in one call: the grid's band operators are built once
+    sweeps = scenarios.qfi_time_sweeps(runs, gauges=tuple(run["gauges"]),
+                                       corrections=run["corrections"],
+                                       normalize=normalize, grid=grid)
+    columns, meta = {}, {}
+    for i, ((lam, units), sweep) in enumerate(zip(tags, sweeps), 1):
+        if i == 2:
             meta["fluence_ratio"] = ratio
-            units, scat, pulse = build_physics(cfg, lam, ratio * phi1_si)
-            times = units.time_to_internal(t_fs * 1e-15)
-        sweep = scenarios.qfi_time_sweep(scat, pulse, times=times,
-                                         gauges=tuple(run["gauges"]),
-                                         corrections=run["corrections"],
-                                         normalize=normalize, grid=grid)
         columns.update(_qfi_physical_columns(sweep, units, normalize,
                                              f"{lam:g}nm"))
         meta[f"wavelength_{i}_nm"] = lam

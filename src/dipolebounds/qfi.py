@@ -47,11 +47,13 @@ from .quadrature import (SinhGrid, _pole_subtraction, pv_integral,
 __all__ = [
     "GAUGES",
     "SpectralPulse",
+    "share_transforms",
     "FrequencyIntegrals",
     "QfiSeries",
     "qfi_matrices",
     "qfi_matrix",
     "nsc_series",
+    "nsc_series_list",
     "farfield_qfi",
     "farfield_qcrb_constants",
     "mode_integral_field",
@@ -134,17 +136,11 @@ class SpectralPulse:
         """Band rows of ``((V + P).T, (V - P).T)``, each ``(m, n)``.
 
         V is the PV and P the 1/(k+p) matrix, ``n`` the grid size and ``m``
-        the band width.  Built on first use: a pulse used only by
-        :func:`nsc_series` never holds them.
+        the band width.  Built on first use, once per grid: a pulse used
+        only by :func:`nsc_series` never holds them, and pulses passed to
+        :func:`share_transforms` hold row views of one build.
         """
-        k, w = self.grid.nodes, self.grid.weights
-        band = self.band
-        pv = pv_matrix(k, w, band).T
-        plus = k[band, None] + k
-        np.divide(w[band, None], plus, out=plus)
-        v_sum = pv + plus
-        v_diff = np.subtract(pv, plus, out=plus)
-        return v_sum, v_diff
+        return _band_transforms(self.grid, self.band)
 
     @cached_property
     def _k_stencil(self) -> tuple[slice, np.ndarray]:
@@ -206,6 +202,35 @@ class SpectralPulse:
         rows, c = self._k_remainder(g_im)
         v_im[..., rows] += c
         return x, y, v_re, v_im
+
+
+def _band_transforms(grid: SinhGrid, rows: slice) -> tuple:
+    """Rows ``rows`` of ``((V + P).T, (V - P).T)`` on ``grid``."""
+    k, w = grid.nodes, grid.weights
+    pv = pv_matrix(k, w, rows).T
+    plus = k[rows, None] + k
+    np.divide(w[rows, None], plus, out=plus)
+    v_sum = pv + plus
+    v_diff = np.subtract(pv, plus, out=plus)
+    return v_sum, v_diff
+
+
+def share_transforms(spectra) -> None:
+    """Build the :attr:`SpectralPulse.transforms` of pulses on one grid
+    once: each pulse gets its band's rows, as views, of one build on the
+    smallest run of nodes that covers every band.  The rows are the ones
+    each pulse would build alone, bit for bit."""
+    spectra = list(spectra)
+    grid = spectra[0].grid
+    if any(spectral.grid is not grid for spectral in spectra):
+        raise ValueError("the pulses must share one grid")
+    lo = min(spectral.band.start for spectral in spectra)
+    hi = max(spectral.band.stop for spectral in spectra)
+    v_sum, v_diff = _band_transforms(grid, slice(lo, hi))
+    for spectral in spectra:
+        rows = slice(spectral.band.start - lo, spectral.band.stop - lo)
+        # the slot cached_property fills on first use
+        spectral.__dict__["transforms"] = v_sum[rows], v_diff[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +576,19 @@ def _pv_operator(nodes: np.ndarray, weights: np.ndarray, inside: slice,
     subtraction, its log term folded into the pole's own entry; the other
     columns get plain excision, ``w / (k - p)`` without the on-pole node.
     Both slices are contiguous runs of nodes, and every entry is the one
-    the full operator holds.
+    the full operator holds.  The entries are written in place: the pole
+    columns by the rule itself, as the transpose of its ``c[:, rows]``, and
+    its full-row sums come in blocks of poles.
     """
     n = nodes.size
     op = np.empty((rows.stop - rows.start, n))
-    c, coef = _pole_subtraction(nodes, weights, nodes[inside])
-    op[:, inside] = c[:, rows].T
-    del c
+    _, coef = _pole_subtraction(nodes, weights, nodes[inside], rows,
+                                op[:, inside].T)
     k, w = nodes[rows, None], weights[rows, None]
     with np.errstate(divide="ignore"):
         for cols in (slice(0, inside.start), slice(inside.stop, n)):
-            op[:, cols] = w / (k - nodes[cols])
+            np.subtract(k, nodes[cols], out=op[:, cols])
+            np.divide(w, op[:, cols], out=op[:, cols])
     # the diagonal: each pole's own entry, 0 where a pole is excised
     diag = np.zeros(n)
     diag[inside] = coef
@@ -590,46 +617,76 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     not pair ``+-t`` as :func:`qfi_matrices` does: every time gets its own
     product row, so a fault in that pairing shows in the photon identity
     (``tests/test_qfi.py`` holds it to 1e-12 on a series where the negative
-    times pair).  Poles inside the pulse's band
-    get :func:`~dipolebounds.quadrature.pv_integral`'s pole subtraction; the
-    remaining poles get plain excision.  Both are built once per call, as one
-    real operator V, and combined with the 1/(k+p) operator P: for the real
-    kernel, ``f = a + ib`` gives ``f V + f* P = a (V + P) + i b (V - P)``.
+    times pair).  Poles inside the pulse's band get
+    :func:`~dipolebounds.quadrature.pv_integral`'s pole subtraction; the
+    remaining poles get plain excision.  Both are built once per grid, as
+    one real operator V, and combined with the 1/(k+p) operator P: for the
+    real kernel, ``f = a + ib`` gives ``f V + f* P = a (V + P) + i b (V - P)``.
     ``f`` vanishes off the band, so only the band rows of V and P are built,
     and a block of ``T`` times costs two real products on ``(T, m)`` band
-    arrays; ``|s|^2`` is summed from the real and imaginary parts.
+    arrays; ``|s|^2`` is summed from the real and imaginary parts.  This is
+    the one-series case of :func:`nsc_series_list`.
     """
-    grid = spectral.grid
+    return nsc_series_list([(scatterer, spectral, times)])[0]
+
+
+def nsc_series_list(runs) -> list:
+    """:func:`nsc_series` of several ``(scatterer, spectral, times)`` runs
+    whose pulses share one grid: one array per run, in order.
+
+    V and P are built once, on the rows of the smallest run of nodes that
+    covers every pulse's band, and the poles inside that run get the pole
+    subtraction.  Each series multiplies only its own band's rows, as
+    views, and the operators are freed on return.  A pole outside a
+    pulse's own band but inside another's reaches that pulse's series only
+    through the stencil on its band's two edge nodes, where the amplitude
+    is below 1e-290 of its peak.
+    """
+    runs = list(runs)
+    grid = runs[0][1].grid
+    if any(spectral.grid is not grid for _, spectral, _ in runs):
+        raise ValueError("the runs' pulses must share one grid")
     k, w, n = grid.nodes, grid.weights, grid.size
-    band = spectral.band
-    kb = k[band]
-    xi = regularizer(k, scatterer.a0)
-    # the kernel carries the 1/2pi of the k-integral
-    kern = np.sqrt(kb) * xi[band] * scatterer.chi(kb) / (2.0 * math.pi)
-    # a pole outside the band or at a grid boundary gets plain excision, with
-    # negligible weight downstream
-    inside = slice(max(band.start, 1), min(band.stop - 1, n - 2) + 1)
-    # V's band rows: nothing n x n is built
-    v = _pv_operator(k, w, inside, band)
-    # P's band rows first, then V - P, then V + P in place
-    v_plus = kb[:, None] + k
-    np.divide(w[band, None], v_plus, out=v_plus)
+    union = slice(min(spectral.band.start for _, spectral, _ in runs),
+                  max(spectral.band.stop for _, spectral, _ in runs))
+    # a pole outside the bands or at a grid boundary gets plain excision,
+    # with negligible weight downstream
+    inside = slice(max(union.start, 1), min(union.stop - 1, n - 2) + 1)
+    # V's rows on the bands: nothing n x n is built
+    v = _pv_operator(k, w, inside, union)
+    # P's rows first, then V - P, then V + P in place
+    v_plus = k[union, None] + k
+    np.divide(w[union, None], v_plus, out=v_plus)
     v_minus = v - v_plus
     v_plus += v
     del v
-    # |s|^2 p^2 with the emitted mode's factor sqrt(p) xi_p squared in
-    weights = w * k**3 * np.square(xi) / (3.0 * math.pi**2)
 
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty(times.size)
-    for blk in _blocks(times.size, n):
-        sin, cos = spectral.band_values(times[blk])
-        f_re, f_im = kern * sin, kern * cos
-        s_re, s_im = f_re @ v_plus, f_im @ v_minus
-        # the causal term -(i/2) f, with f carrying the 1/2pi
-        s_re[:, band] += math.pi * f_im
-        s_im[:, band] -= math.pi * f_re
-        out[blk] = (np.square(s_re) + np.square(s_im)) @ weights
+    out = []
+    for scatterer, spectral, times in runs:
+        band = spectral.band
+        rows = slice(band.start - union.start, band.stop - union.start)
+        kb = k[band]
+        xi = regularizer(k, scatterer.a0)
+        # the kernel carries the 1/2pi of the k-integral
+        kern = np.sqrt(kb) * xi[band] * scatterer.chi(kb) / (2.0 * math.pi)
+        # |s|^2 p^2 with the emitted mode's factor sqrt(p) xi_p squared in
+        weights = w * k**3 * np.square(xi) / (3.0 * math.pi**2)
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        nsc = np.empty(times.size)
+        for blk in _blocks(times.size, n):
+            f_re, f_im = spectral.band_values(times[blk])
+            f_re *= kern
+            f_im *= kern
+            s_re, s_im = f_re @ v_plus[rows], f_im @ v_minus[rows]
+            # the causal term -(i/2) f, with f carrying the 1/2pi
+            s_re[:, band] += math.pi * f_im
+            s_im[:, band] -= math.pi * f_re
+            # |s|^2, in place
+            s_re *= s_re
+            s_im *= s_im
+            s_re += s_im
+            nsc[blk] = s_re @ weights
+        out.append(nsc)
     return out
 
 

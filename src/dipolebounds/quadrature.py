@@ -141,7 +141,8 @@ def pv_integral(f, nodes: np.ndarray, pole: float,
     return (fk @ c.T)[..., 0] + fp * coef[0]
 
 
-def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray):
+def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray,
+                      cols: slice | None = None, out: np.ndarray | None = None):
     """:func:`pv_integral`'s rule for the 1-d poles ``p``, as ``(c, coef)``.
 
     ``PV = F @ c.T + f(p) coef``: ``c`` is the real ``(P, n)`` matrix
@@ -149,21 +150,46 @@ def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray):
     stencil for ``f'(p)`` on its neighbours, and
     ``coef = ln((b-p)/(p-a)) - s``, ``s`` the row sums of ``c`` without
     the stencil.  Every pole must lie strictly inside the node range.
+
+    ``cols``, a contiguous slice of nodes, returns ``c[:, cols]`` bit for bit,
+    written into ``out`` where given (a ``(P, len)`` array or view, such as
+    a transposed one): the full-row sums ``s`` are formed in blocks of
+    poles, so no ``(P, n)`` array is built.
     """
     a, b = nodes[0], nodes[-1]
-    c = nodes - p[:, None]
-    on_pole = np.abs(c) < 1e-14 * np.maximum(np.abs(p), 1.0)[:, None]
-    with np.errstate(divide="ignore"):
-        np.divide(weights, c, out=c)
-    c[on_pole] = 0.0
-    coef = np.log((b - p) / (p - a)) - c.sum(axis=1)
-    # removable singularity: w_i f'(p) from the neighbouring nodes
+    n = nodes.size
+    # a node within 1e-14 of a pole is one of its two neighbours in order
+    near = np.clip(np.searchsorted(nodes, p), 1, n - 1)[:, None] - [1, 0]
+    on_pole = (np.abs(nodes[near] - p[:, None])
+               < 1e-14 * np.maximum(np.abs(p), 1.0)[:, None])
     row, col = np.nonzero(on_pole)
+    col = near[row, col]
+    step = max(1, p.size if cols is None else _ROW_ELEMENTS // n)
+    s = np.empty(p.size)
+    block = np.empty((min(step, p.size), n))
+    for lo in range(0, p.size, step):
+        c = np.subtract(nodes, p[lo:lo + step, None], out=block[:p.size - lo])
+        with np.errstate(divide="ignore"):
+            np.divide(weights, c, out=c)
+        at = (row >= lo) & (row < lo + step)
+        c[row[at] - lo, col[at]] = 0.0
+        s[lo:lo + step] = c.sum(axis=1)
+    coef = np.log((b - p) / (p - a)) - s
+    start, stop = 0, n
+    if cols is not None:
+        start, stop, _ = cols.indices(n)
+        c = np.subtract(nodes[cols], p[:, None], out=out)
+        with np.errstate(divide="ignore"):
+            np.divide(weights[cols], c, out=c)
+        keep = (col >= start) & (col < stop)
+        c[row[keep], col[keep] - start] = 0.0
+    # removable singularity: w_i f'(p) from the neighbouring nodes
     lo = np.maximum(col - 1, 0)
-    hi = np.minimum(col + 1, nodes.size - 1)
+    hi = np.minimum(col + 1, n - 1)
     stencil = weights[col] / (nodes[hi] - nodes[lo])
-    c[row, hi] += stencil
-    c[row, lo] -= stencil
+    for at, add in ((hi, stencil), (lo, -stencil)):
+        keep = (at >= start) & (at < stop)
+        c[row[keep], at[keep] - start] += add[keep]
     return c, coef
 
 

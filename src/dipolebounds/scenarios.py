@@ -21,6 +21,7 @@ __all__ = [
     "SweepResult",
     "crb_distance_sweep",
     "qfi_time_sweep",
+    "qfi_time_sweeps",
     "size_scaling_sweep",
     "fit_power_law",
 ]
@@ -185,42 +186,70 @@ def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
 
     With ``normalize=True`` every diagonal entry is divided by its analytic
     long-time value, the chi0/z0 cross entry by the geometric mean of its
-    diagonal partners, and the photon number by its asymptotic total.
+    diagonal partners, and the photon number by its asymptotic total.  The
+    one-pulse case of :func:`qfi_time_sweeps`.
     """
-    if times is None:
-        times = default_time_axis(pulse)
-    times = np.asarray(times, dtype=float)
-    spectral = qfi.SpectralPulse.from_pulse(pulse, grid)
-    # first: the QFI's n x n transforms, built on first use, are not yet held
-    nsc = qfi.nsc_series(scatterer, spectral, times)
-    scale = (np.diag(qfi.farfield_qfi(scatterer, pulse.phi)) if normalize
-             else np.ones(4))
-    columns = {}
-    for gauge in gauges:
-        series = qfi.qfi_matrix(scatterer, spectral, times, gauge=gauge,
-                                corrections=corrections and gauge == "multipolar")
-        diag = series.diagonal() / scale
-        for j, name in enumerate(("j00", "j11", "j22", "j33")):
-            columns[f"{name}_{gauge}"] = diag[:, j]
-        columns[f"j03_{gauge}"] = (series.j[:, 0, 3]
-                                   / math.sqrt(scale[0] * scale[3]))
-    nsc_total = fisher.n_scattered(scatterer, pulse)
-    columns["nsc"] = nsc / nsc_total if normalize else nsc
+    return qfi_time_sweeps([(scatterer, pulse, times)], gauges, corrections,
+                           normalize, grid)[0]
 
-    meta = {
-        "scenario": "qfi_time_sweep",
-        "gauges": list(gauges),
-        "corrections": bool(corrections),
-        "normalize": bool(normalize),
-        **_physics_meta(scatterer, pulse),
-        "a0_internal": scatterer.a0,
-        "modes": spectral.grid.size,
-        "nsc_total": nsc_total,
-        "times": times.size,
-        # qfi_matrices' product rows per transform
-        "product_rows": qfi._time_pairs(times)[0].size,
-    }
-    return SweepResult("t_internal", times, columns, meta)
+
+def qfi_time_sweeps(runs, gauges: tuple = ("multipolar",),
+                    corrections: bool = False, normalize: bool = False,
+                    grid: SinhGrid | None = None) -> list:
+    """:func:`qfi_time_sweep` of several ``(scatterer, pulse, times)`` runs
+    on one grid, one :class:`SweepResult` per run, in order; ``times`` may
+    be ``None`` for :func:`default_time_axis`.
+
+    The grid's band operators are built once for all runs: first the
+    photon-number oracle's, by :func:`~dipolebounds.qfi.nsc_series_list`,
+    which frees them on return, and then the QFI's transforms, by
+    :func:`~dipolebounds.qfi.share_transforms`, so the two are never held
+    together.  Each run's columns are the ones it gets alone, bit for bit,
+    but for a photon number moved through its band's edge nodes (see
+    :func:`~dipolebounds.qfi.nsc_series_list`).
+    """
+    grid = SinhGrid() if grid is None else grid
+    runs = [(scatterer, pulse,
+             default_time_axis(pulse) if times is None
+             else np.asarray(times, dtype=float))
+            for scatterer, pulse, times in runs]
+    spectra = [qfi.SpectralPulse.from_pulse(pulse, grid) for _, pulse, _ in runs]
+    nscs = qfi.nsc_series_list([(scatterer, spectral, times) for
+                                (scatterer, _, times), spectral
+                                in zip(runs, spectra)])
+    qfi.share_transforms(spectra)
+    results = []
+    for (scatterer, pulse, times), spectral, nsc in zip(runs, spectra, nscs):
+        scale = (np.diag(qfi.farfield_qfi(scatterer, pulse.phi)) if normalize
+                 else np.ones(4))
+        columns = {}
+        for gauge in gauges:
+            series = qfi.qfi_matrix(
+                scatterer, spectral, times, gauge=gauge,
+                corrections=corrections and gauge == "multipolar")
+            diag = series.diagonal() / scale
+            for j, name in enumerate(("j00", "j11", "j22", "j33")):
+                columns[f"{name}_{gauge}"] = diag[:, j]
+            columns[f"j03_{gauge}"] = (series.j[:, 0, 3]
+                                       / math.sqrt(scale[0] * scale[3]))
+        nsc_total = fisher.n_scattered(scatterer, pulse)
+        columns["nsc"] = nsc / nsc_total if normalize else nsc
+
+        meta = {
+            "scenario": "qfi_time_sweep",
+            "gauges": list(gauges),
+            "corrections": bool(corrections),
+            "normalize": bool(normalize),
+            **_physics_meta(scatterer, pulse),
+            "a0_internal": scatterer.a0,
+            "modes": grid.size,
+            "nsc_total": nsc_total,
+            "times": times.size,
+            # qfi_matrices' product rows per transform
+            "product_rows": qfi._time_pairs(times)[0].size,
+        }
+        results.append(SweepResult("t_internal", times, columns, meta))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,25 @@ def test_csv_of_an_array_matches_the_per_value_join(tmp_path):
     assert want.splitlines()[1].startswith(b"-0,0,4.9406564584124654e-324,")
 
 
+@given(st.floats())
+def test_percent_format_matches_format_value(v):
+    # write_csv formats a row with one %-format string of "%.17g" fields
+    assert "%.17g" % v == _format_value(v)
+
+
+def test_csv_of_mixed_rows_matches_the_per_value_join(tmp_path):
+    # validate's rows: a string column, then floats and an integer flag
+    rows = [("pv_analytic_log", 8.881784197001252e-16, 1e-08, 1),
+            ("gauge", -0.0, 2e-2, 0),
+            ("planar_solid_angle_sum", float("inf"), 5e-324, True)]
+    names = ["name", "error", "tolerance", "passed"]
+    cli.write_csv(tmp_path / "data.csv", names, rows)
+    lines = [",".join(names)] + [",".join(_format_value(v) for v in row)
+                                 for row in rows]
+    want = ("\n".join(lines) + "\n").encode()
+    assert (tmp_path / "data.csv").read_bytes() == want
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -258,7 +277,7 @@ class TestExitCodes:
         sizes = {"SC_PHYS_PAGES": 2560, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
         with monkeypatch.context() as patch:
-            patch.setattr(qfi, "nsc_series", refuse)
+            patch.setattr(qfi, "nsc_series_list", refuse)
             rc = main(["qfi-time", "--set", "run.corrections=true",
                        "--out", str(tmp_path / "corrected")])
         assert rc == 4
@@ -275,7 +294,7 @@ class TestExitCodes:
                                                   pages, sets):
         # 8 and 10 MB hold 3 and 4 n x n arrays (6.9 and 9.2 MB) but not
         # the 4 and 5 (9.2 and 11.5 MB) that cover the measured peaks of
-        # 2.70 and 4.18 n^2
+        # 2.59 and 4.21 n^2
         sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(cli.os, "sysconf", sizes.__getitem__)
         rc = main(["qfi-time", *sets, "--out", str(tmp_path / "out")])
@@ -571,6 +590,28 @@ def test_qfi_time_meta(tmp_path, capsys, second, ratio):
     assert meta["sweep_2"]["phi_internal"] == pytest.approx(phi2, rel=1e-12)
 
 
+def test_two_wavelengths_build_their_operators_once(tmp_path, monkeypatch):
+    # fig3's two pulses share one grid: the photon-number oracle builds one
+    # operator and the QFI one set of transforms, each over both bands
+    calls = {"_pole_subtraction": 0, "pv_matrix": 0}
+
+    def counted(name):
+        original = getattr(qfi, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qfi, name, counted(name))
+    assert main(["qfi-time", "--preset", "fig3", "--out", str(tmp_path),
+                 "--set", "run.t_min_over_tau=-0.5",
+                 "--set", "run.t_max_over_tau=0.5",
+                 "--set", "run.samples_per_period=2"]) == 0
+    assert calls == {"_pole_subtraction": 1, "pv_matrix": 1}
+
+
 @pytest.fixture(scope="module")
 def fig3_run(tmp_path_factory):
     """``qfi-time --preset fig3`` in full: its data table and ``_meta``."""
@@ -643,7 +684,10 @@ def test_every_default_key_is_read(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(scenarios, "crb_distance_sweep",
                         sweep("z_over_lambda", "z_over_lambda"))
-    monkeypatch.setattr(scenarios, "qfi_time_sweep", sweep("t", "times"))
+    monkeypatch.setattr(
+        scenarios, "qfi_time_sweeps",
+        lambda runs, **kwargs: [sweep("t", "times")(times=times)
+                                for *_, times in runs])
     monkeypatch.setattr(scenarios, "size_scaling_sweep",
                         sweep("a0_over_lambda", "a0_over_lambda",
                               {"fits": {}}))

@@ -1,5 +1,6 @@
 """Quantum Fisher information pipeline: spectra, profiles, assembly, limits."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,12 +17,13 @@ from dipolebounds.qfi import (
     farfield_qfi,
     mode_integral_field,
     nsc_series,
+    nsc_series_list,
     qfi_matrices,
     qfi_matrix,
     regularizer,
 )
-from dipolebounds.quadrature import (SinhGrid, pv_integral, pv_matrix,
-                                     trapezoid_weights)
+from dipolebounds.quadrature import (_ROW_ELEMENTS, SinhGrid, pv_integral,
+                                     pv_matrix, trapezoid_weights)
 from dipolebounds.scenarios import fit_power_law, size_scaling_sweep
 
 LAM = 2.0 * math.pi
@@ -109,6 +111,32 @@ class TestSpectralPulse:
         sp = SpectralPulse.from_pulse(pulse_200, grid)
         assert sp.grid is grid
         assert fluence_on_grid(sp) == pytest.approx(1.0, rel=1e-13)
+
+    def test_shared_transforms_are_each_pulses_own(self, pulse_200,
+                                                   monkeypatch):
+        # pulses on one grid take their band rows of one build over the
+        # union of the bands, bit for bit the rows each builds alone
+        grid = SinhGrid()
+        pulses = [Pulse(phi=1.0, tau=10.0), pulse_200]
+        alone = [SpectralPulse.from_pulse(p, grid).transforms for p in pulses]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pv_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(qfi, "pv_matrix", counted)
+        shared = [SpectralPulse.from_pulse(p, grid) for p in pulses]
+        qfi.share_transforms(shared)
+        assert len(calls) == 1
+        for sp, want in zip(shared, alone):
+            for got, ref in zip(sp.transforms, want):
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="one grid"):
+            qfi.share_transforms([shared[0], SpectralPulse.from_pulse(
+                pulse_200, SinhGrid())])
 
 
 def test_regularizer_values():
@@ -689,6 +717,41 @@ class TestScatteredPhotons:
         full = qfi._pv_operator(k, w, inside, slice(0, n))
         part = qfi._pv_operator(k, w, inside, slice(*rows))
         assert part.tobytes() == full[slice(*rows)].tobytes()
+
+    def test_operator_holds_no_pole_matrix(self):
+        # the band rows are written in place: a build holds its (m, n)
+        # result, one block of full rows for the pole-subtracted diagonal,
+        # numpy's buffers for a strided output (three operands) and O(n)
+        # vectors; a (P, n) pole matrix would take 4 to 9 blocks more
+        grid = SinhGrid()
+        k, w, n = grid.nodes, grid.weights, grid.size
+        block = max(1, _ROW_ELEMENTS // n) * n * 8
+        for inside, rows in ((slice(1, 362), slice(0, 362)),
+                             (slice(30, 321), slice(29, 322)),
+                             (slice(1, n - 1), slice(0, n))):
+            tracemalloc.start()
+            op = qfi._pv_operator(k, w, inside, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            pole_matrix = (inside.stop - inside.start) * n * 8
+            assert pole_matrix > 4 * block
+            assert peak <= (op.nbytes + block + 3 * np.getbufsize() * 8
+                            + 32 * n * 8), (rows, peak - op.nbytes)
+
+    def test_series_on_one_grid_match_each_alone(self, scat_532, pulse_200):
+        # one operator on the union of two bands; each series multiplies
+        # its own band's rows and is the series it gets alone, bit for bit
+        grid = SinhGrid()
+        runs = [(scat_532, SpectralPulse.from_pulse(p, grid),
+                 np.linspace(-3.0, 5.0, 17) * p.tau)
+                for p in (pulse_200, Pulse(phi=2.0, tau=10.0))]
+        assert runs[0][1].band != runs[1][1].band
+        got = nsc_series_list(runs)
+        for (scat, sp, times), series in zip(runs, got):
+            assert series.tobytes() == nsc_series(scat, sp, times).tobytes()
+        with pytest.raises(ValueError, match="one grid"):
+            nsc_series_list([runs[0], (scat_532, SpectralPulse.from_pulse(
+                pulse_200), [0.0])])
 
     def test_causality(self, scat_532, spectral_200, pulse_200):
         early, late = nsc_series(scat_532, spectral_200,

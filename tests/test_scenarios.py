@@ -1,5 +1,6 @@
 """Sweep drivers, and the validation battery that runs the oracle table."""
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from dipolebounds.scenarios import (
     default_time_axis,
     fit_power_law,
     qfi_time_sweep,
+    qfi_time_sweeps,
     size_scaling_sweep,
 )
 
@@ -222,6 +224,49 @@ def test_qfi_time_sweep_normalized_plateaus(scat_532, pulse_200):
         assert sweep.columns[name][-1] == pytest.approx(1.0, abs=0.05)
     assert sweep.columns["nsc"][-1] == pytest.approx(1.0, abs=0.05)
     assert sweep.meta["nsc_total"] > 0
+
+
+@pytest.mark.parametrize("corrections", [False, True])
+def test_qfi_time_sweeps_match_each_run_alone(corrections):
+    # fig3's two wavelengths in one call share the grid's band operators;
+    # every column and meta entry is the one each run gets alone, bit for bit
+    cfg = cli.resolve_config(None, "fig3", None)
+    grid = cli.build_grid(cfg)
+    runs = []
+    for lam in (1030.0, 4500.0):
+        _, scat, pulse = cli.build_physics(cfg, lam)
+        runs.append((scat, pulse, np.linspace(-1.0, 2.0, 25) * pulse.tau))
+    gauges = ("multipolar", "coulomb")
+    both = qfi_time_sweeps(runs, gauges=gauges, corrections=corrections,
+                           grid=grid)
+    assert len(both) == 2
+    for run, sweep in zip(runs, both):
+        alone = qfi_time_sweep(*run, gauges=gauges, corrections=corrections,
+                               grid=grid)
+        assert sweep.meta == alone.meta
+        assert list(sweep.columns) == list(alone.columns)
+        for name, col in alone.columns.items():
+            assert sweep.columns[name].tobytes() == col.tobytes(), name
+
+
+def test_qfi_time_sweeps_free_the_oracle_first():
+    # the oracle's V, V + P and V - P on the M rows covering both bands are
+    # freed before the QFI's two transforms on those rows are built, so the
+    # five (M, n) arrays are never held together: four bound the peak
+    cfg = cli.resolve_config(None, "fig3", None)
+    grid = cli.build_grid(cfg)
+    runs = []
+    for lam in (1030.0, 4500.0):
+        _, scat, pulse = cli.build_physics(cfg, lam)
+        runs.append((scat, pulse, np.linspace(-1.0, 2.0, 25) * pulse.tau))
+    bands = [qfi.SpectralPulse.from_pulse(pulse, grid).band
+             for _, pulse, _ in runs]
+    rows = max(b.stop for b in bands) - min(b.start for b in bands)
+    tracemalloc.start()
+    qfi_time_sweeps(runs, grid=grid)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 * rows * grid.size * 8
 
 
 def test_size_scaling_sweep_structure(scat_532, pulse_200):
