@@ -91,8 +91,10 @@ def _position(value):
 
 
 def _gauges(value):
-    ok = isinstance(value, list) and value and not any(map(_GAUGE, value))
-    return None if ok else f"{value!r} is not a non-empty list of {list(qfi.GAUGES)}"
+    ok = (isinstance(value, list) and value and not any(map(_GAUGE, value))
+          and len(set(value)) == len(value))
+    return None if ok else (f"{value!r} is not a non-empty list of distinct "
+                            f"{list(qfi.GAUGES)}")
 
 
 _NUM = _number()
@@ -288,35 +290,23 @@ def build_physics(cfg: dict, lambda_nm: float | None = None,
     """``(units, scatterer, pulse)`` of ``cfg`` at ``lambda_nm`` (default
     ``pulse.lambda_nm``); a ``fluence_si`` (photons per m^2) replaces the
     config's fluence."""
+    s, p = cfg["scatterer"], cfg["pulse"]
     units = UnitSystem.from_wavelength_nm(
-        cfg["pulse"]["lambda_nm"] if lambda_nm is None else lambda_nm)
-    scatterer = build_scatterer(cfg, units)
-    phi = None if fluence_si is None else units.fluence_to_internal(fluence_si)
-    return units, scatterer, build_pulse(cfg, units, scatterer, phi)
-
-
-def build_scatterer(cfg: dict, units: UnitSystem) -> Scatterer:
-    s = cfg["scatterer"]
+        p["lambda_nm"] if lambda_nm is None else lambda_nm)
     chi0 = units.polarizability_to_internal(s["chi0_nm3"] * 1e-27)
     a0 = units.length_to_internal(s["a0_nm"] * 1e-9)
     omega0 = units.frequency_to_internal(_TWO_PI * C_SI / (s["resonance_nm"] * 1e-9))
     r0 = tuple(units.length_to_internal(x * 1e-9) for x in s["position_nm"])
     scatterer = Scatterer(chi0=chi0, a0=a0, omega0=omega0, r0=r0)
     scatterer.check_off_resonance()
-    return scatterer
-
-
-def build_pulse(cfg: dict, units: UnitSystem, scatterer: Scatterer,
-                phi_internal: float | None = None) -> Pulse:
-    p = cfg["pulse"]
     tau = units.time_to_internal(p["tau_fs"] * 1e-15)
-    if phi_internal is not None:
-        phi = phi_internal
+    if fluence_si is not None:
+        phi = units.fluence_to_internal(fluence_si)
     elif "phi_per_um2" in p:
         phi = units.fluence_to_internal(p["phi_per_um2"] * 1e12)
     else:
         phi = p["nsc_target"] / scatterer.cross_section()
-    return Pulse(phi=phi, tau=tau)
+    return units, scatterer, Pulse(phi=phi, tau=tau)
 
 
 def build_grid(cfg: dict, arrays: int = 3) -> SinhGrid:
@@ -329,8 +319,8 @@ def build_grid(cfg: dict, arrays: int = 3) -> SinhGrid:
     2.59 for ``qfi-time --preset fig3`` (4) and 4.21 with the covariance
     corrections, whose one grid-only Cauchy matrix all sources share (5).
     A block of times adds a fixed working set to the ``n x n`` arrays; on
-    2145 nodes the two ``qfi-time`` peaks are 2.25 and 3.50 ``n^2``.  The
-    counts date from full ``n x n`` transforms, so they over-count.
+    2145 nodes the two ``qfi-time`` peaks are 2.25 and 3.50 ``n^2``.  Each
+    count exceeds its measured peak.
     """
     g = cfg["grid"]
     grid = SinhGrid(d=g["d_over_k0"], delta=g["delta"],
@@ -355,13 +345,9 @@ def _within_memory(need: int, what: str, held: str, remedy: str) -> None:
 # output emission
 # ---------------------------------------------------------------------------
 
-def _format_value(v) -> str:
-    return v if isinstance(v, str) else format(float(v), ".17g")
-
-
 def write_csv(path: Path, names: list, rows) -> None:
     """A header of ``names`` and one line per row: numbers to 17 significant
-    digits, strings as they are, as :func:`_format_value` formats each.
+    digits, strings as they are.
 
     The first row tells the string columns; each row is formatted by one
     ``%`` format string, ``"%.17g"`` for a number and ``"%s"`` for a string.
@@ -491,6 +477,13 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
     run = cfg["run"]
     normalize = run["normalize"]
     lam1, lam2 = cfg["pulse"]["lambda_nm"], run["second_lambda_nm"]
+    # each wavelength's columns are tagged by its label; one label would
+    # write the second's columns over the first's
+    if lam2 is not None and f"{lam2:g}" == f"{lam1:g}":
+        raise ConfigError(
+            f"config field run.second_lambda_nm: {lam2!r} labels its columns "
+            f"{lam2:g}nm, as pulse.lambda_nm = {lam1!r} does",
+            path="run.second_lambda_nm")
     units, scat, pulse = build_physics(cfg)
     # the covariance corrections hold one n x n matrix more, and their
     # blocks' working set
@@ -607,6 +600,18 @@ def cmd_validate(cfg: dict, out_dir: Path | None) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+_DISPATCH = {
+    "crb-scan": cmd_crb_scan,
+    "qfi-time": cmd_qfi_time,
+    "size-scan": cmd_size_scan,
+    "farfield": cmd_farfield,
+    "validate": cmd_validate,
+}
+
+#: the subcommands that print their results and write files only on request
+_OUT_OPTIONAL = {"farfield", "validate"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dipolebounds",
@@ -615,27 +620,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"dipolebounds {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, needs_out in (("crb-scan", True), ("qfi-time", True),
-                            ("size-scan", True), ("farfield", False),
-                            ("validate", False)):
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--preset", default=None, choices=sorted(PRESETS),
                        help="named parameter preset applied before the config")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
                        dest="overrides", help="dotted config override")
-        p.add_argument("--out", default=None, required=needs_out,
+        p.add_argument("--out", default=None, required=name not in _OUT_OPTIONAL,
                        help="output directory for data.csv / config / plot")
     return parser
-
-
-_DISPATCH = {
-    "crb-scan": cmd_crb_scan,
-    "qfi-time": cmd_qfi_time,
-    "size-scan": cmd_size_scan,
-    "farfield": cmd_farfield,
-    "validate": cmd_validate,
-}
 
 
 def main(argv: list | None = None) -> int:

@@ -134,16 +134,6 @@ class MirroredGrid:
             (_MIRROR_SIGNS[:, None] * cell.positions).reshape(-1, 3),
             np.tile(cell.areas, self.images))
 
-    @property
-    def positions(self) -> np.ndarray:
-        """Centers of the mirror cell's pixels, built in full."""
-        return self.pixels(0, self.cell_size).positions
-
-    @property
-    def areas(self) -> np.ndarray:
-        """Areas of the mirror cell's pixels, built in full."""
-        return self.pixels(0, self.cell_size).areas
-
     def plate(self) -> PixelGrid:
         """The cell, then its three sign images, built in full."""
         return self.block(0, self.cell_size)

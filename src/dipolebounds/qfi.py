@@ -67,12 +67,6 @@ GAUGES = ("multipolar", "coulomb")
 _BLOCK_ELEMENTS = 2**15
 
 
-def _blocks(count: int, n: int):
-    """Slices covering ``range(count)`` in blocks of rows of length ``n``."""
-    step = max(1, _BLOCK_ELEMENTS // n)
-    return [slice(i, i + step) for i in range(0, count, step)]
-
-
 # ---------------------------------------------------------------------------
 # pulse spectrum on the momentum grid
 # ---------------------------------------------------------------------------
@@ -215,20 +209,27 @@ def _band_transforms(grid: SinhGrid, rows: slice) -> tuple:
     return v_sum, v_diff
 
 
+def _covering_rows(spectra) -> tuple:
+    """The grid the pulses ``spectra`` share, and the smallest run of its
+    nodes that covers every pulse's band."""
+    grid = spectra[0].grid
+    if any(spectral.grid is not grid for spectral in spectra):
+        raise ValueError("the pulses must share one grid")
+    return grid, slice(min(spectral.band.start for spectral in spectra),
+                       max(spectral.band.stop for spectral in spectra))
+
+
 def share_transforms(spectra) -> None:
     """Build the :attr:`SpectralPulse.transforms` of pulses on one grid
     once: each pulse gets its band's rows, as views, of one build on the
     smallest run of nodes that covers every band.  The rows are the ones
     each pulse would build alone, bit for bit."""
     spectra = list(spectra)
-    grid = spectra[0].grid
-    if any(spectral.grid is not grid for spectral in spectra):
-        raise ValueError("the pulses must share one grid")
-    lo = min(spectral.band.start for spectral in spectra)
-    hi = max(spectral.band.stop for spectral in spectra)
-    v_sum, v_diff = _band_transforms(grid, slice(lo, hi))
+    grid, union = _covering_rows(spectra)
+    v_sum, v_diff = _band_transforms(grid, union)
     for spectral in spectra:
-        rows = slice(spectral.band.start - lo, spectral.band.stop - lo)
+        rows = slice(spectral.band.start - union.start,
+                     spectral.band.stop - union.start)
         # the slot cached_property fills on first use
         spectral.__dict__["transforms"] = v_sum[rows], v_diff[rows]
 
@@ -643,12 +644,8 @@ def nsc_series_list(runs) -> list:
     is below 1e-290 of its peak.
     """
     runs = list(runs)
-    grid = runs[0][1].grid
-    if any(spectral.grid is not grid for _, spectral, _ in runs):
-        raise ValueError("the runs' pulses must share one grid")
+    grid, union = _covering_rows([spectral for _, spectral, _ in runs])
     k, w, n = grid.nodes, grid.weights, grid.size
-    union = slice(min(spectral.band.start for _, spectral, _ in runs),
-                  max(spectral.band.stop for _, spectral, _ in runs))
     # a pole outside the bands or at a grid boundary gets plain excision,
     # with negligible weight downstream
     inside = slice(max(union.start, 1), min(union.stop - 1, n - 2) + 1)
@@ -661,6 +658,7 @@ def nsc_series_list(runs) -> list:
     v_plus += v
     del v
 
+    step = max(1, _BLOCK_ELEMENTS // n)
     out = []
     for scatterer, spectral, times in runs:
         band = spectral.band
@@ -673,8 +671,8 @@ def nsc_series_list(runs) -> list:
         weights = w * k**3 * np.square(xi) / (3.0 * math.pi**2)
         times = np.atleast_1d(np.asarray(times, dtype=float))
         nsc = np.empty(times.size)
-        for blk in _blocks(times.size, n):
-            f_re, f_im = spectral.band_values(times[blk])
+        for lo in range(0, times.size, step):
+            f_re, f_im = spectral.band_values(times[lo:lo + step])
             f_re *= kern
             f_im *= kern
             s_re, s_im = f_re @ v_plus[rows], f_im @ v_minus[rows]
@@ -685,7 +683,7 @@ def nsc_series_list(runs) -> list:
             s_re *= s_re
             s_im *= s_im
             s_re += s_im
-            nsc[blk] = s_re @ weights
+            nsc[lo:lo + step] = s_re @ weights
         out.append(nsc)
     return out
 

@@ -137,24 +137,22 @@ def pv_integral(f, nodes: np.ndarray, pole: float,
     else:
         fk = np.asarray(f)
         fp = _interp_quadratic(nodes, fk, pole)
-    c, coef = _pole_subtraction(nodes, weights, np.array([pole]))
+    c, coef = _pole_subtraction(nodes, weights, np.array([pole]), slice(None))
     return (fk @ c.T)[..., 0] + fp * coef[0]
 
 
 def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray,
-                      cols: slice | None = None, out: np.ndarray | None = None):
+                      cols: slice, out: np.ndarray | None = None):
     """:func:`pv_integral`'s rule for the 1-d poles ``p``, as ``(c, coef)``.
 
-    ``PV = F @ c.T + f(p) coef``: ``c`` is the real ``(P, n)`` matrix
-    ``w / (k - p)`` with each on-pole entry zeroed and the central-difference
-    stencil for ``f'(p)`` on its neighbours, and
-    ``coef = ln((b-p)/(p-a)) - s``, ``s`` the row sums of ``c`` without
-    the stencil.  Every pole must lie strictly inside the node range.
-
-    ``cols``, a contiguous slice of nodes, returns ``c[:, cols]`` bit for bit,
-    written into ``out`` where given (a ``(P, len)`` array or view, such as
-    a transposed one): the full-row sums ``s`` are formed in blocks of
-    poles, so no ``(P, n)`` array is built.
+    ``PV = F @ c.T + f(p) coef`` for ``F`` on the nodes ``cols``, a
+    contiguous slice: ``c`` is the real ``(P, len)`` matrix ``w / (k - p)``
+    on those nodes, with each on-pole entry zeroed and the
+    central-difference stencil for ``f'(p)`` on its neighbours, written into
+    ``out`` where given (a ``(P, len)`` array or view, such as a transposed
+    one).  ``coef = ln((b-p)/(p-a)) - s``, ``s`` the full-row sums of ``c``
+    without the stencil, formed in blocks of poles, so no ``(P, n)`` array
+    is built.  Every pole must lie strictly inside the node range.
     """
     a, b = nodes[0], nodes[-1]
     n = nodes.size
@@ -164,7 +162,7 @@ def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray,
                < 1e-14 * np.maximum(np.abs(p), 1.0)[:, None])
     row, col = np.nonzero(on_pole)
     col = near[row, col]
-    step = max(1, p.size if cols is None else _ROW_ELEMENTS // n)
+    step = max(1, _ROW_ELEMENTS // n)
     s = np.empty(p.size)
     block = np.empty((min(step, p.size), n))
     for lo in range(0, p.size, step):
@@ -175,14 +173,12 @@ def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray,
         c[row[at] - lo, col[at]] = 0.0
         s[lo:lo + step] = c.sum(axis=1)
     coef = np.log((b - p) / (p - a)) - s
-    start, stop = 0, n
-    if cols is not None:
-        start, stop, _ = cols.indices(n)
-        c = np.subtract(nodes[cols], p[:, None], out=out)
-        with np.errstate(divide="ignore"):
-            np.divide(weights[cols], c, out=c)
-        keep = (col >= start) & (col < stop)
-        c[row[keep], col[keep] - start] = 0.0
+    start, stop, _ = cols.indices(n)
+    c = np.subtract(nodes[cols], p[:, None], out=out)
+    with np.errstate(divide="ignore"):
+        np.divide(weights[cols], c, out=c)
+    keep = (col >= start) & (col < stop)
+    c[row[keep], col[keep] - start] = 0.0
     # removable singularity: w_i f'(p) from the neighbouring nodes
     lo = np.maximum(col - 1, 0)
     hi = np.minimum(col + 1, n - 1)
@@ -207,8 +203,8 @@ def _interp_quadratic(x: np.ndarray, y: np.ndarray, x0):
     return y[..., i - 1] * l0 + y[..., i] * l1 + y[..., i + 1] * l2
 
 
-#: element budget of the row blocks in which :func:`pv_matrix` forms its
-#: full-row sums
+#: element budget of the row blocks in which :func:`pv_matrix` and
+#: :func:`_pole_subtraction` form their full-row sums
 _ROW_ELEMENTS = 2**15
 
 

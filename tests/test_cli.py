@@ -1,4 +1,6 @@
 """Command-line interface: config resolution, outputs, exit codes."""
+import dataclasses
+import inspect
 import json
 import math
 import subprocess
@@ -13,17 +15,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dipolebounds
-from dipolebounds import cli, detector, oracles, qfi, scenarios
+from dipolebounds import cli, detector, fisher, oracles, qfi, scenarios
 from dipolebounds.cli import (
     DEFAULT_CONFIG,
     PRESETS,
     ConfigError,
-    _format_value,
     _parse_set,
     main,
     resolve_config,
 )
 from dipolebounds.model import UnitSystem
+from dipolebounds.quadrature import SinhGrid
 
 
 class TestResolveConfig:
@@ -113,6 +115,7 @@ class TestResolveConfig:
         ("run.gauges=[]", "run.gauges"),
         ("run.gauges=[\"x\"]", "run.gauges"),
         ("run.gauges=\"coulomb\"", "run.gauges"),
+        ("run.gauges=[\"multipolar\",\"multipolar\"]", "run.gauges"),
         ("bogus=1", "bogus"),                                     # root key
         ("pulse.bogus=1", "pulse.bogus"),                         # section key
         ("run.level=1", "run.level"),                             # deleted key
@@ -166,6 +169,11 @@ class TestParseSet:
     def test_rejects_malformed(self, expr):
         with pytest.raises(ConfigError):
             _parse_set(expr)
+
+
+def _format_value(v) -> str:
+    # the per-value reference for write_csv's one %-format string per row
+    return v if isinstance(v, str) else format(float(v), ".17g")
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -590,6 +598,38 @@ def test_qfi_time_meta(tmp_path, capsys, second, ratio):
     assert meta["sweep_2"]["phi_internal"] == pytest.approx(phi2, rel=1e-12)
 
 
+@pytest.mark.parametrize("second,code", [
+    (1030.0, 2), (1030.0001, 2), (4500.0, 0), (2000.0, 0)])
+def test_two_wavelengths_need_two_labels(tmp_path, monkeypatch, capsys,
+                                         second, code):
+    # each wavelength tags its columns f"{lambda:g}nm": a second wavelength
+    # with the first's tag would write its columns over the first's, so it
+    # is refused before the grid is built; fig3 and others run as before
+    build_grid = cli.build_grid
+
+    def grid(cfg, arrays=3):
+        assert code == 0, "grid built for a refused run"
+        return build_grid(cfg, arrays)
+
+    monkeypatch.setattr(cli, "build_grid", grid)
+    out = tmp_path / "qt"
+    assert main(["qfi-time", "--preset", "fig3", "--out", str(out),
+                 "--set", f"run.second_lambda_nm={second}",
+                 "--set", "run.fluence_ratio=3",
+                 "--set", "run.t_min_over_tau=-0.2",
+                 "--set", "run.t_max_over_tau=0.2",
+                 "--set", "run.samples_per_period=2"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "config field run.second_lambda_nm: " in err
+        assert not out.exists()
+        return
+    names = (out / "data.csv").read_text().splitlines()[0].split(",")
+    assert [n for n in names if n.startswith("nsc_")] == [
+        "nsc_1030nm", f"nsc_{second:g}nm"]
+    assert len(names) == 1 + 2 * 6
+
+
 def test_two_wavelengths_build_their_operators_once(tmp_path, monkeypatch):
     # fig3's two pulses share one grid: the photon-number oracle builds one
     # operator and the QFI one set of transforms, each over both bands
@@ -670,6 +710,65 @@ class _Recording(dict):
             return _Recording(val, self._seen, f"{path}.")
         self._seen.add(path)
         return val
+
+
+def test_the_cli_defaults_are_the_librarys(monkeypatch):
+    # the default scan is stated twice, in FIELDS and in the library's
+    # signatures and sweep bodies; the two must agree
+    cfg = resolve_config(None, None, None)
+    grid, run, det = cfg["grid"], cfg["run"], cfg["detector"]
+
+    def defaults(fn):
+        return {name: p.default for name, p in
+                inspect.signature(fn).parameters.items()
+                if p.default is not p.empty}
+
+    assert {f.name: f.default for f in dataclasses.fields(SinhGrid)
+            if f.init} == {"d": grid["d_over_k0"], "delta": grid["delta"],
+                           "k_max": grid["kmax_over_k0"]}
+    assert defaults(scenarios.default_distance_axis) == {
+        "lo": run["z_min_over_lambda"], "hi": run["z_max_over_lambda"],
+        "per_decade": run["points_per_decade"]}
+    assert defaults(scenarios.default_time_axis) == {
+        "samples_per_period": run["samples_per_period"],
+        "span": (run["t_min_over_tau"], run["t_max_over_tau"])}
+    sweep = defaults(scenarios.qfi_time_sweep)
+    assert (list(sweep["gauges"]), sweep["corrections"], sweep["normalize"]) \
+        == (run["gauges"], run["corrections"], run["normalize"])
+    crb = defaults(scenarios.crb_distance_sweep)
+    assert crb["solid_angle"] == det["solid_angle_over_pi"] * math.pi
+    assert (crb["refinement"] == defaults(detector.planar_grid)["refinement"]
+            == det["refinement"])
+    assert defaults(scenarios.size_scaling_sweep)["peak_samples"] \
+        == run["peak_samples"]
+
+    # the defaults the sweeps fill in, read where they are first used
+    class Seen(Exception):
+        pass
+
+    seen = {}
+
+    def stop(name):
+        def record(*args):
+            seen[name] = args
+            raise Seen
+        return record
+
+    units, scatterer, pulse = cli.build_physics(cfg)
+    monkeypatch.setattr(fisher, "fi_matrices", stop("fi"))
+    with pytest.raises(Seen):
+        scenarios.crb_distance_sweep(scatterer, pulse)
+    _, (_, _, (finite, _)), _ = seen["fi"]
+    assert finite.a0 == pytest.approx(
+        units.length_to_internal(run["finite_a0_nm"] * 1e-9), rel=1e-14)
+    monkeypatch.setattr(qfi, "qfi_matrices", stop("qfi"))
+    with pytest.raises(Seen):
+        scenarios.size_scaling_sweep(scatterer, pulse)
+    _, times, sources = seen["qfi"]
+    radii = np.geomspace(run["a0_min_over_lambda"], run["a0_max_over_lambda"],
+                         run["sizes"])
+    assert [s.a0 for s, _ in sources[::2]] == list(radii * 2.0 * math.pi)
+    assert times.size == run["peak_samples"] + 1
 
 
 def test_every_default_key_is_read(tmp_path, monkeypatch, capsys):

@@ -74,7 +74,9 @@ class TestPlanarGrid:
         g2 = planar_grid(LAM, math.pi, refinement=2)
         # cell edges are re-derived, so doubling is exact only up to rounding
         assert abs(math.isqrt(g2.size) - 2 * math.isqrt(g1.size)) <= 2
-        assert g2.areas.sum() == pytest.approx(g1.areas.sum(), rel=1e-13)
+        cells = [g.pixels(0, g.cell_size) for g in (g1, g2)]
+        assert cells[1].areas.sum() == pytest.approx(cells[0].areas.sum(),
+                                                     rel=1e-13)
 
     @pytest.mark.parametrize("refinement", [1, 2])
     @pytest.mark.parametrize("z_rel", [0.3, -0.3])
@@ -89,8 +91,9 @@ class TestPlanarGrid:
         assert plate.size == g.size
         pos = plate.positions.reshape(4, n * n, 3)
         areas = plate.areas.reshape(4, n * n)
-        np.testing.assert_array_equal(pos[0], g.positions)
-        np.testing.assert_array_equal(areas[0], g.areas)
+        stored = g.pixels(0, g.cell_size)
+        np.testing.assert_array_equal(pos[0], stored.positions)
+        np.testing.assert_array_equal(areas[0], stored.areas)
         cell = pos[0].reshape(n, n, 3)
         assert np.all(cell[..., :2] > 0.0)
         assert np.all(np.diff(cell[:, 0, 0]) > 0.0)
@@ -105,10 +108,11 @@ class TestPlanarGrid:
         # the grid keeps the quarter x > 0, y > 0; size counts the plate
         g = planar_grid(0.3 * LAM, 1.97 * math.pi)
         assert isinstance(g, MirroredGrid)
-        assert g.positions.shape == (g.size // 4, 3)
-        assert np.all(g.positions[:, :2] > 0.0)
+        cell = g.pixels(0, g.cell_size)
+        assert cell.positions.shape == (g.size // 4, 3)
+        assert np.all(cell.positions[:, :2] > 0.0)
         assert type(g.plate()) is PixelGrid
-        grid = PixelGrid(g.positions, g.areas)
+        grid = PixelGrid(cell.positions, cell.areas)
         assert grid.plate() is grid
         assert grid.size == g.size // 4
 
@@ -118,7 +122,7 @@ class TestPlanarGrid:
         # the cell is the edge axis times itself
         g = planar_grid(z_rel * LAM, omega * math.pi, refinement)
         n = axis_cells(z_rel * LAM, omega * math.pi, refinement)
-        assert n ** 2 == g.cell_size == g.areas.size
+        assert n ** 2 == g.cell_size == g.pixels(0, n * n + 1).areas.size
         assert g.edges.shape == (n + 1,)
 
     def test_rejects_bad_refinement(self):
@@ -160,8 +164,8 @@ class TestPlanarGrid:
                 pos[lo:hi] * np.array([[[1.0, 1.0, 1.0]], [[-1.0, 1.0, 1.0]],
                                        [[1.0, -1.0, 1.0]], [[-1.0, -1.0, 1.0]]]))
             np.testing.assert_array_equal(block.areas, np.tile(areas[lo:hi], 4))
-        np.testing.assert_array_equal(g.positions, pos)
-        np.testing.assert_array_equal(g.areas, areas)
+        np.testing.assert_array_equal(g.plate().positions[:n * n], pos)
+        np.testing.assert_array_equal(g.plate().areas[:n * n], areas)
 
 
 def test_pixelgrid_validates_shapes():
