@@ -484,11 +484,21 @@ def cmd_qfi_time(cfg: dict, out_dir: Path) -> int:
             f"config field run.second_lambda_nm: {lam2!r} labels its columns "
             f"{lam2:g}nm, as pulse.lambda_nm = {lam1!r} does",
             path="run.second_lambda_nm")
+    # an input the run would not use is refused rather than echoed
+    if lam2 is None and run["fluence_ratio"] is not None:
+        raise ConfigError(
+            f"config field run.fluence_ratio: {run['fluence_ratio']!r} scales "
+            "a second wavelength's fluence, and run.second_lambda_nm is null",
+            path="run.fluence_ratio")
+    if run["corrections"] and "multipolar" not in run["gauges"]:
+        raise ConfigError(
+            "config field run.corrections: true corrects the multipolar "
+            f"gauge only, and run.gauges = {run['gauges']!r} does not name it",
+            path="run.corrections")
     units, scat, pulse = build_physics(cfg)
     # the covariance corrections hold one n x n matrix more, and their
     # blocks' working set
-    kernels = run["corrections"] and "multipolar" in run["gauges"]
-    grid = build_grid(cfg, 5 if kernels else 4)
+    grid = build_grid(cfg, 5 if run["corrections"] else 4)
     times = scenarios.default_time_axis(
         pulse, run["samples_per_period"],
         (run["t_min_over_tau"], run["t_max_over_tau"]))

@@ -17,7 +17,12 @@ purely imaginary amplitude is a transform-limited pulse: the amplitude at
 -t mirrors the one at t, so one product is odd in t and the other even,
 and :func:`qfi_matrices` makes them once per distinct ``|t|`` for all its
 sources at once, assembling every entry at ``+-|t|`` as an even sum plus
-or minus an odd one.  Only the covariance corrections and
+or minus an odd one.  The distinct ``|t|`` ascend, so a mirrored, equally
+spaced window leaves an equally spaced series; there, as on any equally
+spaced series taken in blocks, the pulse's band values follow from one
+table of ``sin`` and ``cos`` of the block offsets by angle addition
+(:meth:`SpectralPulse.band_phases`), not one ``sin`` and ``cos`` per
+time.  Only the covariance corrections and
 :meth:`FrequencyIntegrals.eval` form the profiles, from the same products
 at signed times.  The module also provides independent cross-checks: the
 mean scattered photon number from the scattering amplitude itself, the
@@ -92,8 +97,10 @@ class SpectralPulse:
     def __post_init__(self) -> None:
         # the real-arithmetic kernels rest on these premises; a purely
         # imaginary alpha also makes the pulse transform-limited, so that
-        # band_values(-t) is (-a sin kt, a cos kt) bit for bit, which
-        # qfi_matrices' time-reversal pairing rests on
+        # the band values at -t are (-a sin kt, a cos kt), which
+        # qfi_matrices' time-reversal pairing rests on: it makes the row of
+        # each |t| once, by band_values or by band_phases' angle addition,
+        # and takes the row of -t from it exactly
         if np.any(self.alpha.real != 0.0):
             raise ValueError("alpha must be purely imaginary")
         if not np.any(self.alpha) or not np.all(self.alpha[self.band]):
@@ -151,12 +158,63 @@ class SpectralPulse:
 
         With ``alpha = i a`` they are ``a sin kt`` and ``a cos kt``.  ``t`` is
         a scalar or an array of times; each part has shape ``t.shape + (m,)``
-        for a band of ``m`` nodes.
+        for a band of ``m`` nodes.  One ``sin`` and one ``cos`` per element:
+        a series taken in blocks goes through :meth:`band_phases`, which
+        reuses one table of them across blocks where the times allow it.
         """
         kt = np.multiply.outer(np.asarray(t, dtype=float),
                                self.grid.nodes[self.band])
         a = self.alpha.imag[self.band]
         return a * np.sin(kt), a * np.cos(kt)
+
+    def band_phases(self, t, rows: int, kern=None):
+        """:meth:`band_values` of the series ``t`` taken in blocks of at most
+        ``rows`` times, each part times the band kernel ``kern`` if given.
+
+        Returns ``phases(lo, hi)``, the two parts at ``t[lo:hi]`` as
+        ``(hi - lo, m)`` arrays, valid until the next call.  When ``t`` spans
+        more than one block and is equally spaced (:func:`_equal_step`, step
+        ``h``), ``sin`` and ``cos`` of ``k r h`` for the offsets
+        ``r < rows`` are taken once, and a block starting at ``t0`` follows
+        from its first row by angle addition,
+        ``a sin k(t0 + rh) = (a sin kt0) cos krh + (a cos kt0) sin krh``
+        and ``a cos k(t0 + rh) = (a cos kt0) cos krh - (a sin kt0) sin krh``:
+        four products and two sums into buffers reused from block to block.
+        A series of ``B`` blocks then costs ``rows + B`` rows of ``sin`` and
+        ``cos`` instead of one per time.  Each block's first row is
+        :meth:`band_values`' bit for bit; the others are within a few ulps
+        of ``k t`` in phase, plus ``k`` times the spacing's deviation from
+        ``h``.  Any other series gets :meth:`band_values`' rows times
+        ``kern``, bit for bit.
+        """
+        t = np.asarray(t, dtype=float)
+
+        def direct(lo, hi):
+            sin, cos = self.band_values(t[lo:hi])
+            if kern is not None:
+                sin *= kern
+                cos *= kern
+            return sin, cos
+
+        step = _equal_step(t) if t.size > rows else None
+        if step is None:
+            return direct
+        krh = np.multiply.outer(np.arange(rows) * step,
+                                self.grid.nodes[self.band])
+        sin_r = np.sin(krh)
+        cos_r = np.cos(krh, out=krh)
+        buf = np.empty((2,) + krh.shape)
+
+        def added(lo, hi):
+            sin0, cos0 = direct(lo, lo + 1)
+            sin, cos = buf[:, :hi - lo]
+            cos_rh, sin_rh = cos_r[:hi - lo], sin_r[:hi - lo]
+            np.multiply(cos_rh, sin0, out=sin)
+            sin += sin_rh * cos0
+            np.multiply(cos_rh, cos0, out=cos)
+            cos -= sin_rh * sin0
+            return sin, cos
+        return added
 
     def _products(self, g_re, g_im) -> tuple[np.ndarray, np.ndarray]:
         """``(g_re @ (V + P), g_im @ (V - P))`` for band samples of any
@@ -196,6 +254,20 @@ class SpectralPulse:
         rows, c = self._k_remainder(g_im)
         v_im[..., rows] += c
         return x, y, v_re, v_im
+
+
+#: a series is equally spaced when no time is farther than this many ulps of
+#: its largest ``|t|`` from the line through its ends; qfi-time's axes and
+#: their distinct ``|t|`` are within 4
+_SPACING_ULPS = 8
+
+
+def _equal_step(t: np.ndarray) -> float | None:
+    """The step of the 1-d series ``t`` if it is equally spaced (see
+    ``_SPACING_ULPS``), else ``None``."""
+    step = (t[-1] - t[0]) / (t.size - 1)
+    dev = np.abs(t[0] + np.arange(t.size) * step - t).max()
+    return step if dev <= _SPACING_ULPS * np.spacing(np.abs(t).max()) else None
 
 
 def _band_transforms(grid: SinhGrid, rows: slice) -> tuple:
@@ -338,13 +410,16 @@ class QfiSeries:
         return np.einsum("tii->ti", self.j)
 
 
-def _block_sums(spectral: SpectralPulse, mags, i, s, kern, weights,
+def _block_sums(spectral: SpectralPulse, g, i, s, kern, weights,
                 covariance=None):
     """The QFI sums of one block of distinct ``|t|`` for stacked sources, at
-    the block's times ``s * mags[i]``.
+    the block's times ``s * |t|[i]``.
 
-    ``kern`` is ``(S, 1, m)``, the sources' band kernels, and ``weights``
-    ``(S, n, 2)``, their ``w p^2 pref^2`` and ``w p^4 pref^2``.  Returns
+    ``kern`` is ``(S, 1, m)``, the sources' band kernels, and ``g`` the
+    ``(S, T, m)`` band samples ``(g_re, g_im)``, the kernels times the
+    pulse's :meth:`~SpectralPulse.band_phases` at the block's ``T``
+    distinct ``|t|``; they are only read.  ``weights`` is ``(S, n, 2)``,
+    the sources' ``w p^2 pref^2`` and ``w p^4 pref^2``.  Returns
     ``(S, T, K)`` for the ``T`` values in ``i``.  Its columns are the sums
     over the nodes of ``|u|^2 w p^2 pref^2``, the same times ``p^2``,
     ``|v|^2 w p^2 pref^2`` and ``Im(v u*) w p^2 pref^2``, each an even sum
@@ -357,8 +432,7 @@ def _block_sums(spectral: SpectralPulse, mags, i, s, kern, weights,
     """
     band = spectral.band
     p, w = spectral.grid.nodes, spectral.grid.weights
-    sin, cos = spectral.band_values(mags)
-    g_re, g_im = kern * sin, kern * cos
+    g_re, g_im = g
     x, y = spectral._products(g_re, g_im)
     forms = None
     if covariance is not None:
@@ -439,13 +513,11 @@ def _cauchy(p: np.ndarray) -> np.ndarray:
 
 
 def _time_pairs(times: np.ndarray) -> tuple:
-    """The distinct ``|t|`` of ``times`` in order of first appearance, and
-    each time's index into them: :func:`qfi_matrices` makes one product
-    row per distinct ``|t|``."""
-    first = {}
-    index = np.array([first.setdefault(v, len(first))
-                      for v in np.abs(times).tolist()], dtype=np.intp)
-    return np.array(list(first), dtype=float), index
+    """The distinct ``|t|`` of ``times`` in ascending order, and each time's
+    index into them: :func:`qfi_matrices` makes one product row per
+    distinct ``|t|``.  A window mirrored about ``t = 0`` has the ``|t|`` of
+    its nonnegative half, which are equally spaced where the window is."""
+    return np.unique(np.abs(times), return_inverse=True)
 
 
 def qfi_matrices(spectral: SpectralPulse, times, sources,
@@ -463,11 +535,15 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
     ``y = g_im @ (V - P)`` do not, and every main QFI sum is an even sum
     plus ``sign t`` times an odd one.  The products run once per distinct
     ``|t|`` and are shared by both signs: a mirrored window of ``2N + 1``
-    times costs ``N + 1`` product rows per source and transform.  The band
-    values and the blocks of distinct ``|t|`` are made once for all
-    sources, whose kernels are stacked: a block costs one product per
-    transform for all of them, on at most ``_BLOCK_ELEMENTS // n`` rows
-    counted across sources.  Sources beyond that are taken in chunks.
+    times costs ``N + 1`` product rows per source and transform.  The
+    blocks of distinct ``|t|`` are shared by all sources, whose kernels are
+    stacked: a block costs one product per transform for all of them, on
+    at most ``_BLOCK_ELEMENTS // n`` rows counted across sources.  Sources
+    beyond that are taken in chunks.  The distinct ``|t|`` ascend
+    (:func:`_time_pairs`), and each chunk takes their band values from
+    :meth:`SpectralPulse.band_phases`, a lone source's kernel folded in:
+    fig3's 281 distinct ``|t|`` in blocks of 61 cost 61 + 5 rows of
+    ``sin`` and ``cos`` instead of 281.
 
     The corrections are quadratic forms of u and v in the matter-light
     covariance kernels ``delta_xi = d0^2 q q^T`` and
@@ -513,6 +589,8 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
     while starts[-1] < mags.size:
         held = np.cumsum(rows[starts[-1]:starts[-1] + per])
         starts.append(starts[-1] + max(1, np.searchsorted(held, per, "right")))
+    spans = list(zip(starts, starts[1:]))
+    longest = max((m1 - m0 for m0, m1 in spans), default=1)
     cauchy = None
     if corrections:
         spectral.transforms     # built first: C is not alive beside them
@@ -537,10 +615,16 @@ def qfi_matrices(spectral: SpectralPulse, times, sources,
         covariance = (None if cauchy is None else
                       ((wpp / (p + omega0))[:, None], omega0, cauchy))
         blk = out[lo:lo + len(group)]
-        for m0, m1 in zip(starts, starts[1:]):
+        # one source's kernel goes into the phases' start rows
+        phases = spectral.band_phases(mags, longest,
+                                      kern[0, 0] if len(group) == 1 else None)
+        for m0, m1 in spans:
             at = np.flatnonzero((index >= m0) & (index < m1))
-            tot = _block_sums(spectral, mags[m0:m1], index[at] - m0,
-                              sign[at], kern, weights, covariance)
+            g_re, g_im = phases(m0, m1)
+            g = ((g_re[None], g_im[None]) if len(group) == 1
+                 else (kern * g_re, kern * g_im))
+            tot = _block_sums(spectral, g, index[at] - m0, sign[at], kern,
+                              weights, covariance)
             j11 = 4.0 / (15.0 * math.pi**2) * chi0**2 * tot[..., 1]
             j33 = 2.0 * j11 + 4.0 / (3.0 * math.pi**2) * chi0**2 * tot[..., 2]
             j00 = 4.0 / (3.0 * math.pi**2) * tot[..., 0]
@@ -625,8 +709,12 @@ def nsc_series(scatterer: Scatterer, spectral: SpectralPulse, times) -> np.ndarr
     real kernel, ``f = a + ib`` gives ``f V + f* P = a (V + P) + i b (V - P)``.
     ``f`` vanishes off the band, so only the band rows of V and P are built,
     and a block of ``T`` times costs two real products on ``(T, m)`` band
-    arrays; ``|s|^2`` is summed from the real and imaginary parts.  This is
-    the one-series case of :func:`nsc_series_list`.
+    arrays; ``|s|^2`` is summed from the real and imaginary parts.  The
+    pulse's band values, with the kernel folded in, come from
+    :meth:`SpectralPulse.band_phases`, which the QFI path shares, so the
+    photon identity does not check them: ``tests/test_qfi.py`` holds them
+    to direct ``sin`` and ``cos`` on fig3's axes.  This is the one-series
+    case of :func:`nsc_series_list`.
     """
     return nsc_series_list([(scatterer, spectral, times)])[0]
 
@@ -637,7 +725,9 @@ def nsc_series_list(runs) -> list:
 
     V and P are built once, on the rows of the smallest run of nodes that
     covers every pulse's band, and the poles inside that run get the pole
-    subtraction.  Each series multiplies only its own band's rows, as
+    subtraction.  V + P and V - P take two ``(M, n)`` arrays for the run's
+    ``M`` rows: V becomes V - P in place, with P made again in blocks of
+    rows.  Each series multiplies only its own band's rows, as
     views, and the operators are freed on return.  A pole outside a
     pulse's own band but inside another's reaches that pulse's series only
     through the stencil on its band's two edge nodes, where the amplitude
@@ -650,42 +740,61 @@ def nsc_series_list(runs) -> list:
     # with negligible weight downstream
     inside = slice(max(union.start, 1), min(union.stop - 1, n - 2) + 1)
     # V's rows on the bands: nothing n x n is built
-    v = _pv_operator(k, w, inside, union)
-    # P's rows first, then V - P, then V + P in place
+    v_minus = _pv_operator(k, w, inside, union)
+    # P's rows, V + P in place, then V - P in place of V, with P made again
+    # in blocks of rows: two (M, n) arrays are held
     v_plus = k[union, None] + k
     np.divide(w[union, None], v_plus, out=v_plus)
-    v_minus = v - v_plus
-    v_plus += v
-    del v
-
+    v_plus += v_minus
     step = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(union.start, union.stop, step):
+        hi = min(lo + step, union.stop)
+        p_rows = k[lo:hi, None] + k
+        np.divide(w[lo:hi, None], p_rows, out=p_rows)
+        v_minus[lo - union.start:hi - union.start] -= p_rows
+    del p_rows
     out = []
     for scatterer, spectral, times in runs:
-        band = spectral.band
-        rows = slice(band.start - union.start, band.stop - union.start)
-        kb = k[band]
-        xi = regularizer(k, scatterer.a0)
-        # the kernel carries the 1/2pi of the k-integral
-        kern = np.sqrt(kb) * xi[band] * scatterer.chi(kb) / (2.0 * math.pi)
-        # |s|^2 p^2 with the emitted mode's factor sqrt(p) xi_p squared in
-        weights = w * k**3 * np.square(xi) / (3.0 * math.pi**2)
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        nsc = np.empty(times.size)
-        for lo in range(0, times.size, step):
-            f_re, f_im = spectral.band_values(times[lo:lo + step])
-            f_re *= kern
-            f_im *= kern
-            s_re, s_im = f_re @ v_plus[rows], f_im @ v_minus[rows]
-            # the causal term -(i/2) f, with f carrying the 1/2pi
-            s_re[:, band] += math.pi * f_im
-            s_im[:, band] -= math.pi * f_re
-            # |s|^2, in place
-            s_re *= s_re
-            s_im *= s_im
-            s_re += s_im
-            nsc[lo:lo + step] = s_re @ weights
-        out.append(nsc)
+        rows = slice(spectral.band.start - union.start,
+                     spectral.band.stop - union.start)
+        out.append(_nsc_run(scatterer, spectral, times, v_plus[rows],
+                            v_minus[rows]))
     return out
+
+
+def _nsc_run(scatterer: Scatterer, spectral: SpectralPulse, times,
+             v_plus: np.ndarray, v_minus: np.ndarray) -> np.ndarray:
+    """One run of :func:`nsc_series_list`, given the band rows of V + P
+    and V - P; its working arrays are freed on return, before the next
+    run's are made."""
+    k, w = spectral.grid.nodes, spectral.grid.weights
+    band = spectral.band
+    kb = k[band]
+    xi = regularizer(k, scatterer.a0)
+    # the kernel carries the 1/2pi of the k-integral
+    kern = np.sqrt(kb) * xi[band] * scatterer.chi(kb) / (2.0 * math.pi)
+    # |s|^2 p^2 with the emitted mode's factor sqrt(p) xi_p squared in
+    weights = w * k**3 * np.square(xi) / (3.0 * math.pi**2)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    step = max(1, _BLOCK_ELEMENTS // k.size)
+    nsc = np.empty(times.size)
+    phases = spectral.band_phases(times, step, kern)
+    # s's parts, reused from block to block
+    buf = np.empty((2, min(step, times.size), k.size))
+    for lo in range(0, times.size, step):
+        f_re, f_im = phases(lo, min(lo + step, times.size))
+        s_re, s_im = buf[:, :len(f_re)]
+        np.matmul(f_re, v_plus, out=s_re)
+        np.matmul(f_im, v_minus, out=s_im)
+        # the causal term -(i/2) f, with f carrying the 1/2pi
+        s_re[:, band] += math.pi * f_im
+        s_im[:, band] -= math.pi * f_re
+        # |s|^2, in place
+        s_re *= s_re
+        s_im *= s_im
+        s_re += s_im
+        nsc[lo:lo + step] = s_re @ weights
+    return nsc
 
 
 # ---------------------------------------------------------------------------

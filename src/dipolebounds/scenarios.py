@@ -257,11 +257,17 @@ def qfi_time_sweeps(runs, gauges: tuple = ("multipolar",),
 # ---------------------------------------------------------------------------
 
 def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple:
-    """Least-squares exponent of ``y ~ x**n``: returns (n, rms residual)."""
+    """Least-squares exponent of ``y ~ x**n``: returns (n, rms residual).
+
+    The straight line through ``(log x, log y)``, in closed form about the
+    means.  It makes no LAPACK call: the first one in a process raised
+    ``size-scan``'s peak RSS by about 0.8 MB.
+    """
     lx, ly = np.log(np.asarray(x, float)), np.log(np.asarray(y, float))
-    coef = np.polyfit(lx, ly, 1)
-    resid = ly - np.polyval(coef, lx)
-    return float(coef[0]), float(np.sqrt(np.mean(resid**2)))
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    slope = (dx @ dy) / (dx @ dx)
+    resid = dy - slope * dx
+    return float(slope), float(np.sqrt(np.mean(resid**2)))
 
 
 def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,

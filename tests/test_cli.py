@@ -630,6 +630,38 @@ def test_two_wavelengths_need_two_labels(tmp_path, monkeypatch, capsys,
     assert len(names) == 1 + 2 * 6
 
 
+@pytest.mark.parametrize("sets,path", [
+    (["run.fluence_ratio=3"], "run.fluence_ratio"),
+    (["run.corrections=true", 'run.gauges=["coulomb"]'], "run.corrections"),
+    (["run.fluence_ratio=3", "run.second_lambda_nm=4500"], None),
+    (["run.corrections=true", 'run.gauges=["coulomb","multipolar"]'], None)])
+def test_inputs_the_run_would_not_use_are_refused(tmp_path, monkeypatch,
+                                                  capsys, sets, path):
+    # a fluence ratio without a second wavelength, or corrections with no
+    # multipolar gauge, would be echoed and never used: both are refused
+    # before the grid is built; with a use for them the run goes ahead
+    build_grid = cli.build_grid
+
+    def grid(cfg, arrays=3):
+        assert path is None, "grid built for a refused run"
+        return build_grid(cfg, arrays)
+
+    monkeypatch.setattr(cli, "build_grid", grid)
+    out = tmp_path / "qt"
+    argv = ["qfi-time", "--out", str(out), "--set", "run.t_min_over_tau=-0.2",
+            "--set", "run.t_max_over_tau=0.2",
+            "--set", "run.samples_per_period=2"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == (2 if path else 0)
+    err = capsys.readouterr().err
+    if path:
+        assert f"config field {path}: " in err
+        assert not out.exists()
+    else:
+        assert (out / "data.csv").is_file()
+
+
 def test_two_wavelengths_build_their_operators_once(tmp_path, monkeypatch):
     # fig3's two pulses share one grid: the photon-number oracle builds one
     # operator and the QFI one set of transforms, each over both bands

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dipolebounds import qfi
+from dipolebounds import cli, qfi, scenarios
 from dipolebounds.fields import poynting_avg, scattered_regularized
 from dipolebounds.fisher import n_scattered
 from dipolebounds.model import PhysicsError, Pulse, Scatterer
@@ -137,6 +137,113 @@ class TestSpectralPulse:
         with pytest.raises(ValueError, match="one grid"):
             qfi.share_transforms([shared[0], SpectralPulse.from_pulse(
                 pulse_200, SinhGrid())])
+
+
+def blocked_phases(spectral, t, rows, kern=None):
+    """:meth:`SpectralPulse.band_phases` of ``t`` in blocks of ``rows``,
+    each block copied before the next reuses its buffers, stacked."""
+    phases = spectral.band_phases(t, rows, kern)
+    blocks = [tuple(np.copy(part) for part in
+                    phases(lo, min(lo + rows, t.size)))
+              for lo in range(0, t.size, rows)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def fig3_runs():
+    """fig3's two ``(scatterer, spectral, times)`` on one grid, each with
+    its time axis, as ``qfi-time --preset fig3`` builds them."""
+    cfg = cli.resolve_config(None, "fig3", None)
+    grid = cli.build_grid(cfg)
+    units, scat, pulse = cli.build_physics(cfg)
+    times = scenarios.default_time_axis(pulse)
+    units2, scat2, pulse2 = cli.build_physics(
+        cfg, cfg["run"]["second_lambda_nm"])
+    return [(scat, SpectralPulse.from_pulse(pulse, grid), times),
+            (scat2, SpectralPulse.from_pulse(pulse2, grid),
+             units2.time_to_internal(units.time_from_internal(times)))]
+
+
+class TestBandPhases:
+    """A series taken in blocks gets its band values by angle addition
+    from one table of offsets when it is equally spaced, and
+    band_values' own rows otherwise."""
+
+    @staticmethod
+    def assert_near_band_values(spectral, t, got, kern=1.0):
+        # band_values rounds k t by half an ulp; the angle addition adds
+        # the axis's deviation from equal spacing (4 ulps of max |t| on
+        # fig3's axes): each element within 8 eps max|k t| of |kern a|
+        band = spectral.band
+        ref = spectral.band_values(t)
+        bound = (8.0 * np.finfo(float).eps * np.abs(t).max()
+                 * spectral.grid.nodes[band].max()
+                 * np.abs(kern * spectral.alpha.imag[band]))
+        for part, want in zip(got, ref):
+            assert part.shape == want.shape
+            assert np.all(np.abs(part - kern * want) <= bound)
+
+    def test_fig3_axes_and_their_distinct_times(self):
+        for _, spectral, times in fig3_runs():
+            rows = qfi._BLOCK_ELEMENTS // spectral.grid.size
+            for t in (times, qfi._time_pairs(times)[0]):
+                assert t.size > rows and qfi._equal_step(t) is not None
+                self.assert_near_band_values(
+                    spectral, t, blocked_phases(spectral, t, rows))
+
+    def test_a_long_series_from_a_negative_time(self, spectral_200,
+                                                scat_532):
+        # blocks of 7 over 3.5 blocks' worth of times, kernel folded in;
+        # each block's first row is band_values' times the kernel exactly
+        t = np.linspace(-300.0, 600.0, 25)
+        kern = FrequencyIntegrals(spectral_200, scat_532)._kern
+        got = blocked_phases(spectral_200, t, 7, kern)
+        self.assert_near_band_values(spectral_200, t, got, kern)
+        sin, cos = spectral_200.band_values(t[::7])
+        assert np.array_equal(got[0][::7], sin * kern)
+        assert np.array_equal(got[1][::7], cos * kern)
+        assert not np.array_equal(got[0], spectral_200.band_values(t)[0]
+                                  * kern)
+
+    def test_unequal_spacing_gets_band_values(self, spectral_200, scat_532,
+                                              pulse_200):
+        # size-scan's peak window plus 5 tau, its times and its distinct
+        # |t|, in blocks of 3: band_values' rows bit for bit
+        window = np.append(scenarios._paired_linspace(-0.5 * math.pi, 0.5 * math.pi,
+                                            65), 5.0 * pulse_200.tau)
+        kern = FrequencyIntegrals(spectral_200, scat_532)._kern
+        for t in (window, qfi._time_pairs(window)[0]):
+            assert qfi._equal_step(t) is None
+            for k in (None, kern):
+                got = blocked_phases(spectral_200, t, 3, k)
+                want = spectral_200.band_values(t)
+                for part, ref in zip(got, want):
+                    if k is not None:
+                        ref *= k
+                    assert part.tobytes() == ref.tobytes()
+
+    def test_fig3_takes_few_rows_of_sin(self, monkeypatch):
+        # per series, np.sin runs on at most one block's rows of offsets
+        # plus one start row per block, against one row per time directly
+        log = []
+        sin, band_phases = np.sin, SpectralPulse.band_phases
+
+        def counted(x, *args, **kwargs):
+            log[-1][1] += np.size(x) // np.shape(x)[-1]
+            return sin(x, *args, **kwargs)
+
+        def marked(self, t, rows, kern=None):
+            log.append([(np.size(t), rows), 0])
+            return band_phases(self, t, rows, kern)
+
+        monkeypatch.setattr(np, "sin", counted)
+        monkeypatch.setattr(SpectralPulse, "band_phases", marked)
+        runs = fig3_runs()
+        qfi.nsc_series_list(runs)
+        for scat, spectral, times in runs:
+            qfi_matrix(scat, spectral, times)
+        assert [size for (size, _), _ in log] == [449, 449, 281, 281]
+        for (size, rows), count in log:
+            assert count <= rows + math.ceil(size / rows) < size
 
 
 def test_regularizer_values():

@@ -51,6 +51,21 @@ def test_fit_power_law_recovers_exponent():
     assert n2 == pytest.approx(2.5, abs=0.1)
 
 
+def test_fit_power_law_is_the_polyfit_line():
+    # the closed-form fit is np.polyfit's degree-1 least squares in log-log,
+    # exponent and rms residual, on noisy data over decades of x
+    rng = np.random.default_rng(11)
+    for size in (3, 8, 40):
+        x = np.geomspace(0.3, 400.0, size)
+        y = 2.1 * x ** -1.7 * np.exp(rng.normal(0.0, 0.3, size))
+        lx, ly = np.log(x), np.log(y)
+        coef = np.polyfit(lx, ly, 1)
+        rms = np.sqrt(np.mean((ly - np.polyval(coef, lx)) ** 2))
+        n, resid = fit_power_law(x, y)
+        assert n == pytest.approx(coef[0], rel=1e-12)
+        assert resid == pytest.approx(rms, rel=1e-12)
+
+
 def test_default_axes(pulse_200):
     z = default_distance_axis()
     assert z[0] == pytest.approx(0.02) and z[-1] == pytest.approx(10.0)
@@ -250,9 +265,10 @@ def test_qfi_time_sweeps_match_each_run_alone(corrections):
 
 
 def test_qfi_time_sweeps_free_the_oracle_first():
-    # the oracle's V, V + P and V - P on the M rows covering both bands are
-    # freed before the QFI's two transforms on those rows are built, so the
-    # five (M, n) arrays are never held together: four bound the peak
+    # the oracle's V + P and V - P on the M rows covering both bands (V
+    # turned into V - P in place) are freed before the QFI's two transforms
+    # on those rows are built, so the (M, n) arrays are never held
+    # together: four bound the peak
     cfg = cli.resolve_config(None, "fig3", None)
     grid = cli.build_grid(cfg)
     runs = []
