@@ -121,9 +121,9 @@ FIELDS = {
         "refinement": (1, _number(ge=1, integer=True)),
     },
     "grid": {
-        "d_over_k0": (2.5e-3, _POS),
-        "delta": (3.8e-2, _POS),
-        "kmax_over_k0": (1.1e3, _number(gt=1)),
+        "d_over_k0": (SinhGrid.d, _POS),
+        "delta": (SinhGrid.delta, _POS),
+        "kmax_over_k0": (SinhGrid.k_max, _number(gt=1)),
     },
     "run": {
         # crb-scan

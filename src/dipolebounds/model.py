@@ -187,7 +187,7 @@ class Pulse:
             warnings.warn(
                 f"pulse bandwidth is large (tau = {self.tau:.3g} "
                 "< 10); narrow-band approximations may be inaccurate",
-                stacklevel=2,
+                stacklevel=3,   # past the generated __init__ to its caller
             )
 
     @property
@@ -240,8 +240,19 @@ class InfoMatrix:
         return np.linalg.inv(self.matrix)
 
     def errors(self) -> np.ndarray:
-        """Cramer-Rao standard deviations: sqrt of the diagonal of the inverse."""
-        inv_diag = np.diag(self.inverse())
+        """Cramer-Rao standard deviations: sqrt of the diagonal of the inverse.
+
+        Raises :class:`PhysicsError` when the measurement cannot separate
+        the parameters: a singular matrix, or an inverse whose diagonal
+        rounding has driven negative.
+        """
+        try:
+            inv_diag = np.diag(self.inverse())
+        except np.linalg.LinAlgError as exc:
+            raise PhysicsError("the information matrix is singular: the "
+                               "measurement cannot separate the parameters"
+                               ) from exc
         if np.any(inv_diag < 0):
-            raise ValueError("inverse information matrix has negative diagonal")
+            raise PhysicsError(
+                "inverse information matrix has negative diagonal")
         return np.sqrt(inv_diag)

@@ -46,8 +46,9 @@ import numpy as np
 
 from .fields import regularizer
 from .model import PhysicsError, Pulse, Scatterer
-from .quadrature import (SinhGrid, _pole_subtraction, pv_integral,
-                         pv_k_stencil, pv_matrix, trapezoid_weights)
+from .quadrature import (_BLOCK_ELEMENTS, SinhGrid, _pole_subtraction,
+                         pv_integral, pv_k_stencil, pv_matrix,
+                         trapezoid_weights)
 
 __all__ = [
     "GAUGES",
@@ -65,11 +66,6 @@ __all__ = [
 ]
 
 GAUGES = ("multipolar", "coulomb")
-
-#: element budget of one working array: times are processed in blocks of
-#: ``_BLOCK_ELEMENTS // n`` rows of ``n`` grid values, which keeps memory
-#: flat however long the requested series is
-_BLOCK_ELEMENTS = 2**15
 
 
 # ---------------------------------------------------------------------------

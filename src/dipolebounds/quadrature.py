@@ -24,6 +24,11 @@ __all__ = [
     "pv_k_stencil",
 ]
 
+#: element budget of one working array: rows of ``n`` grid values (full-row
+#: sums here, times in :mod:`~dipolebounds.qfi`) are formed in blocks of
+#: ``_BLOCK_ELEMENTS // n``, which keeps memory flat however many rows
+_BLOCK_ELEMENTS = 2**15
+
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     """Trapezoid-rule weights for an arbitrary ascending node set."""
@@ -162,7 +167,7 @@ def _pole_subtraction(nodes: np.ndarray, weights: np.ndarray, p: np.ndarray,
                < 1e-14 * np.maximum(np.abs(p), 1.0)[:, None])
     row, col = np.nonzero(on_pole)
     col = near[row, col]
-    step = max(1, _ROW_ELEMENTS // n)
+    step = max(1, _BLOCK_ELEMENTS // n)
     s = np.empty(p.size)
     block = np.empty((min(step, p.size), n))
     for lo in range(0, p.size, step):
@@ -203,12 +208,7 @@ def _interp_quadratic(x: np.ndarray, y: np.ndarray, x0):
     return y[..., i - 1] * l0 + y[..., i] * l1 + y[..., i + 1] * l2
 
 
-#: element budget of the row blocks in which :func:`pv_matrix` and
-#: :func:`_pole_subtraction` form their full-row sums
-_ROW_ELEMENTS = 2**15
-
-
-def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
+def pv_matrix(nodes: np.ndarray, weights: np.ndarray,
               cols=None) -> np.ndarray:
     """Matrix form of the principal-value transform on a fixed grid.
 
@@ -228,8 +228,6 @@ def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
     entries need are formed in blocks of rows.
     """
     nodes = np.asarray(nodes, dtype=float)
-    if weights is None:
-        weights = trapezoid_weights(nodes)
     a, b = nodes[0], nodes[-1]
     n = nodes.size
     c = np.arange(n) if cols is None else np.arange(n)[cols]
@@ -244,7 +242,7 @@ def pv_matrix(nodes: np.ndarray, weights: np.ndarray | None = None,
     inner = (c > 0) & (c < n - 1)
     i = c[inner]
     sums = np.empty(i.size)
-    step = max(1, _ROW_ELEMENTS // n)
+    step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, i.size, step):
         rows = i[lo:lo + step]
         full = nodes - nodes[rows, None]
@@ -272,7 +270,7 @@ def _stencil(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return s
 
 
-def pv_k_stencil(nodes: np.ndarray, weights: np.ndarray | None = None):
+def pv_k_stencil(nodes: np.ndarray, weights: np.ndarray):
     """What a factor ``k`` leaves behind under :func:`pv_matrix`.
 
     For ``M = pv_matrix(nodes, weights)`` and any samples ``g`` every row
@@ -288,8 +286,6 @@ def pv_k_stencil(nodes: np.ndarray, weights: np.ndarray | None = None):
     with ``(C g)_i = below_i g_{i-1} + on_i g_i + above_i g_{i+1}``.
     """
     nodes = np.asarray(nodes, dtype=float)
-    if weights is None:
-        weights = trapezoid_weights(nodes)
     s = _stencil(nodes, weights)
     below, above = np.zeros_like(s), np.zeros_like(s)
     below[1:-1] = s[1:-1] * (nodes[1:-1] - nodes[:-2])

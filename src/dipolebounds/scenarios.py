@@ -1,9 +1,10 @@
 """Sweep pipelines: CRB vs distance, QFI vs time, QFI vs source size.
 
-Functions here wire the field/detector/information modules into the standard
-parameter scans and produce :class:`SweepResult` tables ready for CSV export.
-Everything works in internal units (drive wavenumber 1); unit conversion and
-figure styling live in the command-line layer.
+Functions here wire the field/detector/information modules into the
+paper's parameter scans and produce :class:`SweepResult` tables ready for CSV
+export.  The caller gives every scan value; the command line's defaults are
+the paper's scans.  Everything works in internal units (drive wavenumber 1);
+unit conversion and figure styling live in the command-line layer.
 """
 
 from __future__ import annotations
@@ -65,18 +66,17 @@ def _physics_meta(scatterer: Scatterer, pulse: Pulse) -> dict:
 # CRB vs detector distance
 # ---------------------------------------------------------------------------
 
-def default_distance_axis(lo: float = 0.02, hi: float = 10.0,
-                          per_decade: int = 40) -> np.ndarray:
-    """Log-spaced |Z|/lambda axis, default 40 points per decade."""
+def default_distance_axis(lo: float, hi: float,
+                          per_decade: int) -> np.ndarray:
+    """Log-spaced |Z|/lambda axis from ``lo`` to ``hi``, ``per_decade``
+    points per decade."""
     n = max(2, round(per_decade * math.log10(hi / lo)) + 1)
     return np.geomspace(lo, hi, n)
 
 
 def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
-                       solid_angle: float = 1.97 * math.pi,
-                       z_over_lambda: np.ndarray | None = None,
-                       finite_a0: float | None = None,
-                       refinement: int = 1) -> SweepResult:
+                       solid_angle: float, z_over_lambda: np.ndarray,
+                       finite_a0: float, refinement: int) -> SweepResult:
     """Normalized CRBs vs detector distance for a planar detector.
 
     Three detector placements are evaluated at every distance: forward
@@ -89,11 +89,7 @@ def crb_distance_sweep(scatterer: Scatterer, pulse: Pulse,
     ``sqrt(N_sc) sigma_r / lambda``; the far-field quantum bounds are
     appended as constant reference columns.
     """
-    if z_over_lambda is None:
-        z_over_lambda = default_distance_axis()
     z_over_lambda = np.asarray(z_over_lambda, dtype=float)
-    if finite_a0 is None:
-        finite_a0 = 35e-9 / 1.03e-6 * _TWO_PI   # 35 nm at the 1.03 um drive
     point = replace(scatterer, a0=0.0)
     finite = replace(scatterer, a0=finite_a0)
     placements = ((point, 1.0), (point, -1.0), (finite, 1.0))
@@ -162,26 +158,23 @@ def _paired_linspace(t0: float, t1: float, n: int) -> np.ndarray:
     return times
 
 
-def default_time_axis(pulse: Pulse, samples_per_period: int = 8,
-                      span: tuple = (-3.0, 5.0)) -> np.ndarray:
-    """Times covering ``span`` (in units of tau) resolving the 2-omega beat,
-    paired about ``t = 0`` by :func:`_paired_linspace`.
+def default_time_axis(pulse: Pulse, samples_per_period: int,
+                      span: tuple) -> np.ndarray:
+    """Times covering ``span`` (in units of tau) at ``samples_per_period``
+    per optical period, paired about ``t = 0`` by :func:`_paired_linspace`.
 
-    The default span of the 24 fs, 1030 nm pulse has 449 times, 281
-    distinct ``|t|``, and no sample farther from ``np.linspace``'s than
-    1.3e-16 of the largest ``|t|``.
+    qfi-time's span of -3 to 5 tau at 8 samples per period gives the
+    24 fs, 1030 nm pulse 449 times, 281 distinct ``|t|``, and no sample
+    farther from ``np.linspace``'s than 1.3e-16 of the largest ``|t|``.
     """
     t0, t1 = span[0] * pulse.tau, span[1] * pulse.tau
     n = max(2, int(math.ceil((t1 - t0) / _TWO_PI * samples_per_period)) + 1)
     return _paired_linspace(t0, t1, n)
 
 
-def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
-                   times: np.ndarray | None = None,
-                   gauges: tuple = ("multipolar",),
-                   corrections: bool = False,
-                   normalize: bool = False,
-                   grid: SinhGrid | None = None) -> SweepResult:
+def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse, times: np.ndarray,
+                   gauges: tuple, corrections: bool, normalize: bool,
+                   grid: SinhGrid) -> SweepResult:
     """Time-resolved QFI entries (and scattered photon number) for one pulse.
 
     With ``normalize=True`` every diagonal entry is divided by its analytic
@@ -193,12 +186,10 @@ def qfi_time_sweep(scatterer: Scatterer, pulse: Pulse,
                            normalize, grid)[0]
 
 
-def qfi_time_sweeps(runs, gauges: tuple = ("multipolar",),
-                    corrections: bool = False, normalize: bool = False,
-                    grid: SinhGrid | None = None) -> list:
+def qfi_time_sweeps(runs, gauges: tuple, corrections: bool,
+                    normalize: bool, grid: SinhGrid) -> list:
     """:func:`qfi_time_sweep` of several ``(scatterer, pulse, times)`` runs
-    on one grid, one :class:`SweepResult` per run, in order; ``times`` may
-    be ``None`` for :func:`default_time_axis`.
+    on one grid, one :class:`SweepResult` per run, in order.
 
     The grid's band operators are built once for all runs: first the
     photon-number oracle's, by :func:`~dipolebounds.qfi.nsc_series_list`,
@@ -208,10 +199,7 @@ def qfi_time_sweeps(runs, gauges: tuple = ("multipolar",),
     but for a photon number moved through its band's edge nodes (see
     :func:`~dipolebounds.qfi.nsc_series_list`).
     """
-    grid = SinhGrid() if grid is None else grid
-    runs = [(scatterer, pulse,
-             default_time_axis(pulse) if times is None
-             else np.asarray(times, dtype=float))
+    runs = [(scatterer, pulse, np.asarray(times, dtype=float))
             for scatterer, pulse, times in runs]
     spectra = [qfi.SpectralPulse.from_pulse(pulse, grid) for _, pulse, _ in runs]
     nscs = qfi.nsc_series_list([(scatterer, spectral, times) for
@@ -271,20 +259,18 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple:
 
 
 def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
-                       a0_over_lambda: np.ndarray | None = None,
-                       gauges: tuple = ("multipolar", "coulomb"),
-                       peak_samples: int = 65,
-                       grid: SinhGrid | None = None) -> SweepResult:
+                       a0_over_lambda: np.ndarray, gauges: tuple,
+                       peak_samples: int, grid: SinhGrid) -> SweepResult:
     """Peak transient QFI vs source size, with fitted power-law exponents.
 
-    For each radius the QFI entries are sampled over a window of one
-    half-period around the pulse peak (the transient beats at twice the
-    carrier, so the window is guaranteed to contain a crest) and the largest
-    magnitude is recorded (``peak_*`` columns).  The window is
+    For each radius the QFI entries are sampled at ``peak_samples`` times
+    over a window of one half-period around the pulse peak (the transient
+    beats at twice the carrier, so the window is guaranteed to contain a
+    crest) and the largest magnitude is recorded (``peak_*`` columns).  The window is
     :func:`_paired_linspace`'s, so every ``-t`` pairs with a ``+t``, and
     5 tau is appended for the late-time value.  All radii in all gauges go
-    to one :func:`~dipolebounds.qfi.qfi_matrices` call: the default 8 radii
-    in 2 gauges cost 16 x 34 product rows per transform for the 66 times.
+    to one :func:`~dipolebounds.qfi.qfi_matrices` call: size-scan's 8 radii
+    in 2 gauges cost 16 x 34 product rows per transform for its 66 times.
     Because at the envelope center only half the pulse has scattered, the
     on-shell pedestal under the peak equals half the late-time value;
     subtracting it isolates the transient enhancement, whose size scaling
@@ -295,8 +281,6 @@ def size_scaling_sweep(scatterer: Scatterer, pulse: Pulse,
     are dropped from a fit when that halves its residual (recorded in the
     metadata).
     """
-    if a0_over_lambda is None:
-        a0_over_lambda = np.geomspace(1.0 / 120.0, 1.0 / 20.0, 8)
     a0_over_lambda = np.asarray(a0_over_lambda, dtype=float)
     times = np.append(_paired_linspace(-0.5 * math.pi, 0.5 * math.pi,
                                        peak_samples), 5.0 * pulse.tau)

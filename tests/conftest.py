@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from dipolebounds import cli, qfi
 from dipolebounds.model import Pulse, Scatterer, UnitSystem
 from dipolebounds.qfi import SpectralPulse
 
@@ -45,6 +48,31 @@ def pulse_200():
 @pytest.fixture(scope="session")
 def spectral_200(pulse_200):
     return SpectralPulse.from_pulse(pulse_200)
+
+
+@pytest.fixture(scope="session")
+def paper_scan():
+    """The paper's scans as the command line states them at its defaults:
+    the arguments of the two axis builders and the keyword arguments that
+    ``crb-scan`` and ``size-scan`` give their sweeps besides the physics
+    (``finite_a0`` at the default 1030 nm drive)."""
+    cfg = cli.resolve_config(None, None, None)
+    run, det = cfg["run"], cfg["detector"]
+    units = UnitSystem.from_wavelength_nm(cfg["pulse"]["lambda_nm"])
+    return SimpleNamespace(
+        distance_axis=(run["z_min_over_lambda"], run["z_max_over_lambda"],
+                       run["points_per_decade"]),
+        time_axis=(run["samples_per_period"],
+                   (run["t_min_over_tau"], run["t_max_over_tau"])),
+        crb=dict(solid_angle=det["solid_angle_over_pi"] * math.pi,
+                 finite_a0=units.length_to_internal(run["finite_a0_nm"] * 1e-9),
+                 refinement=det["refinement"]),
+        size=dict(a0_over_lambda=np.geomspace(run["a0_min_over_lambda"],
+                                              run["a0_max_over_lambda"],
+                                              run["sizes"]),
+                  gauges=qfi.GAUGES, peak_samples=run["peak_samples"],
+                  grid=cli.build_grid(cfg)),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -64,11 +64,13 @@ def test_criterion_02_late_time_matches_closed_form(scat_532, pulse_200,
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def near_field_sweeps(scat_1030, pulse_1030):
+def near_field_sweeps(scat_1030, pulse_1030, paper_scan):
     asymptotic = scenarios.crb_distance_sweep(
-        scat_1030, pulse_1030, z_over_lambda=np.geomspace(0.005, 0.03, 9))
+        scat_1030, pulse_1030, z_over_lambda=np.geomspace(0.005, 0.03, 9),
+        **paper_scan.crb)
     crossover = scenarios.crb_distance_sweep(
-        scat_1030, pulse_1030, z_over_lambda=np.geomspace(0.02, 0.08, 9))
+        scat_1030, pulse_1030, z_over_lambda=np.geomspace(0.02, 0.08, 9),
+        **paper_scan.crb)
     return asymptotic, crossover
 
 
@@ -108,9 +110,11 @@ def test_criterion_03_near_field_slopes(near_field_sweeps, param, expected,
 # --------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_04_far_plateau_above_qcrb(scat_1030, pulse_1030, capsys):
+def test_criterion_04_far_plateau_above_qcrb(scat_1030, pulse_1030,
+                                            paper_scan, capsys):
     sweep = scenarios.crb_distance_sweep(scat_1030, pulse_1030,
-                                         z_over_lambda=[2.0, 4.5, 10.0])
+                                         z_over_lambda=[2.0, 4.5, 10.0],
+                                         **paper_scan.crb)
     qcrb = qfi.farfield_qcrb_constants()
     worst_var, worst_ratio = 0.0, np.inf
     for group in ("fwd", "bwd", "finite"):
@@ -196,8 +200,9 @@ def test_criterion_06_mode_field_agreement(scat_532, capsys):
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def size_fits(scat_532, pulse_200):
-    sweep = scenarios.size_scaling_sweep(scat_532, pulse_200)
+def size_fits(scat_532, pulse_200, paper_scan):
+    sweep = scenarios.size_scaling_sweep(scat_532, pulse_200,
+                                         **paper_scan.size)
     return sweep.meta["fits"]
 
 

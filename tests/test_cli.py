@@ -1,8 +1,6 @@
 """Command-line interface: config resolution, outputs, exit codes."""
-import dataclasses
 import inspect
 import json
-import math
 import subprocess
 import sys
 import textwrap
@@ -15,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dipolebounds
-from dipolebounds import cli, detector, fisher, oracles, qfi, scenarios
+from dipolebounds import cli, detector, oracles, qfi, scenarios
 from dipolebounds.cli import (
     DEFAULT_CONFIG,
     PRESETS,
@@ -25,7 +23,6 @@ from dipolebounds.cli import (
     resolve_config,
 )
 from dipolebounds.model import UnitSystem
-from dipolebounds.quadrature import SinhGrid
 
 
 class TestResolveConfig:
@@ -231,6 +228,18 @@ class TestExitCodes:
         # resonance at 2000 nm sits below the 1030 nm drive: rejected
         assert main(["farfield", "--set", "scatterer.resonance_nm=2000"]) == 3
         assert "physics error" in capsys.readouterr().err
+
+    def test_singular_plate_is_3(self, tmp_path, capsys):
+        # a 16-pixel plate of 1e-8 pi sr sees chi0 and z0 alike: the 2 x 2
+        # block of the information matrix cancels to rounding
+        rc = main(["crb-scan", "--set", "detector.solid_angle_over_pi=1e-8",
+                   "--set", "run.z_min_over_lambda=1",
+                   "--set", "run.z_max_over_lambda=2",
+                   "--set", "run.points_per_decade=1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "information matrix is singular" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "data.csv").exists()
 
     def test_unknown_detector_key_is_2(self, capsys):
         # the planar plate is placed by the scan axis, not by a distance key
@@ -744,63 +753,10 @@ class _Recording(dict):
         return val
 
 
-def test_the_cli_defaults_are_the_librarys(monkeypatch):
-    # the default scan is stated twice, in FIELDS and in the library's
-    # signatures and sweep bodies; the two must agree
-    cfg = resolve_config(None, None, None)
-    grid, run, det = cfg["grid"], cfg["run"], cfg["detector"]
-
-    def defaults(fn):
-        return {name: p.default for name, p in
-                inspect.signature(fn).parameters.items()
-                if p.default is not p.empty}
-
-    assert {f.name: f.default for f in dataclasses.fields(SinhGrid)
-            if f.init} == {"d": grid["d_over_k0"], "delta": grid["delta"],
-                           "k_max": grid["kmax_over_k0"]}
-    assert defaults(scenarios.default_distance_axis) == {
-        "lo": run["z_min_over_lambda"], "hi": run["z_max_over_lambda"],
-        "per_decade": run["points_per_decade"]}
-    assert defaults(scenarios.default_time_axis) == {
-        "samples_per_period": run["samples_per_period"],
-        "span": (run["t_min_over_tau"], run["t_max_over_tau"])}
-    sweep = defaults(scenarios.qfi_time_sweep)
-    assert (list(sweep["gauges"]), sweep["corrections"], sweep["normalize"]) \
-        == (run["gauges"], run["corrections"], run["normalize"])
-    crb = defaults(scenarios.crb_distance_sweep)
-    assert crb["solid_angle"] == det["solid_angle_over_pi"] * math.pi
-    assert (crb["refinement"] == defaults(detector.planar_grid)["refinement"]
-            == det["refinement"])
-    assert defaults(scenarios.size_scaling_sweep)["peak_samples"] \
-        == run["peak_samples"]
-
-    # the defaults the sweeps fill in, read where they are first used
-    class Seen(Exception):
-        pass
-
-    seen = {}
-
-    def stop(name):
-        def record(*args):
-            seen[name] = args
-            raise Seen
-        return record
-
-    units, scatterer, pulse = cli.build_physics(cfg)
-    monkeypatch.setattr(fisher, "fi_matrices", stop("fi"))
-    with pytest.raises(Seen):
-        scenarios.crb_distance_sweep(scatterer, pulse)
-    _, (_, _, (finite, _)), _ = seen["fi"]
-    assert finite.a0 == pytest.approx(
-        units.length_to_internal(run["finite_a0_nm"] * 1e-9), rel=1e-14)
-    monkeypatch.setattr(qfi, "qfi_matrices", stop("qfi"))
-    with pytest.raises(Seen):
-        scenarios.size_scaling_sweep(scatterer, pulse)
-    _, times, sources = seen["qfi"]
-    radii = np.geomspace(run["a0_min_over_lambda"], run["a0_max_over_lambda"],
-                         run["sizes"])
-    assert [s.a0 for s, _ in sources[::2]] == list(radii * 2.0 * math.pi)
-    assert times.size == run["peak_samples"] + 1
+def test_the_cli_refinement_is_the_plates():
+    # the one default stated twice: the plate's refinement and the CLI's
+    default = inspect.signature(detector.planar_grid).parameters["refinement"]
+    assert default.default == DEFAULT_CONFIG["detector"]["refinement"]
 
 
 def test_every_default_key_is_read(tmp_path, monkeypatch, capsys):

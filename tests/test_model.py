@@ -91,8 +91,10 @@ class TestPulse:
             Pulse(**bad)
 
     def test_warns_on_broadband_pulse(self):
-        with pytest.warns(UserWarning, match="bandwidth"):
+        with pytest.warns(UserWarning, match="bandwidth") as caught:
             Pulse(phi=1.0, tau=6.0)
+        # the warning names the Pulse(...) call, not the generated __init__
+        assert caught[0].filename == __file__
 
 
 class TestScatterer:
@@ -156,6 +158,10 @@ class TestInfoMatrix:
         assert errs[0] == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-14)
         assert errs[1] == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-14)
         assert errs[2] == errs[3] == 1.0
+
+    def test_errors_of_a_singular_matrix_are_a_physics_error(self):
+        with pytest.raises(PhysicsError, match="singular"):
+            InfoMatrix(np.diag([1.0, 1.0, 1.0, 0.0])).errors()
 
     def test_names_follow_canonical_order(self):
         assert InfoMatrix(np.eye(4)).names == PARAM_NAMES == ("chi0", "x0", "y0", "z0")

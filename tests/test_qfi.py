@@ -22,8 +22,8 @@ from dipolebounds.qfi import (
     qfi_matrix,
     regularizer,
 )
-from dipolebounds.quadrature import (_ROW_ELEMENTS, SinhGrid, pv_integral,
-                                     pv_matrix, trapezoid_weights)
+from dipolebounds.quadrature import (SinhGrid, pv_integral, pv_matrix,
+                                     trapezoid_weights)
 from dipolebounds.scenarios import fit_power_law, size_scaling_sweep
 
 LAM = 2.0 * math.pi
@@ -155,9 +155,11 @@ def fig3_runs():
     cfg = cli.resolve_config(None, "fig3", None)
     grid = cli.build_grid(cfg)
     units, scat, pulse = cli.build_physics(cfg)
-    times = scenarios.default_time_axis(pulse)
-    units2, scat2, pulse2 = cli.build_physics(
-        cfg, cfg["run"]["second_lambda_nm"])
+    run = cfg["run"]
+    times = scenarios.default_time_axis(
+        pulse, run["samples_per_period"],
+        (run["t_min_over_tau"], run["t_max_over_tau"]))
+    units2, scat2, pulse2 = cli.build_physics(cfg, run["second_lambda_nm"])
     return [(scat, SpectralPulse.from_pulse(pulse, grid), times),
             (scat2, SpectralPulse.from_pulse(pulse2, grid),
              units2.time_to_internal(units.time_from_internal(times)))]
@@ -375,7 +377,8 @@ class TestFrequencyIntegrals:
 
         monkeypatch.setattr(qfi, "pv_matrix", counted)
         size_scaling_sweep(scat_532, pulse_200, [1 / 60, 1 / 40, 1 / 30],
-                           gauges=("multipolar", "coulomb"), peak_samples=5)
+                           gauges=("multipolar", "coulomb"), peak_samples=5,
+                           grid=SinhGrid())
         assert len(calls) == 1
         # profiles in both gauges on a fresh pulse share its one build
         calls.clear()
@@ -715,17 +718,18 @@ class TestTimeReversalPairing:
         monkeypatch.setattr(qfi.SpectralPulse, "from_pulse",
                             lambda *args: spectral_200)
         size_scaling_sweep(scat_532, pulse_200, [1 / 60],
-                           gauges=("multipolar",), peak_samples=samples)
+                           gauges=("multipolar",), peak_samples=samples,
+                           grid=spectral_200.grid)
         assert product_rows() == rows + 1
 
     def test_size_scan_stacks_its_sources(self, scat_532, pulse_200,
                                           spectral_200, product_rows,
-                                          monkeypatch):
-        # the default sweep's 8 radii in 2 gauges share one call: 16 x 34
+                                          paper_scan, monkeypatch):
+        # size-scan's 8 radii in 2 gauges share one call: 16 x 34
         # rows per transform for the 34 distinct |t| of its 66 times
         monkeypatch.setattr(qfi.SpectralPulse, "from_pulse",
                             lambda *args: spectral_200)
-        size_scaling_sweep(scat_532, pulse_200)
+        size_scaling_sweep(scat_532, pulse_200, **paper_scan.size)
         assert product_rows() == 16 * 34
 
 
@@ -832,7 +836,7 @@ class TestScatteredPhotons:
         # vectors; a (P, n) pole matrix would take 4 to 9 blocks more
         grid = SinhGrid()
         k, w, n = grid.nodes, grid.weights, grid.size
-        block = max(1, _ROW_ELEMENTS // n) * n * 8
+        block = max(1, qfi._BLOCK_ELEMENTS // n) * n * 8
         for inside, rows in ((slice(1, 362), slice(0, 362)),
                              (slice(30, 321), slice(29, 322)),
                              (slice(1, n - 1), slice(0, n))):

@@ -85,17 +85,18 @@ class TestPvIntegral:
 class TestPvMatrix:
     def setup_method(self):
         self.nodes = 0.1 + 3.0 * np.linspace(0.0, 1.0, 220) ** 2
+        self.weights = trapezoid_weights(self.nodes)
         self.f = np.exp(-4.0 * (self.nodes - 1.0) ** 2)
 
     def test_interior_rows_match_single_pole_version(self):
-        m = pv_matrix(self.nodes)
+        m = pv_matrix(self.nodes, self.weights)
         out = m @ self.f
         for i in (5, 60, 110, 214):
             ref = pv_integral(self.f, self.nodes, self.nodes[i])
             assert out[i] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_boundary_rows_stay_finite(self):
-        m = pv_matrix(self.nodes)
+        m = pv_matrix(self.nodes, self.weights)
         assert np.all(np.isfinite(m))
 
     def test_matches_row_by_row_construction(self):
@@ -145,7 +146,7 @@ class TestPvMatrix:
         if grid == "sinh":
             k, w = SinhGrid().nodes, SinhGrid().weights
         else:
-            k, w = self.nodes, trapezoid_weights(self.nodes)
+            k, w = self.nodes, self.weights
         n = k.size
         want = np.tile(w, (n, 1)) - np.diag(w)
         for i in range(1, n - 1):
@@ -157,13 +158,13 @@ class TestPvMatrix:
 
     @pytest.mark.parametrize("weights", [None, "sinh"])
     def test_k_stencil_moves_k_through_the_matrix(self, weights):
-        # M (k g) = p (M g) + w @ g + C g, row by row, for any samples g
+        # M (k g) = p (M g) + w @ g + C g, row by row, for any samples g;
+        # None takes the trapezoid weights of the uneven nodes
         if weights is None:
-            k, w = self.nodes, trapezoid_weights(self.nodes)
-            below, on, above = pv_k_stencil(k)
+            k, w = self.nodes, self.weights
         else:
             k, w = SinhGrid().nodes, SinhGrid().weights
-            below, on, above = pv_k_stencil(k, w)
+        below, on, above = pv_k_stencil(k, w)
         g = np.random.default_rng(3).standard_normal((4, k.size))
         c = on * g
         c[:, 1:] += below[1:] * g[:, :-1]

@@ -13,6 +13,7 @@ from dipolebounds.fisher import crb_bounds, fi_matrix
 from dipolebounds.model import Pulse, UnitSystem
 from dipolebounds.oracles import ORACLES
 from dipolebounds.qfi import farfield_qcrb_constants
+from dipolebounds.quadrature import SinhGrid
 from dipolebounds.scenarios import (
     SweepResult,
     _paired_linspace,
@@ -66,11 +67,11 @@ def test_fit_power_law_is_the_polyfit_line():
         assert resid == pytest.approx(rms, rel=1e-12)
 
 
-def test_default_axes(pulse_200):
-    z = default_distance_axis()
+def test_default_axes(pulse_200, paper_scan):
+    z = default_distance_axis(*paper_scan.distance_axis)
     assert z[0] == pytest.approx(0.02) and z[-1] == pytest.approx(10.0)
     assert z.size == 109  # 40 per decade over 2.7 decades
-    t = default_time_axis(pulse_200)
+    t = default_time_axis(pulse_200, *paper_scan.time_axis)
     assert t[0] == -3.0 * pulse_200.tau and t[-1] == 5.0 * pulse_200.tau
     # 8 samples per optical period resolves the 2-omega transient
     assert t.size > 8.0 * (t[-1] - t[0]) / (2.0 * math.pi)
@@ -94,10 +95,10 @@ class TestDefaultTimeAxis:
         assert np.abs(t - line).max() <= 2.2e-16 * np.abs(t).max()
         assert len(set(np.abs(t).tolist())) == 281
 
-    def test_lattice_without_zero_is_linspace(self):
+    def test_lattice_without_zero_is_linspace(self, paper_scan):
         # at 532 nm the 24 fs pulse's 867 samples miss t = 0
         tau = UnitSystem.from_wavelength_nm(532.0).time_to_internal(24e-15)
-        t = default_time_axis(Pulse(phi=1.0, tau=tau))
+        t = default_time_axis(Pulse(phi=1.0, tau=tau), *paper_scan.time_axis)
         assert t.size == 867 and not np.any(t == 0.0)
         line = np.linspace(-3.0 * tau, 5.0 * tau, 867)
         assert t.tobytes() == line.tobytes()
@@ -125,18 +126,20 @@ class TestPairedLinspace:
     def test_one_sample_is_linspace(self, scat_532, pulse_200):
         t = _paired_linspace(-0.5 * math.pi, 0.5 * math.pi, 1)
         assert t.tolist() == [-0.5 * math.pi]
-        sweep = size_scaling_sweep(scat_532, pulse_200, peak_samples=1,
-                                   a0_over_lambda=[1 / 120, 1 / 60, 1 / 30])
+        sweep = size_scaling_sweep(scat_532, pulse_200,
+                                   [1 / 120, 1 / 60, 1 / 30], ("multipolar",),
+                                   peak_samples=1, grid=SinhGrid())
         assert sweep.meta["times"] == 2
 
     def test_empty_span_is_linspace(self, pulse_200):
-        t = default_time_axis(pulse_200, span=(1.0, 1.0))
+        t = default_time_axis(pulse_200, 8, (1.0, 1.0))
         assert t.tolist() == [pulse_200.tau, pulse_200.tau]
 
 
 @pytest.fixture(scope="module")
-def two_point_sweep(scat_1030, pulse_1030):
-    return crb_distance_sweep(scat_1030, pulse_1030, z_over_lambda=[0.4, 0.8])
+def two_point_sweep(scat_1030, pulse_1030, paper_scan):
+    return crb_distance_sweep(scat_1030, pulse_1030, z_over_lambda=[0.4, 0.8],
+                              **paper_scan.crb)
 
 
 class TestCrbDistanceSweep:
@@ -165,13 +168,13 @@ class TestCrbDistanceSweep:
                 assert np.all(sweep.columns[f"crb_{p}_norm_{group}"]
                               > sweep.columns[f"qcrb_{p}_norm"])
 
-    def test_deterministic(self, scat_1030, pulse_1030, sweep):
+    def test_deterministic(self, scat_1030, pulse_1030, sweep, paper_scan):
         again = crb_distance_sweep(scat_1030, pulse_1030,
-                                   z_over_lambda=[0.4, 0.8])
+                                   z_over_lambda=[0.4, 0.8], **paper_scan.crb)
         np.testing.assert_array_equal(again.table(), sweep.table())
 
     def test_one_plate_alive_at_a_time(self, scat_1030, pulse_1030,
-                                       monkeypatch):
+                                       paper_scan, monkeypatch):
         # one plate per distance, mirrored for the backward placement, and
         # freed before the next is built, so the sweep holds one edge axis
         # at a time
@@ -184,7 +187,8 @@ class TestCrbDistanceSweep:
             return grid
 
         monkeypatch.setattr(detector, "planar_grid", spy)
-        crb_distance_sweep(scat_1030, pulse_1030, z_over_lambda=[0.4, 0.8])
+        crb_distance_sweep(scat_1030, pulse_1030, z_over_lambda=[0.4, 0.8],
+                           **paper_scan.crb)
         assert len(built) == 2
 
     @pytest.mark.parametrize("r0", [(0.3, 0.0, 0.1), (0.2, -0.1, 0.05),
@@ -209,8 +213,8 @@ class TestCrbDistanceSweep:
 
         with monkeypatch.context() as m:
             m.setattr(fields, "z_flux_parts", spy)
-            sweep = crb_distance_sweep(scat, pulse_1030, z_over_lambda=z_rel,
-                                       finite_a0=LAM / 30.0)
+            sweep = crb_distance_sweep(scat, pulse_1030, 1.97 * math.pi,
+                                       z_rel, LAM / 30.0, refinement=1)
         on_axis = r0[:2] == (0.0, 0.0)
         assert sum(evaluated) == sweep.meta["pixels"] // (4 if on_axis else 1)
         for row, z in enumerate(z_rel):
@@ -227,7 +231,9 @@ class TestCrbDistanceSweep:
 
 def test_qfi_time_sweep_normalized_plateaus(scat_532, pulse_200):
     sweep = qfi_time_sweep(scat_532, pulse_200,
-                           times=[0.0, 5.0 * pulse_200.tau], normalize=True)
+                           times=[0.0, 5.0 * pulse_200.tau],
+                           gauges=("multipolar",), corrections=False,
+                           normalize=True, grid=SinhGrid())
     assert sweep.axis_name == "t_internal"
     assert set(sweep.columns) == {"j00_multipolar", "j11_multipolar",
                                   "j22_multipolar", "j33_multipolar",
@@ -253,11 +259,11 @@ def test_qfi_time_sweeps_match_each_run_alone(corrections):
         runs.append((scat, pulse, np.linspace(-1.0, 2.0, 25) * pulse.tau))
     gauges = ("multipolar", "coulomb")
     both = qfi_time_sweeps(runs, gauges=gauges, corrections=corrections,
-                           grid=grid)
+                           normalize=False, grid=grid)
     assert len(both) == 2
     for run, sweep in zip(runs, both):
         alone = qfi_time_sweep(*run, gauges=gauges, corrections=corrections,
-                               grid=grid)
+                               normalize=False, grid=grid)
         assert sweep.meta == alone.meta
         assert list(sweep.columns) == list(alone.columns)
         for name, col in alone.columns.items():
@@ -279,7 +285,8 @@ def test_qfi_time_sweeps_free_the_oracle_first():
              for _, pulse, _ in runs]
     rows = max(b.stop for b in bands) - min(b.start for b in bands)
     tracemalloc.start()
-    qfi_time_sweeps(runs, grid=grid)
+    qfi_time_sweeps(runs, ("multipolar",), corrections=False,
+                    normalize=False, grid=grid)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 4 * rows * grid.size * 8
@@ -289,7 +296,8 @@ def test_size_scaling_sweep_structure(scat_532, pulse_200):
     # five radii so a fit survives the drop-two-largest robustness rule
     sweep = size_scaling_sweep(scat_532, pulse_200,
                                a0_over_lambda=np.geomspace(0.01, 0.04, 5),
-                               gauges=("multipolar",), peak_samples=17)
+                               gauges=("multipolar",), peak_samples=17,
+                               grid=SinhGrid())
     expected = {f"{kind}_{entry}_multipolar"
                 for kind in ("peak", "transient")
                 for entry in ("j00", "j11", "j33", "j03")}
@@ -308,8 +316,9 @@ def test_size_scaling_sweep_structure(scat_532, pulse_200):
 
 @pytest.fixture(scope="module")
 def size_sweep(scat_532, pulse_200):
-    # the default 65-sample window, three radii, both gauges
-    return size_scaling_sweep(scat_532, pulse_200, [1 / 60, 1 / 40, 1 / 30])
+    # size-scan's 65-sample window, three radii, both gauges
+    return size_scaling_sweep(scat_532, pulse_200, [1 / 60, 1 / 40, 1 / 30],
+                              qfi.GAUGES, peak_samples=65, grid=SinhGrid())
 
 
 class TestSizeScalingSweep:
