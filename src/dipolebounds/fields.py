@@ -12,7 +12,9 @@ finite radius ``a0`` that smoothly reduces to the point form as ``a0 -> 0``.
 :func:`z_flux_parts` is the per-pixel kernel of the classical information:
 the z flux and its gradient along the source position for several
 placements of a source at once.  It owns the rule for what the placements
-share: its callers pass only the points, the placements and ``e_in``.
+share, and how long: its callers pass only the points, the placements and
+``e_in``, and each set of flux terms lives from its first placement to its
+last.
 """
 
 from __future__ import annotations
@@ -304,15 +306,22 @@ def _flux_terms(frame: _Frame, a0: float) -> _FluxTerms:
     nx, _, nz = frame.n
     screen = np.exp(-2.0 / a0 * frame.rho) if a0 > 0 else None
     (f1, f3, c), (df1, df3, dc) = _flux_profiles(inv, a0, frame.wave, screen)
+    # each profile is released once its last term is formed
+    del screen
     nx2 = nx * nx
     s1 = 1.0 - nx2
     s3 = 1.0 - 3.0 * nx2
+    del nx2
     ex = f1 * s1 + f3 * s3
     by = c * nz
     ang_ex = (f1 + 3.0 * f3) * (-2.0 * inv * nx)
+    del f1, f3
     rad_ex = df1 * s1 + df3 * s3 - ang_ex * nx
+    del df1, df3, s1, s3
     ang_by = c * inv
+    del c
     rad_by = (dc - ang_by) * nz
+    del dc
     b_sc = np.conj(by)
     return _FluxTerms(ex, by, ang_ex, rad_ex, ang_by, rad_by,
                       np.real(ex * b_sc),
@@ -381,7 +390,12 @@ def z_flux_parts(points: np.ndarray, placements, e_in: float = 1.0) -> list:
     at unit prefactor and phase once for every source whose screened terms
     are dropped (a finite source then differs from the point dipole only by
     ``xi``), and once per radius that keeps them.  Each placement then
-    applies its own prefactor, phase and sign of ``n_z``.
+    applies its own prefactor, phase and sign of ``n_z``.  Every
+    placement's frame and term set is worked out, and its points refused,
+    before any terms are built; a term set is built at its first placement
+    and dropped after its last.  So for a point source on both sides and
+    then a finite source that keeps its screened terms, the point terms
+    are gone before the screened ones are built.
 
     Products ``Re(E conj(B))`` do not change under a common phase, so every
     field is formed relative to the incident wave ``e_in exp(i z)``: the
@@ -410,7 +424,7 @@ def z_flux_parts(points: np.ndarray, placements, e_in: float = 1.0) -> list:
     Re(E conj(ang_by))) / 2`` on z0.
     """
     pts = np.asarray(points, dtype=float)
-    frames, terms, out = {}, {}, []
+    frames, plan, last = {}, [], {}
     for scatterer, side in placements:
         if side not in (1.0, -1.0):
             raise ValueError(f"a placement's side is 1 or -1, got {side!r}")
@@ -427,10 +441,16 @@ def z_flux_parts(points: np.ndarray, placements, e_in: float = 1.0) -> list:
         if not (a0 > 0 and (frame.rho.min() * 2.0 <= _SCREEN_CUTOFF * a0
                             or a0 <= _SCREEN_MIN_A0)):
             a0 = 0.0                    # the point dipole's terms, times xi
-        if (key, a0) not in terms:
-            terms[key, a0] = _flux_terms(frame, a0)
-        out.append(_placement_flux(frame, terms[key, a0], scatterer, e_in,
-                                   side * mirror))
+        last[key, a0] = len(plan)
+        plan.append((scatterer, frame, (key, a0), side * mirror))
+    # each term set lives from its first placement to its last
+    terms, out = {}, []
+    for i, (scatterer, frame, tkey, sign) in enumerate(plan):
+        if tkey not in terms:
+            terms[tkey] = _flux_terms(frame, tkey[1])
+        out.append(_placement_flux(frame, terms[tkey], scatterer, e_in, sign))
+        if last[tkey] == i:
+            del terms[tkey]
     return out
 
 

@@ -24,7 +24,8 @@ source on one plate: a point or a finite source, on the plate or on its
 mirror image through ``z = 0``.  It hands each block of at most ``_CHUNK``
 pixels with all the placements to
 :func:`~dipolebounds.fields.z_flux_parts`, which decides what the
-placements share, and sums the :func:`poisson_fi` of each placement's
+placements share and holds each set of flux terms from its first placement
+to its last, and sums the :func:`poisson_fi` of each placement's
 counts, so it builds no plate-sized array; :func:`fi_matrix` is its
 one-placement case.  The x-polarized drive is symmetric under
 ``x -> -x`` and ``y -> -y`` about a source on the z axis: the counts are
@@ -192,7 +193,6 @@ class CrbResult:
     sigma: np.ndarray
     normalized: np.ndarray
     n_sc: float
-    condition_number: float
 
 
 def crb_bounds(info: InfoMatrix, scatterer: Scatterer,
@@ -209,4 +209,4 @@ def crb_bounds(info: InfoMatrix, scatterer: Scatterer,
         root * sigma[2] / lam,
         root * sigma[3] / lam,
     ])
-    return CrbResult(sigma, normalized, nsc, info.condition_number)
+    return CrbResult(sigma, normalized, nsc)

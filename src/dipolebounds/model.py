@@ -134,11 +134,6 @@ class Scatterer:
             raise ValueError("r0 must be a 3-vector")
         object.__setattr__(self, "r0", r0)
 
-    @property
-    def d0_sq(self) -> float:
-        """Squared dipole-coupling strength, ``omega0 * chi0`` in internal units."""
-        return self.omega0 * self.chi0
-
     def chi(self, omega) -> np.ndarray | float:
         """Linear response at angular frequency ``omega`` (internal units)."""
         w2 = np.square(omega)
@@ -206,7 +201,8 @@ class Pulse:
 
 @dataclass(frozen=True, eq=False)
 class InfoMatrix:
-    """A 4x4 Fisher-information matrix in canonical parameter order.
+    """A 4x4 Fisher-information matrix in the canonical parameter order,
+    :data:`PARAM_NAMES`.
 
     Validates symmetry and (approximate) positive semidefiniteness on
     construction.  Use :meth:`errors` for the square-root CRB diagonal.
@@ -230,15 +226,6 @@ class InfoMatrix:
             )
         object.__setattr__(self, "matrix", m)
 
-    names = PARAM_NAMES
-
-    @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.matrix))
-
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
-
     def errors(self) -> np.ndarray:
         """Cramer-Rao standard deviations: sqrt of the diagonal of the inverse.
 
@@ -247,7 +234,7 @@ class InfoMatrix:
         rounding has driven negative.
         """
         try:
-            inv_diag = np.diag(self.inverse())
+            inv_diag = np.diag(np.linalg.inv(self.matrix))
         except np.linalg.LinAlgError as exc:
             raise PhysicsError("the information matrix is singular: the "
                                "measurement cannot separate the parameters"

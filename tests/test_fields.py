@@ -292,6 +292,47 @@ class TestSourcePositionGradients:
             with pytest.raises(PhysicsError, match="point dipole"):
                 z_flux_parts(pts, placements)
 
+    @pytest.mark.parametrize("z0", [0.0, 0.6])
+    def test_each_term_set_is_built_once(self, z0, monkeypatch):
+        # a source in z = 0 keeps its point terms across a finite source
+        # whose screened terms are kept; a source above it builds a frame
+        # per side, and a finite source beyond the cutoff reuses the
+        # forward point terms after the backward ones
+        a0 = LAM / 30.0
+        r0 = (0.0, 0.0, z0)
+        point = Scatterer(chi0=0.7, r0=r0)
+        finite = Scatterer(chi0=0.7, a0=a0, r0=r0)
+        rng = np.random.default_rng(5)
+        dirs = rng.normal(size=(30, 3))
+        dirs[:, 2] = np.abs(dirs[:, 2]) + 0.5
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        dist = 41.0 * a0 * rng.uniform(1.0, 3.0, 30)
+        pts = np.asarray(r0) + dirs * dist[:, None]
+        if z0 == 0.0:
+            pts[4] = dirs[4] * 30.0 * a0            # inside the cutoff
+            placements = [(point, 1.0), (finite, 1.0), (point, -1.0)]
+            built = [(0, 0.0), (0, a0)]
+        else:
+            placements = [(point, 1.0), (point, -1.0), (finite, 1.0)]
+            built = [(0, 0.0), (1, 0.0)]
+        # each build as (the frame's order of first use, a0)
+        frames, calls = [], []
+        terms = fields._flux_terms
+
+        def spy(frame, a):
+            if all(f is not frame for f in frames):
+                frames.append(frame)
+            calls.append(([f is frame for f in frames].index(True), a))
+            return terms(frame, a)
+
+        monkeypatch.setattr(fields, "_flux_terms", spy)
+        together = z_flux_parts(pts, placements, e_in=1.3)
+        assert calls == built
+        for placement, parts in zip(placements, together):
+            [alone] = z_flux_parts(pts, [placement], e_in=1.3)
+            for a, b in zip(parts, alone):
+                np.testing.assert_array_equal(a, b)
+
 
 def test_intensity_parts_reconstruct_total_flux(scat_532):
     # the split z flux sums to the z row of the full Poynting vector, on

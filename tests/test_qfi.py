@@ -435,9 +435,10 @@ def covariance_kernels(grid, scat):
     p = grid.nodes
     root = np.sqrt(p) * regularizer(p, scat.a0)
     denom = p + scat.omega0
-    delta_xi = scat.d0_sq * np.outer(root / denom, root / denom)
+    d0_sq = scat.omega0 * scat.chi0
+    delta_xi = d0_sq * np.outer(root / denom, root / denom)
     inv = 1.0 / denom
-    upsilon = (-scat.d0_sq * np.outer(root, root) / np.add.outer(p, p)
+    upsilon = (-d0_sq * np.outer(root, root) / np.add.outer(p, p)
                * (inv[:, None] + inv[None, :]))
     return delta_xi, upsilon
 
@@ -447,16 +448,17 @@ def test_covariance_kernels_are_symmetric_and_small(scat_532, spectral_200):
     np.testing.assert_allclose(delta_xi, delta_xi.T, rtol=1e-14)
     np.testing.assert_allclose(upsilon, upsilon.T, rtol=1e-14)
     # both carry the tiny squared coupling d0^2 = omega0 chi0
-    assert np.abs(delta_xi).max() < scat_532.d0_sq
-    assert np.abs(upsilon).max() < 2.0 * scat_532.d0_sq
+    d0_sq = scat_532.omega0 * scat_532.chi0
+    assert np.abs(delta_xi).max() < d0_sq
+    assert np.abs(upsilon).max() < 2.0 * d0_sq
     # qfi_matrices reads them as one grid-only Cauchy matrix and the weight
     # q = sqrt(p) xi_p / (p + omega0): upsilon + delta_xi = -2 omega0 d0^2
     # q_i q_j C_ij and upsilon - delta_xi is that minus 2 d0^2 q q^T
     p = spectral_200.grid.nodes
     q = np.sqrt(p) * regularizer(p, scat_532.a0) / (p + scat_532.omega0)
-    plus = -2.0 * scat_532.omega0 * scat_532.d0_sq * (
+    plus = -2.0 * scat_532.omega0 * d0_sq * (
         np.outer(q, q) * qfi._cauchy(p))
-    minus = plus - 2.0 * scat_532.d0_sq * np.outer(q, q)
+    minus = plus - 2.0 * d0_sq * np.outer(q, q)
     scale = np.abs(upsilon).max()
     assert np.abs(upsilon + delta_xi - plus).max() <= 1e-15 * scale
     assert np.abs(upsilon - delta_xi - minus).max() <= 1e-15 * scale
